@@ -104,7 +104,7 @@ def _count(name, observer=None):
 #: per-request segment, with CPython's MT19937 inlined (genrand_uint32
 #: and the 53-bit double conversion exactly as _randommodule.c).  The
 #: sojourn total accumulates in generation order — the same left fold
-#: as Python's ``sum(list)`` — and the two order statistics a
+#: as the fast path's ``memcached._mean`` — and the two order statistics a
 #: linear-interpolation percentile needs come from an O(n) quickselect
 #: (order statistics are value-exact regardless of the selection
 #: algorithm; the data is sojourn times, so no NaNs and no adversarial

@@ -17,6 +17,10 @@ from dataclasses import dataclass
 
 from repro.errors import EptFault
 
+#: Granularity at which :meth:`EptTable.compose` checks that a run of
+#: the outer table is contiguous.
+PAGE_SIZE = 4096
+
 
 @dataclass(frozen=True)
 class MmioRegion:
@@ -82,14 +86,22 @@ class EptTable:
     def translate(self, gpa):
         """GPA -> HPA; raises :class:`EptMisconfig` on MMIO and
         :class:`EptFault` on unmapped addresses."""
+        base, _, hpa = self._range_at(gpa)
+        return hpa + (gpa - base)
+
+    def _range_at(self, gpa):
+        """The RAM range ``(gpa_base, size, hpa_base)`` covering ``gpa``,
+        raising as :meth:`translate` does.  RAM is bisected first and the
+        MMIO list scanned only on a miss: ``_check_overlap`` keeps the two
+        disjoint, so the order cannot change the answer."""
+        idx = bisect.bisect_right(self._bases, gpa) - 1
+        if idx >= 0:
+            rng = self._ranges[idx]
+            if gpa < rng[0] + rng[1]:
+                return rng
         for region in self._mmio:
             if region.contains(gpa):
                 raise EptMisconfig(gpa, region)
-        idx = bisect.bisect_right(self._bases, gpa) - 1
-        if idx >= 0:
-            base, size, hpa = self._ranges[idx]
-            if base <= gpa < base + size:
-                return hpa + (gpa - base)
         raise EptFault(gpa)
 
     def lookup_mmio(self, gpa):
@@ -111,24 +123,37 @@ class EptTable:
         (e.g. L0's EPT for L1) into a direct table — what L0 builds into
         vmcs02's EPT pointer.  Inner MMIO regions survive unchanged (they
         must keep trapping); inner RAM ranges are re-based through the
-        outer table, splitting when they straddle outer mappings."""
+        outer table, splitting where they straddle outer mappings.
+
+        The walk is by outer range, not by page, but it keeps the
+        4 KiB-step semantics of a page-by-page translation: from each
+        run's start it probes only the first step past the current outer
+        range's end, and continues the run into the range found there
+        only if that range has the same GPA->HPA offset.  A step that
+        does not translate raises from :meth:`translate`'s lookup with
+        that step's address."""
         composed = EptTable(name=f"{self.name}*{outer.name}")
         for region in self._mmio:
             composed.map_mmio(region.base, region.size, region.device)
         for base, size, mid in self._ranges:
             offset = 0
+            outer_base, outer_size, outer_hpa = outer._range_at(mid)
             while offset < size:
-                hpa = outer.translate(mid + offset)
-                # Extend the run as far as the outer mapping is contiguous.
-                run = 1
-                step = 4096
-                while offset + run * step < size:
-                    nxt = outer.translate(mid + offset + run * step)
-                    if nxt != hpa + run * step:
+                start = mid + offset
+                delta = outer_hpa - outer_base
+                while True:
+                    # Every step before the first one at or past this
+                    # outer range's end lies inside it: contiguous.
+                    end = outer_base + outer_size
+                    chunk = -(-(end - start) // PAGE_SIZE) * PAGE_SIZE
+                    if offset + chunk >= size:
+                        chunk = size - offset
                         break
-                    run += 1
-                chunk = min(run * step, size - offset)
-                composed.map_range(base + offset, chunk, hpa)
+                    outer_base, outer_size, outer_hpa = outer._range_at(
+                        start + chunk)
+                    if outer_hpa - outer_base != delta:
+                        break
+                composed.map_range(base + offset, chunk, start + delta)
                 offset += chunk
         return composed
 

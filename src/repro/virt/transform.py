@@ -16,7 +16,7 @@ Three operations, matching Figure 2 and Algorithm 1:
 
 from dataclasses import dataclass, field
 
-from repro.virt.vmcs import FieldRegistry
+from repro.virt.vmcs import FieldRegistry, copy_fields
 
 #: Guest-state fields reflected in both directions.
 _GUEST_STATE_FIELDS = tuple(FieldRegistry.names(category="guest"))
@@ -27,6 +27,18 @@ _CONTROL_FIELDS = tuple(FieldRegistry.names(category="control"))
 
 #: Exit-information fields reflected 02 -> 12 after a nested trap.
 _EXIT_FIELDS = tuple(FieldRegistry.names(category="exit"))
+
+#: What 12 -> 02 copies, in order, and the fields among them holding an
+#: L1 guest-physical address.
+_FIELDS_12_TO_02 = _GUEST_STATE_FIELDS + _CONTROL_FIELDS
+_L1_ADDRESS_FIELDS = frozenset(
+    FieldRegistry.names(category="control", address_bearing=True)
+)
+
+#: What 02 -> 12 reflects, in order, and the field among them holding a
+#: host-physical address.
+_FIELDS_02_TO_12 = _GUEST_STATE_FIELDS + _EXIT_FIELDS
+_HOST_ADDRESS_FIELDS = frozenset({"guest_physical_address"})
 
 #: Sentinel host-physical address standing in for L0's VM-exit entry point.
 L0_HANDLER_ENTRY = 0xFFFF_8000_0000_0000
@@ -71,16 +83,8 @@ def transform_12_to_02(vmcs12, vmcs02, ept01, policy, composed_ept=None,
 
     Returns the names of address-bearing fields that were translated.
     """
-    translated = []
-    for name in _GUEST_STATE_FIELDS:
-        vmcs02.write(name, vmcs12.read(name), force=True)
-    for name in _CONTROL_FIELDS:
-        fld = FieldRegistry.get(name)
-        value = vmcs12.read(name)
-        if fld.address_bearing and isinstance(value, int) and value != 0:
-            value = ept01.translate(value)
-            translated.append(name)
-        vmcs02.write(name, value, force=True)
+    translated = copy_fields(vmcs12, vmcs02, _FIELDS_12_TO_02,
+                             ept01.translate, _L1_ADDRESS_FIELDS)
 
     # Host-state area of vmcs02 is L0's own, never L1's: a trap from L2
     # must always land in L0 first (paper Fig. 1 step 1).  The sentinel
@@ -101,7 +105,7 @@ def transform_12_to_02(vmcs12, vmcs02, ept01, policy, composed_ept=None,
     vmcs02.take_dirty()
     if obs is not None:
         obs.count("vmcs_fields_copied_total", direction="12->02",
-                  n=len(_GUEST_STATE_FIELDS) + len(_CONTROL_FIELDS))
+                  n=len(_FIELDS_12_TO_02))
         obs.count("vmcs_fields_translated_total", direction="12->02",
                   n=len(translated))
     return translated
@@ -116,19 +120,10 @@ def transform_02_to_12(vmcs02, vmcs12, ept01, obs=None):
 
     Returns the reflected field names.
     """
-    reflected = []
-    for name in _GUEST_STATE_FIELDS:
-        vmcs12.write(name, vmcs02.read(name), force=True)
-        reflected.append(name)
-    for name in _EXIT_FIELDS:
-        value = vmcs02.read(name)
-        if name == "guest_physical_address" and isinstance(value, int) \
-                and value != 0:
-            value = ept01.inverse(value)
-        vmcs12.write(name, value, force=True)
-        reflected.append(name)
+    copy_fields(vmcs02, vmcs12, _FIELDS_02_TO_12, ept01.inverse,
+                _HOST_ADDRESS_FIELDS)
     vmcs12.take_dirty()
     if obs is not None:
         obs.count("vmcs_fields_copied_total", direction="02->12",
-                  n=len(reflected))
-    return reflected
+                  n=len(_FIELDS_02_TO_12))
+    return list(_FIELDS_02_TO_12)

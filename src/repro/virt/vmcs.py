@@ -228,3 +228,34 @@ class Vmcs:
 
     def __repr__(self):
         return f"Vmcs({self.name!r}, {len(self._values)} fields set)"
+
+
+def copy_fields(src, dst, names, convert, convertible):
+    """Forced-write the fields ``names`` from ``src`` into ``dst``, in
+    order — the bulk copy behind the vmcs12 <-> vmcs02 transforms.
+
+    The effect is that of ``dst.write(name, src.read(name), force=True)``
+    per name, minus the per-field method calls and registry lookups, so
+    ``names`` must be registered fields.  A nonzero integer in a field
+    of ``convertible`` passes through ``convert`` on the way (an address
+    translation).  An active sanitizer sees each field's read and write
+    in the same order; if ``convert`` raises, the fields before it are
+    already written and dirty.  Returns the converted names.
+    """
+    values = src._values
+    store = dst._values
+    dirty = dst._dirty
+    sanitizer = _san.ACTIVE
+    converted = []
+    for name in names:
+        value = values.get(name, 0)
+        if sanitizer is not None:
+            sanitizer.record(f"vmcs:{src.name}", name, "r", "Vmcs.read")
+        if name in convertible and isinstance(value, int) and value != 0:
+            value = convert(value)
+            converted.append(name)
+        if sanitizer is not None:
+            sanitizer.record(f"vmcs:{dst.name}", name, "w", "Vmcs.write")
+        store[name] = value
+        dirty.add(name)
+    return converted

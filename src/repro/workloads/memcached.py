@@ -20,6 +20,8 @@ Reproduction in two stages:
 
 import math
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import add
 
 from repro.core.mode import ExecutionMode
 from repro.core.system import Machine
@@ -158,6 +160,17 @@ def measure_service(mode=ExecutionMode.BASELINE, config=None, samples=18,
     return outcome
 
 
+def _mean(samples):
+    """Mean of a float list, summed by a plain left fold in list order.
+
+    Python 3.12's ``sum()`` compensates float rounding, so it returns a
+    different double than 3.9-3.11 for the same sojourns; the left fold
+    gives the same bits on every version, and it is the sum the native
+    batch tier (``repro.sim.batch``) computes.
+    """
+    return reduce(add, samples) / len(samples)
+
+
 def _queueing_run(get_ns, set_ns, offered_kqps, cfg, rng, requests=30_000):
     """FCFS multi-server queue; returns (avg_us, p99_us) of sojourn.
 
@@ -207,7 +220,7 @@ def _queueing_run_reference(get_ns, set_ns, offered_kqps, cfg, rng,
         finish = start + service
         servers[idx] = finish
         sojourns.append(finish - clock)
-    avg = sum(sojourns) / len(sojourns) / 1000.0
+    avg = _mean(sojourns) / 1000.0
     return avg, percentile(sojourns, 99) / 1000.0
 
 
@@ -273,7 +286,7 @@ def _queueing_run_fast(get_ns, set_ns, offered_kqps, cfg, rng,
             start = clock if clock > server1 else server1
             server1 = start + service
             append(server1 - clock)
-    avg = sum(sojourns) / len(sojourns) / 1000.0
+    avg = _mean(sojourns) / 1000.0
     return avg, percentile(sojourns, 99) / 1000.0
 
 
@@ -285,7 +298,7 @@ def _queueing_run_batch(get_ns, set_ns, offered_kqps, cfg, rng,
     what changes is *where* it runs — a compile-once C kernel
     (``repro.sim.batch.queue_replay``) that draws from the transferred
     MT19937 state and hands back the sojourn total (left-folded in
-    generation order, like ``sum``) plus the p99 sojourn (the exact
+    generation order, like :func:`_mean`) plus the p99 sojourn (the exact
     two order statistics ``stats.percentile`` would interpolate,
     selected in O(n)).  Returns ``None`` when the native tier is
     unavailable, in which case the caller falls back to the fast path.

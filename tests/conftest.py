@@ -58,8 +58,10 @@ def pytest_runtest_call(item):
 
 
 def _assert_matches(got, expected, where, rel_tol):
-    """Recursive structural compare; floats within ``rel_tol``."""
-    if isinstance(expected, float) or isinstance(got, float):
+    """Recursive structural compare; floats within ``rel_tol``, or
+    exactly (type included) when ``rel_tol`` is None."""
+    if rel_tol is not None and (isinstance(expected, float)
+                                or isinstance(got, float)):
         assert got == pytest.approx(expected, rel=rel_tol), \
             f"{where}: {got} != {expected} (rel_tol={rel_tol})"
     elif isinstance(expected, dict):
@@ -74,7 +76,8 @@ def _assert_matches(got, expected, where, rel_tol):
         for i, (g, e) in enumerate(zip(got, expected)):
             _assert_matches(g, e, f"{where}[{i}]", rel_tol)
     else:
-        assert got == expected, f"{where}: {got!r} != {expected!r}"
+        assert type(got) is type(expected) and got == expected, \
+            f"{where}: {got!r} != {expected!r}"
 
 
 class GoldenStore:
@@ -84,7 +87,8 @@ class GoldenStore:
     ``tests/golden/<name>.json`` and fails with a pointer to
     ``--update-golden`` on drift; with the flag set it rewrites the
     file instead.  Integers and strings must match exactly (the
-    simulator is deterministic); floats within ``rel_tol``.
+    simulator is deterministic); floats within ``rel_tol``, or exactly
+    with ``rel_tol=None``.
     """
 
     def __init__(self, update):

@@ -93,6 +93,13 @@ def test_fast_queueing_loop_is_bit_identical_to_reference():
             assert fast == reference
 
 
+def test_sojourn_mean_is_a_left_fold():
+    """The sojourn mean is the same double on every Python version:
+    3.12's compensated ``sum()`` would round ten 0.1s to exactly 1.0,
+    where the left fold (and the native batch tier) gives 1 - 2**-53."""
+    assert memcached._mean([0.1] * 10) == 0.9999999999999999 / 10
+
+
 def test_queueing_dispatch_falls_back_on_unsupported_shapes():
     """Shapes the fast loop does not compile take the reference path."""
     from repro.sim import kernel as simkernel
