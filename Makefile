@@ -15,13 +15,14 @@ smoke:
 	$(PYTHON) -m repro all --json --jobs 4 > /dev/null
 
 # Wall-clock perf harness (docs/performance.md): times every registered
-# experiment under the segment, batch and legacy kernels at smoke AND
-# full parameters and rewrites the committed BENCH_sim.json baseline.
+# experiment under the segment and legacy kernels at smoke AND full
+# parameters and rewrites the committed BENCH_sim.json baseline.
 bench:
 	$(PYTHON) -m repro bench --repeats 3
 
 # CI's perf gate: smoke parameters only, compared against the committed
-# baseline; exits nonzero on a >25% wall-clock regression.
+# baseline; exits nonzero on a >25% wall-clock regression or on fig8
+# missing a native queue-loop replay.
 bench-smoke:
 	$(PYTHON) -m repro bench --smoke --repeats 3 \
 		--cost-model xeon-paper \

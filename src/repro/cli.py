@@ -294,14 +294,15 @@ def _cmd_chaos(argv):
 def _cmd_bench(argv):
     """``repro bench``: the wall-clock perf-regression harness.
 
-    Times registered experiments under the segment, batch and legacy
-    kernels (min-of-N wall clock, events/sec, instructions/sec, memo
-    and batch-tier traffic), writes the ``repro-bench/2`` document to
-    ``BENCH_sim.json`` at the repo root, and compares against a
+    Times registered experiments under the segment and legacy kernels
+    (min-of-N wall clock, events/sec, instructions/sec, memo traffic
+    and native queue-loop calls), writes the ``repro-bench/2`` document
+    to ``BENCH_sim.json`` at the repo root, and compares against a
     committed baseline; ``--check`` turns a regression beyond
-    ``--threshold`` — or a violation of the absolute batch-kernel
-    speedup floors, in either the fresh document or the committed
-    baseline — into a nonzero exit (the CI bench-smoke gate).
+    ``--threshold`` — or, in either the fresh document or the
+    committed baseline, the segment kernel losing to legacy or fig8
+    missing a native replay — into a nonzero exit (the CI bench-smoke
+    gate).
     """
     import json
 
@@ -310,9 +311,9 @@ def _cmd_bench(argv):
 
     parser = argparse.ArgumentParser(
         prog="repro bench",
-        description="Time registered experiments under the segment, "
-                    "batch and legacy simulation kernels and track "
-                    "the perf trajectory in BENCH_sim.json",
+        description="Time registered experiments under the segment "
+                    "and legacy simulation kernels and track the perf "
+                    "trajectory in BENCH_sim.json",
     )
     parser.add_argument("--smoke", action="store_true",
                         help="smoke parameters only (CI bench-smoke "
@@ -331,7 +332,7 @@ def _cmd_bench(argv):
     parser.add_argument("--kernel", action="append", default=None,
                         choices=simkernel.KERNELS, metavar="KERNEL",
                         help="time only this kernel (repeatable; "
-                             "default: segment, batch and legacy)")
+                             "default: segment and legacy)")
     parser.add_argument("--cost-model", default=None, metavar="NAME",
                         choices=costmodels.model_names(),
                         help="time the experiments under a registered "
@@ -391,9 +392,10 @@ def _cmd_bench(argv):
         print(f"bench -> {out}")
 
     failed = False
-    # Absolute speedup floors: enforced on the fresh document and on
-    # the committed baseline (the full-parameter section lives in the
-    # baseline for CI smoke runs that only re-time the smoke section).
+    # Absolute floors and the native count gate: enforced on the fresh
+    # document and on the committed baseline (the full-parameter
+    # section lives in the baseline for CI smoke runs that only re-time
+    # the smoke section).
     floor_docs = [("current", doc)]
     if baseline is not None:
         floor_docs.append(("baseline", baseline))
@@ -406,6 +408,13 @@ def _cmd_bench(argv):
                   f"< {violation['floor']:.1f}x floor "
                   f"({violation['reference_wall_s']:.4f}s vs "
                   f"{violation['wall_s']:.4f}s)", file=sys.stderr)
+        for miss in bench.check_native_counts(floor_doc):
+            failed = True
+            print(f"NATIVE [{miss['section']}] {miss['experiment']}/"
+                  f"{miss['kernel']} ({origin}): {miss['calls']} native "
+                  f"call(s), want {miss['expected_calls']}; "
+                  f"{miss['fallbacks']} fallback(s); tier status: "
+                  f"{miss['status']}", file=sys.stderr)
 
     if baseline is not None:
         regressions = bench.compare(doc, baseline,

@@ -86,41 +86,6 @@ class Fleet:
                             for m in self.machines) - exits_before,
         )
 
-    def broadcast(self, program, level=2):
-        """Run ``program`` once on *every* machine; returns a
-        :class:`FleetResult`.
-
-        The machines are independent contexts by construction (one per
-        vCPU / VM), so the batch kernel's flat cell replay
-        (:func:`repro.sim.batch.replay_cells`) applies directly: under
-        ``REPRO_SIM_KERNEL=batch`` eligible machines are charged in
-        one loop, and every machine ends in exactly the state its own
-        ``run_program`` call would have produced (ineligible ones take
-        that path literally)."""
-        from repro.sim.batch import replay_cells
-
-        start_clocks = [m.sim.now for m in self.machines]
-        exits_before = sum(self._exits(m) for m in self.machines)
-        replay_cells([(machine, program) for machine in self.machines],
-                     level=level)
-        for index in range(self.size):
-            self.dispatched[index] += 1
-        busy = sum(
-            machine.sim.now - start
-            for machine, start in zip(self.machines, start_clocks)
-        )
-        makespan = max(
-            machine.sim.now - start
-            for machine, start in zip(self.machines, start_clocks)
-        )
-        return FleetResult(
-            programs=self.size,
-            makespan_ns=makespan,
-            total_busy_ns=busy,
-            total_exits=sum(self._exits(m)
-                            for m in self.machines) - exits_before,
-        )
-
     def merged_tracer(self):
         merged = self.machines[0].tracer
         for machine in self.machines[1:]:

@@ -227,7 +227,7 @@ class Machine:
         span = (self.obs.span("run_program", level=level,
                               mode=str(self.mode))
                 if self.obs is not None else nullcontext())
-        # The segment/batch kernels batch charges, which would coarsen
+        # The segment kernel batches charges, which would coarsen
         # per-instruction observability (span streams, kept trace
         # events); those paths keep the instruction-exact legacy loop.
         # Programs with few batchable instructions also step: compiling
@@ -323,10 +323,8 @@ class Machine:
 
     def _segment_boundary(self, level):
         """The checks a segment boundary owes the legacy loop: drain
-        deferred I/O, then take any pending interrupts.  Shared by
-        :meth:`_replay_segment` and the batch replay tier
-        (:func:`repro.sim.batch.replay_cells`), so both kernels run the
-        identical boundary sequence in the identical order."""
+        deferred I/O, then take any pending interrupts, in that
+        order."""
         if self._deferred:
             self.service_io()
         self._take_pending_interrupts(level)

@@ -67,9 +67,8 @@ _MEMO_MAX = 256
 
 _memo = {}
 
-#: Memo traffic counters (satellite of docs/performance.md's batch
-#: section): a silent full wipe mid-sweep otherwise reads as an
-#: unexplained slowdown.  Plain module counters — the replay hot path
+#: Memo traffic counters: a silent full wipe mid-sweep otherwise reads
+#: as an unexplained slowdown.  Plain module counters — the replay hot path
 #: never branches on them — surfaced by ``repro bench`` via
 #: :func:`memo_stats`.
 _memo_hits = 0
@@ -244,19 +243,3 @@ def compile_program(program, mode, level, costs):
     else:
         _memo_hits += 1
     return plan
-
-
-def structural_key(program, mode, level):
-    """Cheap structural fingerprint of a (program, mode, level) cell.
-
-    The batch scheduler (``repro.exp.runner``) groups cells that would
-    share this key onto one worker so the compile memo amortizes; it
-    deliberately omits the cost-model fingerprint (grouping is a
-    scheduling hint, never a correctness surface — the memo key proper
-    still includes it)."""
-    return (
-        tuple((ins.kind, ins.work_ns) for ins in program.instructions),
-        program.repeat,
-        str(mode),
-        level,
-    )

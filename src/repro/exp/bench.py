@@ -1,22 +1,24 @@
 """`repro bench` — the wall-clock perf-regression harness.
 
 Times every registered experiment under each simulation kernel —
-``segment`` (the per-cell fast path), ``batch`` (the sweep-level
-compile-once tier) and ``legacy`` (the per-instruction reference) — at
-smoke and/or full parameters.  Each (experiment, kernel) pair runs its
-cells serially ``repeats`` times and reports the **minimum** wall
-clock (min-of-N filters scheduler noise without averaging it in),
-alongside simulation throughput (events fired and instructions retired
-per second, via :func:`repro.sim.kernel.collect_stats`), the
-segment-compile memo traffic (:func:`repro.cpu.segments.memo_stats`)
-and the batch-tier occupancy (:func:`repro.sim.batch.batch_stats`).
+``segment`` (the fast path) and ``legacy`` (the per-instruction
+reference) — at smoke and/or full parameters.  Each (experiment,
+kernel) pair runs its cells serially ``repeats`` times and reports the
+**minimum** wall clock (min-of-N filters scheduler noise without
+averaging it in), alongside simulation throughput (events fired and
+instructions retired per second, via
+:func:`repro.sim.kernel.collect_stats`), the segment-compile memo
+traffic (:func:`repro.cpu.segments.memo_stats`) and the native
+memcached queue loop's calls and fallbacks
+(:func:`repro.workloads.native_queue.native_stats`).
 
 The document is written to ``BENCH_sim.json`` at the repo root — the
 perf-trajectory artifact every later perf PR is measured against — and
 :func:`compare` checks a fresh run against a committed baseline with a
-configurable regression threshold, while :func:`check_floors` holds
-the document to the absolute speedup bars of the batch-kernel work
-(CI's bench-smoke job gates on both).
+configurable regression threshold, :func:`check_floors` holds every
+experiment to ``segment >= legacy``, and :func:`check_native_counts`
+requires fig8 to run every load point natively (CI's bench-smoke job
+gates on all three).
 
 Wall-clock numbers are machine-dependent by nature; the artifact is a
 trajectory on comparable hardware, not a determinism surface.  Nothing
@@ -32,7 +34,6 @@ from typing import Any, Iterable, Mapping, Optional
 
 from repro.cpu import costmodels, segments
 from repro.exp import registry
-from repro.sim import batch as simbatch
 from repro.sim import kernel as simkernel
 
 #: Schema tag of the BENCH_sim.json document.  ``repro-bench/2`` nests
@@ -58,16 +59,9 @@ MIN_COMPARE_WALL_S = 0.005
 #: cadence) costs hundreds of milliseconds and clears this easily.
 MIN_REGRESSION_DELTA_S = 0.05
 
-#: Absolute speedup floors (see ``docs/performance.md``, "Batch
-#: kernel"): the full-parameter fig8 sweep — the tentpole workload the
-#: batch kernel was built for — must hold >= 10x over the legacy
-#: kernel and >= 3x over the segment kernel; and *no* experiment may
-#: lose wall clock by moving from segment to batch (or from legacy to
-#: segment) above the noise floor.  :func:`check_floors` enforces all
-#: of these with :data:`MIN_REGRESSION_DELTA_S` of absolute slack so
-#: scheduler jitter on a few-ms experiment cannot fail CI.
-FIG8_BATCH_VS_LEGACY_FLOOR = 10.0
-FIG8_BATCH_VS_SEGMENT_FLOOR = 3.0
+#: The experiment whose every load point must run in the native queue
+#: loop (:func:`check_native_counts`).
+NATIVE_EXPERIMENT = "fig8"
 
 
 def default_bench_path() -> Path:
@@ -101,13 +95,13 @@ def _time_cells(experiment: registry.Experiment,
     deterministic (identical every repeat), unlike the wall clock.
 
     The per-process memos (segment compile memo, memcached
-    service-time memo, batch-tier counters) are reset on entry so
+    service-time memo, native-loop counters) are reset on entry so
     every kernel is timed from the same cold start — the first repeat
     pays any one-off compile/measure cost and min-of-N excludes it
     identically for all kernels — and their traffic over the timed
     repeats is reported in the entry.
     """
-    from repro.workloads import memcached
+    from repro.workloads import memcached, native_queue
 
     cells = experiment.cells(dict(params))
     wall = float("inf")
@@ -115,7 +109,7 @@ def _time_cells(experiment: registry.Experiment,
     events = 0
     instructions = 0
     segments.reset_memo_stats()
-    simbatch.reset_batch_stats()
+    native_queue.reset_native_stats()
     memcached.reset_service_memo()
     with simkernel.use_kernel(kernel), \
             costmodels.use_default(params.get("cost_model")):
@@ -143,9 +137,8 @@ def _time_cells(experiment: registry.Experiment,
         "instructions_per_s": (round(instructions / wall)
                                if wall else 0),
         "memo": segments.memo_stats(),
+        "native": native_queue.native_stats(),
     }
-    if kernel == simkernel.BATCH:
-        entry["batch"] = simbatch.batch_stats()
     return entry
 
 
@@ -191,28 +184,15 @@ def bench_section(names: Iterable[str], smoke: bool, repeats: int = 3,
                        else 0.0)
                 for cell, took in seg_cells.items()
             }
-        batch_speedup = _ratio(walls.get(simkernel.LEGACY),
-                               walls.get(simkernel.BATCH))
-        if batch_speedup is not None:
-            entry["batch_speedup"] = batch_speedup
-        batch_vs_segment = _ratio(walls.get(simkernel.SEGMENT),
-                                  walls.get(simkernel.BATCH))
-        if batch_vs_segment is not None:
-            entry["batch_vs_segment"] = batch_vs_segment
         experiments[name] = entry
     totals: dict[str, Any] = {
         "wall_s": {kernel: round(total, 4)
                    for kernel, total in totals_by_kernel.items()},
     }
-    for label, num, den in (
-        ("speedup", simkernel.LEGACY, simkernel.SEGMENT),
-        ("batch_speedup", simkernel.LEGACY, simkernel.BATCH),
-        ("batch_vs_segment", simkernel.SEGMENT, simkernel.BATCH),
-    ):
-        ratio = _ratio(totals_by_kernel.get(num),
-                       totals_by_kernel.get(den))
-        if ratio is not None:
-            totals[label] = ratio
+    speedup = _ratio(totals_by_kernel.get(simkernel.LEGACY),
+                     totals_by_kernel.get(simkernel.SEGMENT))
+    if speedup is not None:
+        totals["speedup"] = speedup
     return {"experiments": experiments, "totals": totals}
 
 
@@ -225,11 +205,13 @@ def bench_document(names: Optional[Iterable[str]] = None,
                    ) -> dict[str, Any]:
     """The full ``repro-bench/2`` document.
 
-    ``kernels`` selects the kernel subset to time (default: all
-    three); ``legacy=False`` is shorthand for dropping the legacy
-    kernel from that subset (the slowest column by an order of
-    magnitude).
+    ``kernels`` selects the kernel subset to time (default: both);
+    ``legacy=False`` is shorthand for dropping the legacy kernel from
+    that subset.  ``native_status`` records the native queue loop's
+    :func:`~repro.workloads.native_queue.native_status` for the run.
     """
+    from repro.workloads import native_queue
+
     registry.ensure_loaded()
     names = sorted(names or registry.names())
     chosen = list(dict.fromkeys(kernels or simkernel.KERNELS))
@@ -250,6 +232,7 @@ def bench_document(names: Optional[Iterable[str]] = None,
         doc["sections"][section] = bench_section(
             names, smoke=(section == "smoke"), repeats=repeats,
             kernels=chosen, overrides=overrides)
+    doc["native_status"] = native_queue.native_status()
     return doc
 
 
@@ -312,52 +295,59 @@ def compare(current: Mapping[str, Any], baseline: Mapping[str, Any],
 def check_floors(doc: Mapping[str, Any]) -> list[dict[str, Any]]:
     """Absolute speedup-floor violations in a bench document.
 
-    The bars (docs/performance.md, "Batch kernel"), each applied with
-    :data:`MIN_REGRESSION_DELTA_S` of absolute slack and only above
-    the :data:`MIN_COMPARE_WALL_S` noise floor:
-
-    * no experiment may run slower under the batch kernel than under
-      the segment kernel (batch_vs_segment >= 1.0);
-    * no experiment may run slower under the segment kernel than under
-      the legacy kernel (speedup >= 1.0 — the compile gate's job);
-    * the full-parameter fig8 sweep must clear
-      :data:`FIG8_BATCH_VS_LEGACY_FLOOR` over legacy and
-      :data:`FIG8_BATCH_VS_SEGMENT_FLOOR` over segment.
+    No experiment may run slower under the segment kernel than under
+    the legacy kernel (speedup >= 1.0 — the compile gate's job),
+    applied with :data:`MIN_REGRESSION_DELTA_S` of absolute slack and
+    only above the :data:`MIN_COMPARE_WALL_S` noise floor.
     """
     failures: list[dict[str, Any]] = []
-
-    def fail(section: str, name: str, bar: str, floor: float,
-             fast: float, slow: float) -> None:
-        failures.append({
-            "section": section, "experiment": name, "bar": bar,
-            "floor": floor, "reference_wall_s": fast,
-            "wall_s": slow,
-            "ratio": round(fast / slow, 3) if slow else 0.0,
-        })
-
     for section, payload in doc.get("sections", {}).items():
         for name, entry in payload.get("experiments", {}).items():
             walls = _entry_walls(entry)
             seg = walls.get(simkernel.SEGMENT)
-            bat = walls.get(simkernel.BATCH)
             leg = walls.get(simkernel.LEGACY)
-            if (seg is not None and bat is not None
-                    and seg >= MIN_COMPARE_WALL_S
-                    and bat > seg + MIN_REGRESSION_DELTA_S):
-                fail(section, name, "batch_vs_segment", 1.0, seg, bat)
             if (leg is not None and seg is not None
                     and leg >= MIN_COMPARE_WALL_S
                     and seg > leg + MIN_REGRESSION_DELTA_S):
-                fail(section, name, "speedup", 1.0, leg, seg)
-            if section == "full" and name == "fig8":
-                if (leg and bat and bat * FIG8_BATCH_VS_LEGACY_FLOOR
-                        > leg + MIN_REGRESSION_DELTA_S):
-                    fail(section, name, "fig8_batch_vs_legacy",
-                         FIG8_BATCH_VS_LEGACY_FLOOR, leg, bat)
-                if (seg and bat and bat * FIG8_BATCH_VS_SEGMENT_FLOOR
-                        > seg + MIN_REGRESSION_DELTA_S):
-                    fail(section, name, "fig8_batch_vs_segment",
-                         FIG8_BATCH_VS_SEGMENT_FLOOR, seg, bat)
+                failures.append({
+                    "section": section, "experiment": name,
+                    "bar": "speedup", "floor": 1.0,
+                    "reference_wall_s": leg, "wall_s": seg,
+                    "ratio": round(leg / seg, 3),
+                })
+    return failures
+
+
+def check_native_counts(doc: Mapping[str, Any]) -> list[dict[str, Any]]:
+    """Kernels whose :data:`NATIVE_EXPERIMENT` entry did not run every
+    load point in the native queue loop.
+
+    The counts are deterministic: each repeat runs one native replay
+    per (mode cell, load point) and falls back on none, under every
+    kernel.  A failure carries the document's ``native_status``, which
+    names why the tier was unavailable.
+    """
+    from repro.workloads import memcached
+
+    failures: list[dict[str, Any]] = []
+    repeats = max(1, int(doc.get("repeats", 1)))
+    for section, payload in doc.get("sections", {}).items():
+        entry = payload.get("experiments", {}).get(NATIVE_EXPERIMENT)
+        if entry is None:
+            continue
+        expected = (entry["cells"] * len(memcached.DEFAULT_LOADS_KQPS)
+                    * repeats)
+        for kernel, timing in entry.get("kernels", {}).items():
+            native = timing.get("native", {})
+            calls = native.get("calls", 0)
+            fallbacks = native.get("fallbacks", 0)
+            if calls != expected or fallbacks:
+                failures.append({
+                    "section": section, "experiment": NATIVE_EXPERIMENT,
+                    "kernel": kernel, "calls": calls,
+                    "expected_calls": expected, "fallbacks": fallbacks,
+                    "status": doc.get("native_status", "unknown"),
+                })
     return failures
 
 
@@ -374,11 +364,12 @@ def _fmt_ratio(value: Optional[float]) -> str:
 def render(doc: Mapping[str, Any]) -> str:
     """Human-readable summary of a bench document."""
     lines: list[str] = []
+    status = doc.get("native_status", "unknown")
     for section, payload in doc.get("sections", {}).items():
         lines.append(f"[{section}]")
         header = (f"  {'experiment':<18} {'cells':>5} {'segment_s':>9} "
-                  f"{'batch_s':>9} {'legacy_s':>9} {'speedup':>8} "
-                  f"{'batch':>7} {'events/s':>12} {'instr/s':>12}")
+                  f"{'legacy_s':>9} {'speedup':>8} "
+                  f"{'events/s':>12} {'instr/s':>12}")
         lines.append(header)
         for name, entry in sorted(payload["experiments"].items()):
             walls = _entry_walls(entry)
@@ -387,10 +378,8 @@ def render(doc: Mapping[str, Any]) -> str:
             lines.append(
                 f"  {name:<18} {entry['cells']:>5} "
                 f"{_fmt_wall(walls.get(simkernel.SEGMENT)):>9} "
-                f"{_fmt_wall(walls.get(simkernel.BATCH)):>9} "
                 f"{_fmt_wall(walls.get(simkernel.LEGACY)):>9} "
                 f"{_fmt_ratio(entry.get('speedup')):>8} "
-                f"{_fmt_ratio(entry.get('batch_vs_segment')):>7} "
                 f"{timing.get('events_per_s', 0):>12,} "
                 f"{timing.get('instructions_per_s', 0):>12,}"
             )
@@ -403,25 +392,22 @@ def render(doc: Mapping[str, Any]) -> str:
             summary = " vs ".join(parts)
         else:
             summary = f"{float(walls):.2f}s segment"
-        ratios = ", ".join(
-            f"{label} {totals[label]:.2f}x"
-            for label in ("speedup", "batch_speedup",
-                          "batch_vs_segment")
-            if totals.get(label)
-        )
+        speedup = totals.get("speedup")
         lines.append(f"  total: {summary}"
-                     + (f"  ({ratios})" if ratios else ""))
-        memo_lines = []
+                     + (f"  (speedup {speedup:.2f}x)" if speedup
+                        else ""))
         for name, entry in sorted(payload["experiments"].items()):
             for kernel, timing in entry.get("kernels", {}).items():
                 memo = timing.get("memo", {})
-                batch = timing.get("batch", {})
-                if batch.get("native_calls") or memo.get("wipes"):
-                    memo_lines.append(
+                native = timing.get("native", {})
+                if (native.get("calls") or native.get("fallbacks")
+                        or memo.get("wipes")):
+                    lines.append(
                         f"  {name}/{kernel}: memo {memo.get('hits', 0)}h"
                         f"/{memo.get('misses', 0)}m"
                         f"/{memo.get('wipes', 0)}w, native "
-                        f"{batch.get('native_calls', 0)} call(s)"
+                        f"{native.get('calls', 0)} call(s), "
+                        f"{native.get('fallbacks', 0)} fallback(s) "
+                        f"[{status}]"
                     )
-        lines.extend(memo_lines)
     return "\n".join(lines)

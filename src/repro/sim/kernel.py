@@ -1,18 +1,12 @@
 """Simulation-kernel selection and fast-path accounting.
 
-Three kernels execute the same simulation (see ``docs/performance.md``):
+Two kernels execute the same simulation (see ``docs/performance.md``):
 
 * ``segment`` (default) — the fast path: machines charge time through
   :meth:`repro.sim.engine.Simulator.charge` (lazy clock, heap skipped
   while no event is due) and replay compiled instruction segments
   (:mod:`repro.cpu.segments`) instead of dispatching the interpreter
   per instruction.
-* ``batch`` — everything the segment kernel does, plus the sweep-level
-  "compile once, replay many" tier (:mod:`repro.sim.batch`): per-cell
-  mutable state in flat stdlib arrays, cross-cell event-heap
-  elimination, and a compiled native replay of eligible workload inner
-  loops.  Falls back to the segment path structure-by-structure, so
-  its per-cell semantics are the segment kernel's, byte for byte.
 * ``legacy`` — the original per-instruction path, kept behind this flag
   so the differential test (and any bisection of a determinism bug) can
   run every experiment through both and compare fingerprints.
@@ -41,20 +35,18 @@ from repro.errors import ConfigError
 
 #: The fast path: batched charging + segment replay (the default).
 SEGMENT = "segment"
-#: Sweep-level batch tier on top of the segment path (repro.sim.batch).
-BATCH = "batch"
 #: The original per-instruction path, for differential runs.
 LEGACY = "legacy"
 
-KERNELS = (SEGMENT, BATCH, LEGACY)
+KERNELS = (SEGMENT, LEGACY)
 
 #: Environment variable that selects the kernel for this process.
 ENV_VAR = "REPRO_SIM_KERNEL"
 
 #: Engine generation tag — bump on any change to charging/replay
 #: semantics; the result cache keys on it (stale-engine safety).
-#: fastpath-2: the batch kernel (flat-array replay + native tier) and
-#: the batchable-count compile gate (COMPILE_MIN_INSTRUCTIONS retuned).
+#: fastpath-2: the batchable-count compile gate
+#: (COMPILE_MIN_INSTRUCTIONS retuned).
 KERNEL_VERSION = "fastpath-2"
 
 

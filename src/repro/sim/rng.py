@@ -56,10 +56,11 @@ class DeterministicRng:
     def getstate(self):
         """The underlying generator state (MT19937 key + position).
 
-        The batch kernel (``repro.sim.batch``) transfers this state
-        into its compiled replay and pushes the advanced state back
-        through :meth:`setstate`, so a native replay leaves the stream
-        exactly where the equivalent Python draws would have.
+        The native queue loop (``repro.workloads.native_queue``)
+        transfers this state into its compiled replay and pushes the
+        advanced state back through :meth:`setstate`, so a native
+        replay leaves the stream exactly where the equivalent Python
+        draws would have.
         """
         return self._random.getstate()
 

@@ -27,7 +27,6 @@ from repro.core.mode import ExecutionMode
 from repro.core.system import Machine
 from repro.cpu import isa
 from repro.io.net import Packet, TXQ, install_network
-from repro.sim import kernel as simkernel
 from repro.sim.rng import DeterministicRng
 from repro.sim.stats import percentile
 from repro.virt.exits import ExitInfo, ExitReason
@@ -40,6 +39,10 @@ PAPER = {
     "avg_improvement": 1.43,
     "load_range_kqps": (5.0, 22.5),
 }
+
+
+#: The offered loads (kQPS) of one Figure-8 sweep.
+DEFAULT_LOADS_KQPS = (5.0, 7.5, 10.0, 12.5, 15.0, 17.5, 20.0, 22.5)
 
 
 @dataclass(frozen=True)
@@ -166,7 +169,7 @@ def _mean(samples):
     Python 3.12's ``sum()`` compensates float rounding, so it returns a
     different double than 3.9-3.11 for the same sojourns; the left fold
     gives the same bits on every version, and it is the sum the native
-    batch tier (``repro.sim.batch``) computes.
+    queue loop (``repro.workloads.native_queue``) computes.
     """
     return reduce(add, samples) / len(samples)
 
@@ -174,28 +177,22 @@ def _mean(samples):
 def _queueing_run(get_ns, set_ns, offered_kqps, cfg, rng, requests=30_000):
     """FCFS multi-server queue; returns (avg_us, p99_us) of sojourn.
 
-    Dispatches to the compiled request-segment replay under the
-    ``segment`` kernel (docs/performance.md) whenever the workload shape
-    allows it, and under the ``batch`` kernel additionally tries the
-    native compile-once replay (``repro.sim.batch``); the reference
-    loop stays the semantic definition and the ``legacy`` kernel's
-    path.  All paths are bit-for-bit identical.
+    The shape the compiled loops cover (two servers, more than one key,
+    jitter > 0, positive service times) runs in the native replay
+    (``repro.workloads.native_queue``), or in ``_queueing_run_fast``
+    when that tier is unavailable; any other shape takes the reference
+    loop.  All three are bit-for-bit identical, rng end position
+    included.
     """
-    kernel = simkernel.active_kernel()
-    compiled_shape = (cfg.servers == 2 and cfg.key_space > 1
-                      and cfg.service_jitter_sigma > 0
-                      and get_ns > 0 and set_ns > 0)
-    if kernel == simkernel.BATCH and compiled_shape:
-        outcome = _queueing_run_batch(get_ns, set_ns, offered_kqps,
-                                      cfg, rng, requests)
+    if (cfg.servers == 2 and cfg.key_space > 1
+            and cfg.service_jitter_sigma > 0
+            and get_ns > 0 and set_ns > 0):
+        from repro.workloads import native_queue
+
+        outcome = native_queue.queue_replay(get_ns, set_ns, offered_kqps,
+                                            cfg, rng, requests)
         if outcome is not None:
             return outcome
-        # Native tier unavailable (no compiler / self-check failed):
-        # the batch kernel degrades to the segment fast path, which is
-        # bit-identical, so the kernel never loses to segment.
-        return _queueing_run_fast(get_ns, set_ns, offered_kqps, cfg,
-                                  rng, requests)
-    if kernel != simkernel.LEGACY and compiled_shape:
         return _queueing_run_fast(get_ns, set_ns, offered_kqps, cfg,
                                   rng, requests)
     return _queueing_run_reference(get_ns, set_ns, offered_kqps, cfg,
@@ -204,7 +201,9 @@ def _queueing_run(get_ns, set_ns, offered_kqps, cfg, rng, requests=30_000):
 
 def _queueing_run_reference(get_ns, set_ns, offered_kqps, cfg, rng,
                             requests=30_000):
-    """The per-request loop, one rng helper call per draw (legacy)."""
+    """The per-request loop, one rng helper call per draw: the
+    semantic definition, and the path for shapes the compiled loops do
+    not cover."""
     arrival_mean_ns = 1e6 / offered_kqps
     servers = [0.0] * cfg.servers
     clock = 0.0
@@ -245,6 +244,8 @@ def _queueing_run_fast(get_ns, set_ns, offered_kqps, cfg, rng,
     in the reference (`zipf_index` draws once for ``key_space > 1``).
     Guarded by the dispatcher to the shapes it compiles for
     (two servers, jitter > 0); anything else takes the reference loop.
+    The native replay (``repro.workloads.native_queue``) runs this
+    loop in C and self-checks against it on every load.
     """
     random = rng.raw_stream()
     log = math.log
@@ -290,40 +291,11 @@ def _queueing_run_fast(get_ns, set_ns, offered_kqps, cfg, rng,
     return avg, percentile(sojourns, 99) / 1000.0
 
 
-def _queueing_run_batch(get_ns, set_ns, offered_kqps, cfg, rng,
-                        requests=30_000):
-    """Batch-kernel replay: the whole load point in one native call.
-
-    The per-request segment is identical to :func:`_queueing_run_fast`;
-    what changes is *where* it runs — a compile-once C kernel
-    (``repro.sim.batch.queue_replay``) that draws from the transferred
-    MT19937 state and hands back the sojourn total (left-folded in
-    generation order, like :func:`_mean`) plus the p99 sojourn (the exact
-    two order statistics ``stats.percentile`` would interpolate,
-    selected in O(n)).  Returns ``None`` when the native tier is
-    unavailable, in which case the caller falls back to the fast path.
-    """
-    from repro.sim import batch
-
-    lambd = 1.0 / (1e6 / offered_kqps)
-    half_var = cfg.service_jitter_sigma * cfg.service_jitter_sigma / 2.0
-    outcome = batch.queue_replay(
-        rng, requests, lambd, cfg.get_fraction,
-        cfg.service_jitter_sigma,
-        math.log(get_ns) - half_var, math.log(set_ns) - half_var,
-        _NV_MAGICCONST, pct=99,
-    )
-    if outcome is None:
-        return None
-    total, p99 = outcome
-    return total / requests / 1000.0, p99 / 1000.0
-
-
 def run(mode=ExecutionMode.BASELINE, config=None, loads_kqps=None, seed=42,
         requests=30_000, costs=None):
     """Full Figure-8 sweep for one mode."""
     cfg = config or EtcConfig()
-    loads = loads_kqps or [5.0, 7.5, 10.0, 12.5, 15.0, 17.5, 20.0, 22.5]
+    loads = loads_kqps or DEFAULT_LOADS_KQPS
     get_ns, set_ns = measure_service(mode, cfg, costs=costs)
     result = MemcachedResult(mode=mode, service_get_us=get_ns / 1000.0,
                              service_set_us=set_ns / 1000.0)

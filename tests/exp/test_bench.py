@@ -1,10 +1,12 @@
-"""The bench harness: document shape, regression compare, floors, CLI."""
+"""The bench harness: document shape, regression compare, floors,
+native count gate, CLI."""
 
 import json
 
 from repro.exp import bench
 from repro.exp.result import canonical_json
 from repro.sim import kernel as simkernel
+from repro.workloads import native_queue
 
 
 def _doc(wall_by_name, section="smoke"):
@@ -54,16 +56,20 @@ def test_bench_section_without_legacy_column():
     assert "speedup" not in section["totals"]
 
 
-def test_bench_section_batch_kernel_columns():
-    section = bench.bench_section(["table1"], smoke=True, repeats=1)
-    entry = section["experiments"]["table1"]
-    assert set(entry["kernels"]) == set(simkernel.KERNELS)
-    batch_timing = entry["kernels"][simkernel.BATCH]
-    assert set(batch_timing["batch"]) >= {"cells_batched",
-                                          "native_calls"}
-    assert entry["batch_speedup"] > 0
-    assert entry["batch_vs_segment"] > 0
-    assert section["totals"]["batch_speedup"] > 0
+def test_bench_section_records_native_calls():
+    """Every kernel's fig8 entry counts one native replay per (mode,
+    load point) per repeat; other experiments count none."""
+    from repro.workloads import memcached
+
+    section = bench.bench_section(["fig8", "table1"], smoke=True,
+                                  repeats=2)
+    fig8 = section["experiments"]["fig8"]
+    assert set(fig8["kernels"]) == set(simkernel.KERNELS)
+    want = fig8["cells"] * len(memcached.DEFAULT_LOADS_KQPS) * 2
+    for timing in fig8["kernels"].values():
+        assert timing["native"] == {"calls": want, "fallbacks": 0}
+    for timing in section["experiments"]["table1"]["kernels"].values():
+        assert timing["native"] == {"calls": 0, "fallbacks": 0}
 
 
 def test_bench_document_is_json_serializable():
@@ -71,18 +77,18 @@ def test_bench_document_is_json_serializable():
                                repeats=1, legacy=False)
     assert doc["schema"] == bench.SCHEMA
     assert doc["kernel_version"]
-    assert simkernel.LEGACY not in doc["kernels"]
-    assert simkernel.BATCH in doc["kernels"]
+    assert doc["kernels"] == [simkernel.SEGMENT]
+    assert doc["native_status"] == native_queue.native_status()
     json.loads(canonical_json(doc))
 
 
 def test_bench_document_kernel_subset():
     doc = bench.bench_document(["table1"], sections=("smoke",),
                                repeats=1,
-                               kernels=(simkernel.BATCH,))
-    assert doc["kernels"] == [simkernel.BATCH]
+                               kernels=(simkernel.LEGACY,))
+    assert doc["kernels"] == [simkernel.LEGACY]
     entry = doc["sections"]["smoke"]["experiments"]["table1"]
-    assert list(entry["kernels"]) == [simkernel.BATCH]
+    assert list(entry["kernels"]) == [simkernel.LEGACY]
     assert "speedup" not in entry
 
 
@@ -125,39 +131,44 @@ def test_render_mentions_speedups():
                     "segment": {"wall_s": 0.5, "events_per_s": 10,
                                 "instructions_per_s": 1000,
                                 "memo": {"hits": 3, "misses": 1,
-                                         "wipes": 0}},
-                    "batch": {"wall_s": 0.1,
-                              "batch": {"native_calls": 16}},
+                                         "wipes": 0},
+                                "native": {"calls": 16,
+                                           "fallbacks": 0}},
                     "legacy": {"wall_s": 1.5},
                 },
-                "speedup": 3.0, "batch_speedup": 15.0,
-                "batch_vs_segment": 5.0,
+                "speedup": 3.0,
             },
         },
-        "totals": {"wall_s": {"segment": 0.5, "batch": 0.1,
-                              "legacy": 1.5},
-                   "speedup": 3.0, "batch_speedup": 15.0,
-                   "batch_vs_segment": 5.0},
+        "totals": {"wall_s": {"segment": 0.5, "legacy": 1.5},
+                   "speedup": 3.0},
     }
-    text = bench.render({"sections": {"smoke": section}})
+    text = bench.render({"native_status": "ok",
+                         "sections": {"smoke": section}})
     assert "fig8" in text
     assert "3.00x" in text
-    assert "5.00x" in text
-    assert "batch_speedup 15.00x" in text
-    assert "native 16 call(s)" in text
+    assert "speedup 3.00x" in text
+    assert "native 16 call(s), 0 fallback(s) [ok]" in text
 
 
 # -- check_floors ----------------------------------------------------------
 
 
-def _kernel_doc(walls_by_name, section="full"):
+def _kernel_doc(walls_by_name, section="full", native=None,
+                repeats=1, status="ok"):
+    """A bench document; ``native`` maps kernel -> (calls, fallbacks)
+    for every entry."""
+    native = native or {}
     return {
         "schema": bench.SCHEMA,
+        "repeats": repeats,
+        "native_status": status,
         "sections": {
             section: {
                 "experiments": {
-                    name: {"cells": 1, "kernels": {
-                        kernel: {"wall_s": wall}
+                    name: {"cells": 2, "kernels": {
+                        kernel: {"wall_s": wall, "native": dict(zip(
+                            ("calls", "fallbacks"),
+                            native.get(kernel, (0, 0))))}
                         for kernel, wall in walls.items()
                     }}
                     for name, walls in walls_by_name.items()
@@ -170,51 +181,47 @@ def _kernel_doc(walls_by_name, section="full"):
 
 def test_check_floors_passes_a_healthy_document():
     doc = _kernel_doc({
-        "fig8": {"segment": 0.4, "batch": 0.03, "legacy": 1.0},
-        "table1": {"segment": 0.01, "batch": 0.009, "legacy": 0.012},
+        "fig8": {"segment": 0.04, "legacy": 0.04},
+        "table1": {"segment": 0.01, "legacy": 0.012},
     })
     assert bench.check_floors(doc) == []
 
 
-def test_check_floors_flags_batch_losing_to_segment():
-    doc = _kernel_doc({
-        "fig9": {"segment": 0.4, "batch": 0.6, "legacy": 1.0},
-    })
-    bars = [f["bar"] for f in bench.check_floors(doc)]
-    assert "batch_vs_segment" in bars
-
-
 def test_check_floors_flags_segment_losing_to_legacy():
     doc = _kernel_doc({
-        "ablation_hw_model": {"segment": 0.5, "batch": 0.4,
-                              "legacy": 0.3},
+        "ablation_hw_model": {"segment": 0.5, "legacy": 0.3},
     })
     bars = [f["bar"] for f in bench.check_floors(doc)]
     assert "speedup" in bars
 
 
-def test_check_floors_enforces_fig8_tentpole_bars():
-    doc = _kernel_doc({
-        "fig8": {"segment": 0.5, "batch": 0.2, "legacy": 1.0},
-    })
-    bars = {f["bar"] for f in bench.check_floors(doc)}
-    assert "fig8_batch_vs_legacy" in bars      # 5x < 10x floor
-    assert "fig8_batch_vs_segment" in bars     # 2.5x < 3x floor
-
-
-def test_check_floors_fig8_bars_apply_to_full_section_only():
-    doc = _kernel_doc({
-        "fig8": {"segment": 0.5, "batch": 0.2, "legacy": 1.0},
-    }, section="smoke")
-    bars = {f["bar"] for f in bench.check_floors(doc)}
-    assert "fig8_batch_vs_legacy" not in bars
-
-
 def test_check_floors_tolerates_noise_floor_jitter():
     doc = _kernel_doc({
-        "table1": {"segment": 0.004, "batch": 0.006, "legacy": 0.005},
+        "table1": {"segment": 0.006, "legacy": 0.005},
     })
     assert bench.check_floors(doc) == []
+
+
+def test_check_native_counts_passes_every_load_point_native():
+    doc = _kernel_doc({"fig8": {"segment": 0.04, "legacy": 0.04}},
+                      native={"segment": (48, 0), "legacy": (48, 0)},
+                      repeats=3)
+    assert bench.check_native_counts(doc) == []
+
+
+def test_check_native_counts_flags_misses_with_the_tier_status():
+    doc = _kernel_doc({"fig8": {"segment": 0.4, "legacy": 0.4}},
+                      native={"segment": (16, 0), "legacy": (12, 4)},
+                      section="smoke", repeats=2,
+                      status="no C compiler")
+    misses = bench.check_native_counts(doc)
+    assert [(m["kernel"], m["calls"], m["expected_calls"],
+             m["fallbacks"]) for m in misses] == [
+        ("segment", 16, 32, 0), ("legacy", 12, 32, 4)]
+    assert {m["status"] for m in misses} == {"no C compiler"}
+    # Other experiments never run the loop and are not gated.
+    assert bench.check_native_counts(_kernel_doc(
+        {"table1": {"segment": 0.01, "legacy": 0.01}})) == []
 
 
 # -- CLI -------------------------------------------------------------------

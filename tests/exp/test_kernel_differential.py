@@ -1,12 +1,11 @@
-"""Kernel differential: all three kernels produce identical Results.
+"""Kernel differential: both kernels produce identical Results.
 
 The fast-path contract (docs/performance.md) is byte-identity, not
 approximate equality: every registered experiment must serialize to
-exactly the same Result document under the segment-compiled kernel,
-the sweep-level batch kernel and the legacy per-instruction kernel, at
-any ``--jobs`` count.  Smoke parameters keep the battery fast while
-still driving every workload through its real machine and queueing
-paths.
+exactly the same Result document under the segment-compiled kernel
+and the legacy per-instruction kernel, at any ``--jobs`` count.  Smoke
+parameters keep the battery fast while still driving every workload
+through its real machine and queueing paths.
 """
 
 import pytest
@@ -34,9 +33,7 @@ def _result_json(name, kernel, jobs=1):
 def test_experiment_is_kernel_invariant(name):
     legacy = _result_json(name, simkernel.LEGACY)
     segment = _result_json(name, simkernel.SEGMENT)
-    batch = _result_json(name, simkernel.BATCH)
     assert segment == legacy
-    assert batch == legacy
 
 
 @pytest.mark.parametrize("name", ["fig8", "fig9", "table1"])
@@ -44,15 +41,4 @@ def test_kernel_invariance_survives_parallel_fanout(name):
     """Workers inherit the kernel through the environment."""
     serial_legacy = _result_json(name, simkernel.LEGACY, jobs=1)
     pooled_segment = _result_json(name, simkernel.SEGMENT, jobs=2)
-    pooled_batch = _result_json(name, simkernel.BATCH, jobs=2)
     assert pooled_segment == serial_legacy
-    assert pooled_batch == serial_legacy
-
-
-@pytest.mark.parametrize("name", ["fig8", "fig9"])
-def test_batch_grouped_scheduling_is_order_invariant(name):
-    """The batch kernel's grouped pool submission (one structural
-    group per worker) must not change a byte versus serial."""
-    serial = _result_json(name, simkernel.BATCH, jobs=1)
-    pooled = _result_json(name, simkernel.BATCH, jobs=3)
-    assert pooled == serial

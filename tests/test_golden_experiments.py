@@ -12,6 +12,8 @@ Every document the benchmark checks its output against
 (``perfbench/expected.json``) must hash to its canonical-JSON sha256
 digest there, so the two references cannot disagree; experiments
 registered later are covered by the golden file alone.
+
+The paper's headline claims are asserted on the same documents.
 """
 
 import hashlib
@@ -52,3 +54,18 @@ def test_documents_match_benchmark_digests(documents):
             canonical_json(documents[name]).encode()).hexdigest()
         assert digest == expected, \
             f"{name}: canonical JSON sha256 differs from perfbench's"
+
+
+def test_fig8_paper_claims(documents):
+    """Paper Fig. 8 (§6.3.1) at the experiment's default parameters:
+    the 2.20x p99 / 1.43x average headline, more load within the SLA
+    under SVt, and latency curves that rise with load."""
+    fig8 = documents["fig8"]
+    scalars = fig8["scalars"]
+    assert scalars["p99_improvement"] == pytest.approx(2.20, abs=0.35)
+    assert scalars["avg_improvement"] == pytest.approx(1.43, abs=0.25)
+    assert (scalars["svt_max_kqps_in_sla"]
+            > scalars["base_max_kqps_in_sla"])
+    for series in fig8["series"]:
+        p99s = [y for _x, y in series["points"]]
+        assert p99s == sorted(p99s), series["name"]

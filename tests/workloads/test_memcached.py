@@ -96,7 +96,7 @@ def test_fast_queueing_loop_is_bit_identical_to_reference():
 def test_sojourn_mean_is_a_left_fold():
     """The sojourn mean is the same double on every Python version:
     3.12's compensated ``sum()`` would round ten 0.1s to exactly 1.0,
-    where the left fold (and the native batch tier) gives 1 - 2**-53."""
+    where the left fold (and the native queue loop) gives 1 - 2**-53."""
     assert memcached._mean([0.1] * 10) == 0.9999999999999999 / 10
 
 
@@ -116,48 +116,46 @@ def test_queueing_dispatch_falls_back_on_unsupported_shapes():
 
 
 def test_batch_queueing_is_bit_identical_to_reference():
-    """The native compile-once replay reproduces the reference loop
-    bit-for-bit, rng end position included."""
-    import pytest as _pytest
-
-    from repro.sim import batch
+    """The native replay reproduces the reference loop bit-for-bit,
+    rng end position included."""
     from repro.sim.rng import DeterministicRng
+    from repro.workloads import native_queue
 
-    if batch.native_kernel() is None:
-        _pytest.skip("no native tier on this platform")
+    if native_queue.native_status() != native_queue.OK:
+        pytest.skip(f"no native tier: {native_queue.native_status()}")
     cfg = memcached.EtcConfig()
     for seed in (1, 42):
         for load in (5.0, 22.5):
             ref_rng = DeterministicRng(seed).fork(f"b:{load}")
-            bat_rng = DeterministicRng(seed).fork(f"b:{load}")
+            nat_rng = DeterministicRng(seed).fork(f"b:{load}")
             reference = memcached._queueing_run_reference(
                 2600.0, 5800.0, load, cfg, ref_rng, requests=6_000)
-            batched = memcached._queueing_run_batch(
-                2600.0, 5800.0, load, cfg, bat_rng, requests=6_000)
-            assert batched == reference
+            native = native_queue.queue_replay(
+                2600.0, 5800.0, load, cfg, nat_rng, requests=6_000)
+            assert native == reference
             # The rng must sit exactly where the reference loop left
-            # it — the property that makes mid-sweep kernel changes
-            # undetectable in any downstream draw.
-            assert bat_rng.getstate() == ref_rng.getstate()
+            # it, so no downstream draw can tell the paths apart.
+            assert nat_rng.getstate() == ref_rng.getstate()
 
 
 def test_batch_dispatch_degrades_to_fast_path_without_native_tier(
         monkeypatch):
-    """REPRO_SIM_KERNEL=batch without a native tier must equal the
-    segment fast path (and therefore the reference), not fail."""
-    from repro.sim import batch
-    from repro.sim import kernel as simkernel
+    """REPRO_BATCH_NATIVE=0 routes the compiled shape to the Python
+    fast path, which equals the reference loop."""
     from repro.sim.rng import DeterministicRng
+    from repro.workloads import native_queue
 
-    monkeypatch.setenv(batch.NATIVE_ENV_VAR, "0")
-    batch.reset_native_probe()
+    monkeypatch.setenv(native_queue.NATIVE_ENV_VAR, "0")
+    native_queue.reset_native_probe()
+    native_queue.reset_native_stats()
     try:
-        with simkernel.use_kernel(simkernel.BATCH):
-            dispatched = memcached._queueing_run(
-                2600.0, 5800.0, 12.5, memcached.EtcConfig(),
-                DeterministicRng(11), requests=3_000)
+        dispatched = memcached._queueing_run(
+            2600.0, 5800.0, 12.5, memcached.EtcConfig(),
+            DeterministicRng(11), requests=3_000)
+        assert native_queue.native_stats() == {"calls": 0,
+                                               "fallbacks": 1}
     finally:
-        batch.reset_native_probe()
+        native_queue.reset_native_probe()
     reference = memcached._queueing_run_reference(
         2600.0, 5800.0, 12.5, memcached.EtcConfig(),
         DeterministicRng(11), requests=3_000)
