@@ -1,8 +1,8 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test smoke bench bench-smoke dse fuzz fuzz-smoke serve \
-	loadtest loadtest-smoke lint clean
+.PHONY: test smoke bench bench-smoke perfbench-smoke dse fuzz \
+	fuzz-smoke serve loadtest loadtest-smoke lint clean
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -15,18 +15,51 @@ smoke:
 	$(PYTHON) -m repro all --json --jobs 4 > /dev/null
 
 # Wall-clock perf harness (docs/performance.md): times every registered
-# experiment under the segment and legacy kernels at smoke AND full
-# parameters and rewrites the committed BENCH_sim.json baseline.
+# experiment at smoke AND full parameters and rewrites the committed
+# BENCH_sim.json baseline.
 bench:
 	$(PYTHON) -m repro bench --repeats 3
 
 # CI's perf gate: smoke parameters only, compared against the committed
-# baseline; exits nonzero on a >25% wall-clock regression or on fig8
-# missing a native queue-loop replay.
+# baseline; exits 1 on a >25% wall-clock regression or on fig8 missing
+# a native queue-loop replay, and 2 when the baseline is missing,
+# unreadable or of another schema.
 bench-smoke:
 	$(PYTHON) -m repro bench --smoke --repeats 3 \
 		--cost-model xeon-paper \
 		--baseline BENCH_sim.json --out BENCH_smoke.json --check
+
+# The external benchmark (perfbench/, BENCHMARK.json) against this tree:
+# its own tests, then a 1 s run of each workload, untraced and traced.
+# Each run's last stdout line must be a correct, failure-free result
+# whose metric names are exactly BENCHMARK.json's end_to_end names (all
+# measured) or, traced, its per_layer names.  Reads perfbench/ and
+# BENCHMARK.json; changes neither.
+define PERFBENCH_CHECK
+import json, sys
+traced = sys.argv[1] == "1"
+doc = json.loads(sys.stdin.read().splitlines()[-1])
+with open("BENCHMARK.json") as handle:
+    spec = json.load(handle)
+want = {m["name"] for m in spec["per_layer" if traced else "end_to_end"]}
+metrics = doc["metrics"]
+assert doc["correct"] is True and doc["failed"] == 0, doc
+assert set(metrics) == want, sorted(set(metrics) ^ want)
+assert traced or all(m["value"] is not None for m in metrics.values())
+print(f"ok: {len(metrics)} metrics, {doc['attempted']} ops")
+endef
+export PERFBENCH_CHECK
+
+perfbench-smoke:
+	python3 -m pytest -q perfbench/tests
+	@for workload in paper-cold serve-mixed; do \
+		for trace in 0 1; do \
+			echo "perfbench: $$workload --trace $$trace"; \
+			python3 perfbench/run.py --workload $$workload --seed 1 \
+				--seconds 1 --trace $$trace \
+				| python3 -c "$$PERFBENCH_CHECK" $$trace || exit 1; \
+		done; \
+	done
 
 # Design-space sweep over the registered cost models (docs/
 # cost-models.md): records each model's three modes once, re-prices
@@ -36,7 +69,7 @@ dse:
 	$(PYTHON) -m repro dse
 
 # Differential fuzzing (docs/fuzzing.md): seed-deterministic guest
-# programs run across every mode x kernel with the oracle suite armed.
+# programs run across every execution mode with the oracle suite armed.
 # `fuzz` is the developer campaign; `fuzz-smoke` is CI's gate — a
 # 25-run clean campaign, a bug-calibration campaign that must find and
 # shrink a violation, and a replay of every committed counterexample.

@@ -294,25 +294,20 @@ def _cmd_chaos(argv):
 def _cmd_bench(argv):
     """``repro bench``: the wall-clock perf-regression harness.
 
-    Times registered experiments under the segment and legacy kernels
-    (min-of-N wall clock, events/sec, instructions/sec, memo traffic
-    and native queue-loop calls), writes the ``repro-bench/2`` document
-    to ``BENCH_sim.json`` at the repo root, and compares against a
-    committed baseline; ``--check`` turns a regression beyond
-    ``--threshold`` — or, in either the fresh document or the
-    committed baseline, the segment kernel losing to legacy or fig8
-    missing a native replay — into a nonzero exit (the CI bench-smoke
-    gate).
+    Times registered experiments (min-of-N wall clock, events/sec,
+    instructions/sec, memo traffic and native queue-loop calls), writes
+    the ``repro-bench/3`` document to ``BENCH_sim.json`` at the repo
+    root, and compares against a committed baseline; ``--check`` turns
+    a regression beyond ``--threshold`` — or fig8 missing a native
+    replay in either the fresh document or the baseline — into exit 1
+    (the CI bench-smoke gate), and a baseline it cannot compare against
+    into exit 2.
     """
-    import json
-
     from repro.exp import bench
-    from repro.sim import kernel as simkernel
 
     parser = argparse.ArgumentParser(
         prog="repro bench",
-        description="Time registered experiments under the segment "
-                    "and legacy simulation kernels and track the perf "
+        description="Time registered experiments and track the perf "
                     "trajectory in BENCH_sim.json",
     )
     parser.add_argument("--smoke", action="store_true",
@@ -326,13 +321,6 @@ def _cmd_bench(argv):
     parser.add_argument("--repeats", type=int, default=3, metavar="N",
                         help="timed repetitions per experiment; the "
                              "minimum is reported (default 3)")
-    parser.add_argument("--no-legacy", action="store_true",
-                        help="skip the legacy-kernel timing (no "
-                             "speedup column; faster run)")
-    parser.add_argument("--kernel", action="append", default=None,
-                        choices=simkernel.KERNELS, metavar="KERNEL",
-                        help="time only this kernel (repeatable; "
-                             "default: segment and legacy)")
     parser.add_argument("--cost-model", default=None, metavar="NAME",
                         choices=costmodels.model_names(),
                         help="time the experiments under a registered "
@@ -351,7 +339,8 @@ def _cmd_bench(argv):
                              "(default 0.25 = 25%%)")
     parser.add_argument("--check", action="store_true",
                         help="exit 1 when any experiment regresses "
-                             "beyond the threshold")
+                             "beyond the threshold, 2 when the "
+                             "baseline cannot be compared against")
     parser.add_argument("--json", action="store_true",
                         help="emit the document on stdout")
     args = parser.parse_args(argv)
@@ -367,21 +356,26 @@ def _cmd_bench(argv):
     names = (args.experiments.split(",") if args.experiments else None)
 
     baseline_path = args.baseline or bench.default_bench_path()
-    baseline = None
-    try:
-        baseline = json.loads(baseline_path.read_text())
-    except (OSError, ValueError):
-        pass
+    out = args.out or bench.default_bench_path()
+    if args.check and out.resolve() == baseline_path.resolve():
+        print(f"bench --check: --out {out} is the baseline it checks; "
+              "pass another --out", file=sys.stderr)
+        return 2
+    baseline, reason = bench.load_baseline(baseline_path)
+    if baseline is None:
+        if args.check:
+            print(f"bench --check: baseline {baseline_path}: {reason}",
+                  file=sys.stderr)
+            return 2
+        print(f"bench: baseline {baseline_path}: {reason}; nothing to "
+              "compare", file=sys.stderr)
 
     doc = bench.bench_document(names=names, sections=sections,
                                repeats=args.repeats,
-                               kernels=args.kernel,
-                               legacy=not args.no_legacy,
                                overrides={
                                    "cost_model": args.cost_model,
                                })
 
-    out = args.out or bench.default_bench_path()
     out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text(canonical_json(doc))
 
@@ -392,36 +386,26 @@ def _cmd_bench(argv):
         print(f"bench -> {out}")
 
     failed = False
-    # Absolute floors and the native count gate: enforced on the fresh
-    # document and on the committed baseline (the full-parameter
-    # section lives in the baseline for CI smoke runs that only re-time
-    # the smoke section).
-    floor_docs = [("current", doc)]
+    # The native count gate: enforced on the fresh document and on the
+    # baseline (the full-parameter section lives in the baseline for
+    # CI smoke runs that only re-time the smoke section).
+    gated = [("current", doc)]
     if baseline is not None:
-        floor_docs.append(("baseline", baseline))
-    for origin, floor_doc in floor_docs:
-        for violation in bench.check_floors(floor_doc):
+        gated.append(("baseline", baseline))
+    for origin, gated_doc in gated:
+        for miss in bench.check_native_counts(gated_doc):
             failed = True
-            print(f"FLOOR [{violation['section']}] "
-                  f"{violation['experiment']} ({origin}): "
-                  f"{violation['bar']} {violation['ratio']:.2f}x "
-                  f"< {violation['floor']:.1f}x floor "
-                  f"({violation['reference_wall_s']:.4f}s vs "
-                  f"{violation['wall_s']:.4f}s)", file=sys.stderr)
-        for miss in bench.check_native_counts(floor_doc):
-            failed = True
-            print(f"NATIVE [{miss['section']}] {miss['experiment']}/"
-                  f"{miss['kernel']} ({origin}): {miss['calls']} native "
-                  f"call(s), want {miss['expected_calls']}; "
-                  f"{miss['fallbacks']} fallback(s); tier status: "
-                  f"{miss['status']}", file=sys.stderr)
+            print(f"NATIVE [{miss['section']}] {miss['experiment']} "
+                  f"({origin}): {miss['calls']} native call(s), want "
+                  f"{miss['expected_calls']}; {miss['fallbacks']} "
+                  f"fallback(s); tier status: {miss['status']}",
+                  file=sys.stderr)
 
     if baseline is not None:
         regressions = bench.compare(doc, baseline,
                                     threshold=args.threshold)
         for reg in regressions:
-            print(f"REGRESSION [{reg['section']}] {reg['experiment']} "
-                  f"({reg.get('kernel', 'segment')}): "
+            print(f"REGRESSION [{reg['section']}] {reg['experiment']}: "
                   f"{reg['wall_s']:.4f}s vs baseline "
                   f"{reg['baseline_wall_s']:.4f}s "
                   f"({reg['ratio']:.2f}x, threshold "
@@ -431,9 +415,6 @@ def _cmd_bench(argv):
         else:
             print(f"no regressions vs {baseline_path} "
                   f"(threshold {args.threshold:.0%})", file=sys.stderr)
-    elif args.check:
-        print(f"bench --check: no baseline at {baseline_path}; "
-              "nothing to compare", file=sys.stderr)
     if failed and args.check:
         return 1
     return 0

@@ -68,7 +68,7 @@ class Machine:
     def __init__(self, mode=ExecutionMode.BASELINE, costs=None, config=None,
                  wait_mechanism="mwait", placement="smt", keep_events=False,
                  engine_factory=None, observer=None, faults=None,
-                 watchdog=None, kernel=None):
+                 watchdog=None):
         """``engine_factory(sim, tracer, costs, core, channels)`` replaces
         the mode's stock switch engine — the hook ablation studies use to
         model hybrid designs (e.g. SVt contexts multiplexed past the SMT
@@ -88,17 +88,8 @@ class Machine:
         :class:`repro.faults.Watchdog` whenever faults are armed,
         ``False`` disables recovery (blocked waits raise
         :class:`~repro.errors.DeadlockError` with a structured report),
-        and a :class:`~repro.faults.Watchdog` instance is used as-is.
-
-        ``kernel`` selects the simulation kernel: ``"segment"`` (the
-        fast path — batched charging and compiled segment replay) or
-        ``"legacy"`` (the original per-instruction loop).  ``None``
-        reads the process-wide choice from ``REPRO_SIM_KERNEL`` (see
-        :mod:`repro.sim.kernel`); both produce byte-identical results
-        and traces."""
+        and a :class:`~repro.faults.Watchdog` instance is used as-is."""
         self.mode = ExecutionMode.validate(mode)
-        self.kernel = (simkernel.active_kernel() if kernel is None
-                       else simkernel.validate(kernel))
         #: Instructions executed (stepped or segment-replayed) — the
         #: bench harness's instructions/sec numerator.
         self.instructions_retired = 0
@@ -227,15 +218,14 @@ class Machine:
         span = (self.obs.span("run_program", level=level,
                               mode=str(self.mode))
                 if self.obs is not None else nullcontext())
-        # The segment kernel batches charges, which would coarsen
+        # Segment replay batches charges, which would coarsen
         # per-instruction observability (span streams, kept trace
-        # events); those paths keep the instruction-exact legacy loop.
+        # events); those paths keep the instruction-exact stepped loop.
         # Programs with few batchable instructions also step: compiling
         # them costs more than the batched replay saves
         # (segments.COMPILE_MIN_INSTRUCTIONS counts ALU/PAUSE work),
         # and both paths are byte-identical by contract either way.
-        fast = (self.kernel != simkernel.LEGACY and self.obs is None
-                and not self.tracer.keep_events
+        fast = (self.obs is None and not self.tracer.keep_events
                 and (segments.batchable_dynamic(program)
                      >= segments.COMPILE_MIN_INSTRUCTIONS))
         with span:
@@ -260,7 +250,7 @@ class Machine:
         Stepped instructions go through :meth:`run_instruction`
         unchanged; segments replay through :meth:`_replay_segment`.
         Returns the executed instruction count (same contract as the
-        legacy loop).
+        stepped loop).
         """
         plan = segments.compile_program(program, self.mode, level,
                                         self.costs)
@@ -281,11 +271,11 @@ class Machine:
         """Charge one segment's cost span, honouring event boundaries.
 
         Equivalent to running the segment's ALU/PAUSE instructions
-        through the legacy loop: the deferred-I/O and interrupt-window
+        through the stepped loop: the deferred-I/O and interrupt-window
         checks re-run wherever an event can fire (segment entry and
         after any instruction whose charge fired one), and the whole
         remaining span is charged in one call when the next scheduled
-        deadline lies at or beyond its end — the legacy loop would have
+        deadline lies at or beyond its end — the stepped loop would have
         made the same checks with the same (empty) outcomes in between.
         """
         sim = self.sim
@@ -309,7 +299,7 @@ class Machine:
                 retired += (n - index) + n * (passes - 1)
                 break
             # An event falls strictly inside the remaining span: step
-            # one instruction (exactly the legacy cadence) so the
+            # one instruction (exactly the stepped cadence) so the
             # boundary checks re-run right after it fires.
             cost = costs[index]
             if cost:
@@ -322,7 +312,7 @@ class Machine:
         self.instructions_retired += retired
 
     def _segment_boundary(self, level):
-        """The checks a segment boundary owes the legacy loop: drain
+        """The checks a segment boundary owes the stepped loop: drain
         deferred I/O, then take any pending interrupts, in that
         order."""
         if self._deferred:

@@ -12,12 +12,7 @@ depends on —
   ``cost_model`` parameter resolved through
   :mod:`repro.cpu.costmodels`),
 * the code fingerprint (a content hash over every ``repro`` source
-  module — edit any simulator file and the cache misses),
-* the kernel tag (engine generation + active simulation kernel, see
-  :mod:`repro.sim.kernel`) — results computed by a pre-segment engine
-  can never be served after an engine change, and ``segment`` /
-  ``legacy`` runs never share entries even though they are
-  byte-identical by contract.
+  module — edit any simulator file and the cache misses).
 
 Entries are one JSON file per (experiment, key) holding the serialized
 :class:`~repro.exp.result.Result` plus the key material for debugging.
@@ -46,7 +41,6 @@ from typing import Any, Mapping, Optional, Union
 from repro.cpu import costmodels
 from repro.cpu.costs import CostModel
 from repro.exp.result import Result, canonical_json
-from repro.sim.kernel import kernel_tag
 
 SCHEMA = "repro-cache/1"
 #: Negative entries (deterministic failures) — never a Result.
@@ -117,7 +111,6 @@ class ResultCache:
                 "cost_model_id": model.model_id,
                 "cost_model_fp": cost_model_fingerprint(model),
                 "code": self._code_fp,
-                "kernel": kernel_tag(),
             },
             sort_keys=True,
         ).encode()
@@ -158,13 +151,8 @@ class ResultCache:
                 costmodels.resolve(params.get("cost_model")).model_id,
             "cost_model_fingerprint": self._cost_fp,
             "code_fingerprint": self._code_fp,
-            "kernel": kernel_tag(),
             "result": result.to_dict(),
         }
-        # svtlint: disable=SVT008 — deliberate: the env-derived kernel
-        # tag keys the entry so kernels never alias; both kernels are
-        # proven byte-identical (tests/exp/test_kernel_differential),
-        # so no entropy reaches Result bytes.
         path.write_text(canonical_json(doc))
         return path
 
@@ -187,9 +175,6 @@ class ResultCache:
             "params": dict(params),
             "error": error,
         }
-        # svtlint: disable=SVT008 — deliberate: same env-derived key
-        # scheme as store(); the sentinel carries only the error text,
-        # never Result bytes, and load() rejects it by schema.
         path.write_text(canonical_json(doc))
         return path
 

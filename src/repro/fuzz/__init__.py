@@ -1,8 +1,7 @@
 """Deterministic fuzz-harness VMs (docs/fuzzing.md).
 
 NecoFuzz-style generated guest programs driven differentially across
-the three execution modes and both simulation kernels, with an oracle
-suite over the outcomes.  Everything derives from one seed through
+the three execution modes, with an oracle suite over the outcomes.  Everything derives from one seed through
 :func:`repro.fuzz.gen.derive_stream`, so every campaign, case and
 shrink replays bit-for-bit at any ``--jobs`` count.
 
@@ -13,8 +12,8 @@ Layers:
   serialization;
 * :mod:`repro.fuzz.gen` — the seed-deterministic case generator;
 * :mod:`repro.fuzz.case` — the ``fuzzcase/1`` JSON format;
-* :mod:`repro.fuzz.harness` — one case through six machines
-  (3 modes x 2 kernels) under the runtime sanitizer;
+* :mod:`repro.fuzz.harness` — one case through three machines
+  (one per mode) under the runtime sanitizer;
 * :mod:`repro.fuzz.oracles` — the differential invariant suite;
 * :mod:`repro.fuzz.bugs` — named deliberately-broken fixture machines
   that prove the oracles can fire;

@@ -2,8 +2,8 @@
 
 A campaign is a pure function of ``(seed, runs, ops, bug, cost_model,
 shrink budget)``: per-run case seeds are labelled forks of the campaign
-seed, each case evaluates differentially (six machines plus the replay
-probe), failures shrink, and the results assemble **in run order** into
+seed, each case evaluates differentially (three machines plus the
+replay probe), failures shrink, and the results assemble **in run order** into
 a ``repro-fuzz/1`` document that contains no wall-clock time, worker
 count, or any other environment echo — so the same campaign is
 byte-identical across invocations and ``--jobs`` values.

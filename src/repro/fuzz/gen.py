@@ -21,7 +21,7 @@ IRQ_VECTORS = (Vectors.NET_RX, Vectors.NET_TX, Vectors.BLOCK,
 
 #: Weighted grammar: (kind, weight).  Trap sequences dominate, with a
 #: steady diet of interrupt-window stress and the occasional
-#: segment-compiled loop so both kernel paths stay exercised.
+#: segment-compiled loop so segment replay stays exercised.
 GRAMMAR = (
     (Kind.ALU, 10),
     (Kind.ALU_LOOP, 3),
@@ -127,7 +127,7 @@ def generate_case(seed, n_ops=40, bug=None, fault_ratio=None):
     :data:`FAULT_CASE_RATIO`) additionally carry a mild
     :class:`~repro.faults.FaultPlan` overlay — ring chaos plus
     plan-driven spurious interrupts — under which the cross-mode
-    oracles relax and the liveness/kernel oracles keep watch.
+    oracles relax and the crash and replay oracles keep watch.
     """
     ratio = FAULT_CASE_RATIO if fault_ratio is None else fault_ratio
     plan = None

@@ -107,8 +107,8 @@ def to_instructions(op):
 
     Loop ops return ``(instructions, repeat)`` through their single
     entry's repeat count instead of unrolling, so the harness can hand
-    the repeat to :class:`~repro.cpu.isa.Program` and the segment
-    kernel sees a compilable body.
+    the repeat to :class:`~repro.cpu.isa.Program` and segment replay
+    sees a compilable body.
     """
     kind = op.kind
     if kind == Kind.ALU:

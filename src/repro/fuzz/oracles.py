@@ -1,13 +1,11 @@
-"""The fuzz oracle suite — what "healthy" means for six outcomes.
+"""The fuzz oracle suite — what "healthy" means for three outcomes.
 
 Zero-fault, stock-machine expectations:
 
 * **crash** — no run raised out of the simulation;
-* **mode-state** — per kernel, the comparable slice (architectural
-  state, delivered-interrupt accounting, liveness) is equal across
+* **mode-state** — the comparable slice (architectural state,
+  delivered-interrupt accounting, liveness) is equal across
   BASELINE / SW_SVT / HW_SVT (paper §3 transparency);
-* **kernel-identity** — per mode, segment and legacy kernels produce
-  the same full outcome document (the byte-identity contract);
 * **steering** — HW SVt only: Table-2 invariants — SVt micro-registers
   name the booted context plan, every external interrupt landed on
   L0's context (paper §3.1), ctxt bursts neither faulted nor
@@ -17,16 +15,15 @@ Zero-fault, stock-machine expectations:
 * **liveness** — no watchdog degradation and no deadlock.
 
 Under an armed :class:`~repro.faults.FaultPlan` only **crash** (minus
-deadlocks, which the plan legitimises) and **kernel-identity** stay
-armed — fault draws are seeded, so even chaos must replay identically
-across kernels.
+deadlocks, which the plan legitimises) stays armed, next to the
+harness's **replay** check — fault draws are seeded, so even chaos must
+replay identically.
 """
 
 from dataclasses import dataclass
 
 from repro.core.mode import ExecutionMode
 from repro.exp.result import canonical_json
-from repro.fuzz.harness import KERNELS, MODES
 
 
 @dataclass(frozen=True)
@@ -36,106 +33,86 @@ class Violation:
     oracle: str
     detail: str
     mode: str = ""
-    kernel: str = ""
 
     def to_dict(self):
         return {"oracle": self.oracle, "detail": self.detail,
-                "mode": self.mode, "kernel": self.kernel}
+                "mode": self.mode}
 
     def render(self):
-        where = "/".join(part for part in (self.mode, self.kernel)
-                         if part)
-        prefix = f"[{where}] " if where else ""
+        prefix = f"[{self.mode}] " if self.mode else ""
         return f"{self.oracle}: {prefix}{self.detail}"
 
 
 def _check_crash(case, outcomes, out):
     faulted = case.fault_plan is not None
-    for (mode, kernel), outcome in sorted(outcomes.items()):
+    for mode, outcome in sorted(outcomes.items()):
         if outcome.crash is not None:
-            out.append(Violation("crash", outcome.crash,
-                                 mode=str(mode), kernel=kernel))
+            out.append(Violation("crash", outcome.crash, mode=str(mode)))
         if outcome.deadlock is not None and not faulted:
             out.append(Violation(
                 "liveness", "deadlock outside an injected fault plan",
-                mode=str(mode), kernel=kernel))
+                mode=str(mode)))
         if outcome.degraded and not faulted:
             out.append(Violation(
                 "liveness",
                 "watchdog degradation outside an injected fault plan",
-                mode=str(mode), kernel=kernel))
+                mode=str(mode)))
 
 
 def _check_mode_state(outcomes, out):
-    for kernel in KERNELS:
-        baseline = outcomes[(ExecutionMode.BASELINE, kernel)]
-        reference = canonical_json(baseline.mode_comparable())
-        for mode in (ExecutionMode.SW_SVT, ExecutionMode.HW_SVT):
-            candidate = outcomes[(mode, kernel)]
-            if canonical_json(candidate.mode_comparable()) != reference:
-                keys = _differing_keys(baseline.mode_comparable(),
-                                       candidate.mode_comparable())
-                out.append(Violation(
-                    "mode-state",
-                    f"{mode} diverged from baseline in {keys}",
-                    mode=str(mode), kernel=kernel))
-
-
-def _check_kernel_identity(outcomes, out):
-    for mode in MODES:
-        segment = outcomes[(mode, KERNELS[0])]
-        legacy = outcomes[(mode, KERNELS[1])]
-        if (canonical_json(segment.kernel_comparable())
-                != canonical_json(legacy.kernel_comparable())):
-            keys = _differing_keys(segment.kernel_comparable(),
-                                   legacy.kernel_comparable())
+    baseline = outcomes[ExecutionMode.BASELINE]
+    reference = canonical_json(baseline.mode_comparable())
+    for mode in (ExecutionMode.SW_SVT, ExecutionMode.HW_SVT):
+        candidate = outcomes[mode]
+        if canonical_json(candidate.mode_comparable()) != reference:
+            keys = _differing_keys(baseline.mode_comparable(),
+                                   candidate.mode_comparable())
             out.append(Violation(
-                "kernel-identity",
-                f"segment and legacy kernels diverged in {keys}",
+                "mode-state",
+                f"{mode} diverged from baseline in {keys}",
                 mode=str(mode)))
 
 
 def _check_steering(outcomes, out):
-    for kernel in KERNELS:
-        outcome = outcomes[(ExecutionMode.HW_SVT, kernel)]
-        steering = outcome.steering
-        hw = str(ExecutionMode.HW_SVT)
-        if steering.get("redirect") != 0:
+    outcome = outcomes[ExecutionMode.HW_SVT]
+    steering = outcome.steering
+    hw = str(ExecutionMode.HW_SVT)
+    if steering.get("redirect") != 0:
+        out.append(Violation(
+            "steering",
+            f"external interrupts not redirected to L0's context "
+            f"(redirect={steering.get('redirect')!r})",
+            mode=hw))
+    if steering.get("svt") != [0, 1, 2]:
+        out.append(Violation(
+            "steering",
+            f"SVt micro-registers {steering.get('svt')} do not "
+            "name the booted visor/vm/nested contexts [0, 1, 2]",
+            mode=hw))
+    for ctx, vector in outcome.deliveries:
+        if ctx != 0:
             out.append(Violation(
                 "steering",
-                f"external interrupts not redirected to L0's context "
-                f"(redirect={steering.get('redirect')!r})",
-                mode=hw, kernel=kernel))
-        if steering.get("svt") != [0, 1, 2]:
-            out.append(Violation(
-                "steering",
-                f"SVt micro-registers {steering.get('svt')} do not "
-                "name the booted visor/vm/nested contexts [0, 1, 2]",
-                mode=hw, kernel=kernel))
-        for ctx, vector in outcome.deliveries:
-            if ctx != 0:
-                out.append(Violation(
-                    "steering",
-                    f"vector {vector:#x} delivered to context {ctx}, "
-                    "not L0's context 0",
-                    mode=hw, kernel=kernel))
-                break
-        if steering.get("ctxt_faults"):
-            out.append(Violation(
-                "steering",
-                f"{steering['ctxt_faults']} ctxt burst(s) trapped "
-                "on a machine whose SVt fields are all valid",
-                mode=hw, kernel=kernel))
-        if steering.get("ctxt_mismatches"):
-            out.append(Violation(
-                "steering",
-                f"{steering['ctxt_mismatches']} ctxtld readback(s) "
-                "returned a different value than the ctxtst stored",
-                mode=hw, kernel=kernel))
-        _check_table2(steering, kernel, out)
+                f"vector {vector:#x} delivered to context {ctx}, "
+                "not L0's context 0",
+                mode=hw))
+            break
+    if steering.get("ctxt_faults"):
+        out.append(Violation(
+            "steering",
+            f"{steering['ctxt_faults']} ctxt burst(s) trapped "
+            "on a machine whose SVt fields are all valid",
+            mode=hw))
+    if steering.get("ctxt_mismatches"):
+        out.append(Violation(
+            "steering",
+            f"{steering['ctxt_mismatches']} ctxtld readback(s) "
+            "returned a different value than the ctxtst stored",
+            mode=hw))
+    _check_table2(steering, out)
 
 
-def _check_table2(steering, kernel, out):
+def _check_table2(steering, out):
     """Restate paper Table 2 and compare against what the harness saw
     ``resolve_target`` do under the core's final ``is_vm``."""
     svt = steering.get("svt") or [None, None, None]
@@ -153,29 +130,29 @@ def _check_table2(steering, kernel, out):
                 "steering",
                 f"lvl={lvl} resolved to {got!r}, Table 2 says "
                 f"{want!r}",
-                mode=str(ExecutionMode.HW_SVT), kernel=kernel))
+                mode=str(ExecutionMode.HW_SVT)))
 
 
 def _check_drain(outcomes, out):
-    for (mode, kernel), outcome in sorted(outcomes.items()):
+    for mode, outcome in sorted(outcomes.items()):
         leftover = sum(outcome.pending)
         if leftover:
             out.append(Violation(
                 "drain",
                 f"{leftover} interrupt(s) still pending "
                 f"({outcome.pending}) after the quiesce phase",
-                mode=str(mode), kernel=kernel))
+                mode=str(mode)))
 
 
 def _check_sanitizer(outcomes, out):
-    for (mode, kernel), outcome in sorted(outcomes.items()):
+    for mode, outcome in sorted(outcomes.items()):
         if outcome.sanitizer_reports:
             out.append(Violation(
                 "sanitizer",
                 f"{len(outcome.sanitizer_reports)} conflicting "
                 "unordered access(es); first: "
                 + outcome.sanitizer_reports[0],
-                mode=str(mode), kernel=kernel))
+                mode=str(mode)))
 
 
 def _differing_keys(left, right):
@@ -188,10 +165,9 @@ def _differing_keys(left, right):
 
 
 def check_oracles(case, outcomes):
-    """Judge six outcomes; returns the (possibly empty) violations."""
+    """Judge three outcomes; returns the (possibly empty) violations."""
     out = []
     _check_crash(case, outcomes, out)
-    _check_kernel_identity(outcomes, out)
     if case.fault_plan is None:
         _check_mode_state(outcomes, out)
         _check_steering(outcomes, out)

@@ -125,7 +125,7 @@ def compute_body(kind: str, experiment: str,
             overrides["cost_model"] = params["cost_model"]
         doc = bench.bench_document(
             names=params.get("names"), sections=("smoke",),
-            repeats=params.get("repeats", 1), legacy=False,
+            repeats=params.get("repeats", 1),
             overrides=overrides or None)
         return canonical_json(doc)
     raise ConfigError(f"unknown request kind {kind!r}")

@@ -15,9 +15,9 @@ unknown experiment names and parameter typos fail loudly with 400
 **Fingerprints.**  Every request has exactly one fingerprint, computed
 through :meth:`repro.exp.cache.ResultCache.key` — the same key the CLI
 path caches under, folding in the resolved parameters, the cost-model
-fingerprint/id, the code fingerprint and the kernel tag.  The
-coalescer and the quarantine both key on it, so "identical request"
-means identical *result bytes*, not identical wire bytes.
+fingerprint/id and the code fingerprint.  The coalescer and the
+quarantine both key on it, so "identical request" means identical
+*result bytes*, not identical wire bytes.
 
 **Shed tiers.**  Under degradation the service sheds the expensive
 tiers first: bench before DSE before fresh experiment runs; cached
@@ -127,7 +127,7 @@ class ServeRequest:
 
         Non-experiment kinds borrow the same key machinery under a
         reserved pseudo-name, so their coalescing still folds in the
-        code fingerprint and kernel tag.
+        code fingerprint.
         """
         name = self.experiment if self.kind == "experiment" \
             else f"__{self.kind}__"

@@ -3,18 +3,23 @@
 ``compile_program`` may only fuse instructions that can never exit or
 touch machine state (ALU/PAUSE); every trap site must stay a stepwise
 node so the segment replay observes interrupts, deferred I/O and fault
-injection at exactly the same instruction boundaries as the legacy
-per-instruction walk.
+injection at exactly the same instruction boundaries as the stepped
+per-instruction walk (:func:`_stepped`, the reference every parity
+test compares ``Machine.run_program`` against).
 """
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.mode import ExecutionMode
-from repro.core.system import Machine
+from repro.core.system import Machine, RunResult
 from repro.cpu import isa, segments
 from repro.cpu.costs import CostModel
+from repro.cpu.interrupts import Vectors
 from repro.cpu.isa import Instruction, Op, Program
-from repro.virt.hypervisor import MSR_TSC_DEADLINE
+from repro.fuzz.harness import final_state
+from repro.virt.hypervisor import MSR_APIC_EOI, MSR_TSC_DEADLINE
 
 
 def compile_default(program, mode=ExecutionMode.BASELINE, level=2):
@@ -96,8 +101,27 @@ def test_memo_keys_on_instruction_stream_not_program_identity():
 
 # -- machine parity --------------------------------------------------------
 
-#: All above ``COMPILE_MIN_INSTRUCTIONS`` dynamic instructions, so the
-#: segment kernel genuinely compiles and replays them (tiny programs
+
+def _stepped(machine, program, level=2):
+    """The reference: every instruction through ``run_instruction``,
+    never a compiled segment.  Returns what ``run_program`` reports."""
+    start = machine.sim.now
+    exits_before = machine._total_exits()
+    count = 0
+    for instruction in program:
+        machine.run_instruction(instruction, level)
+        count += 1
+    return RunResult(
+        elapsed_ns=machine.sim.now - start,
+        instructions=count,
+        exits=machine._total_exits() - exits_before,
+        start_ns=start,
+        end_ns=machine.sim.now,
+    )
+
+
+#: All above ``COMPILE_MIN_INSTRUCTIONS`` dynamic instructions, so
+#: ``run_program`` genuinely compiles and replays them (tiny programs
 #: fall back to the stepwise loop; see the dedicated tests below).
 PROGRAMS = {
     "alu-only": Program([isa.alu(100)] * 50, repeat=4),
@@ -114,9 +138,9 @@ PROGRAMS = {
 }
 
 
-def _final_state(kernel, name):
-    machine = Machine(mode=ExecutionMode.SW_SVT, kernel=kernel)
-    count = machine.run_program(PROGRAMS[name])
+def _final_state(run, name):
+    machine = Machine(mode=ExecutionMode.SW_SVT)
+    count = run(machine, PROGRAMS[name])
     return {
         "count": count,
         "now": machine.sim.now,
@@ -128,33 +152,156 @@ def _final_state(kernel, name):
 
 @pytest.mark.parametrize("name", sorted(PROGRAMS))
 def test_segment_machine_matches_legacy(name):
-    assert _final_state("segment", name) == _final_state("legacy", name)
+    assert (_final_state(Machine.run_program, name)
+            == _final_state(_stepped, name))
 
 
 def test_timer_event_mid_segment_matches_legacy():
     """An event due strictly inside a fused ALU run forces stepping."""
-    def run(kernel):
-        machine = Machine(mode=ExecutionMode.BASELINE, kernel=kernel)
+    def run(execute):
+        machine = Machine(mode=ExecutionMode.BASELINE)
         seen = []
         machine.sim.after(1_234, lambda: seen.append(machine.sim.now))
-        machine.run_program(Program([isa.alu(100)] * 80))
+        execute(machine, Program([isa.alu(100)] * 80))
         return seen, machine.sim.now, machine.instructions_retired
 
-    assert run("segment") == run("legacy")
+    assert run(Machine.run_program) == run(_stepped)
+
+
+# -- segment replay against the stepped loop, property-based --------------
+
+#: Trapping (or state-touching) instructions mixed between batchable
+#: runs: CPUID, VMCS accesses, trapped and plain MSR ops.
+TRAPS = (
+    isa.cpuid(leaf=0),
+    isa.cpuid(leaf=7),
+    isa.vmcall(number=1),
+    isa.vmread(["guest_rip"]),
+    isa.vmwrite({"guest_rsp": 0x2000}),
+    isa.vmptrld("vmcs12"),
+    isa.rdmsr(MSR_TSC_DEADLINE),
+    isa.wrmsr(MSR_APIC_EOI, 0),
+    isa.wrmsr(0x110, 7),
+    isa.rdmsr(0x111),
+)
+
+#: The vectors the fault injector's spurious interrupts carry.
+SPURIOUS_VECTORS = (Vectors.SPURIOUS, Vectors.IPI_RESCHEDULE,
+                    Vectors.IPI_TLB_SHOOTDOWN)
+
+BATCHABLE = st.one_of(
+    st.builds(isa.alu, st.integers(0, 400)),
+    st.builds(lambda ns: Instruction(Op.PAUSE, work_ns=ns),
+              st.integers(0, 100)),
+)
+
+
+@st.composite
+def mixed_programs(draw):
+    """At least 8 ALU/PAUSE instructions cut into runs by 1-5 traps."""
+    work = draw(st.lists(BATCHABLE, min_size=8, max_size=40))
+    traps = draw(st.lists(st.sampled_from(TRAPS), min_size=1,
+                          max_size=5))
+    cuts = sorted(draw(st.lists(st.integers(0, len(work)),
+                                min_size=len(traps),
+                                max_size=len(traps))))
+    body, last = [], 0
+    for cut, trap in zip(cuts, traps):
+        body.extend(work[last:cut])
+        body.append(trap)
+        last = cut
+    body.extend(work[last:])
+    return Program(body, repeat=draw(st.integers(1, 3)))
+
+
+def _work_spans(mode, program, level):
+    """``(start, end)`` of every batchable instruction's work charge of
+    at least 2 ns in an event-free stepped run: a time strictly inside
+    one lies strictly inside a segment."""
+    probe = Machine(mode=mode)
+    spans = []
+    for instruction in program:
+        probe.run_instruction(instruction, level)
+        if (instruction.kind in segments.BATCHABLE
+                and instruction.work_ns >= 2):
+            spans.append((probe.sim.now - instruction.work_ns,
+                          probe.sim.now))
+    return spans
+
+
+def _observe(mode, program, level, events, execute):
+    """Run ``program`` on a fresh machine with ``events`` scheduled
+    (``(kind, when, ctx, vector)``) and report everything the replay
+    must reproduce."""
+    machine = Machine(mode=mode)
+    deliveries = []
+    machine.interrupts.add_observer(
+        lambda ctx, vector: deliveries.append((ctx, vector)))
+    for kind, when, ctx, vector in events:
+        if kind == "timer":
+            machine.interrupts.arm_tsc_deadline(0, when)
+        else:
+            machine.interrupts.inject_spurious(
+                ctx % machine.core.n_contexts, vector,
+                delay=when - machine.sim.now)
+    result = execute(machine, program, level)
+    return {
+        "result": result,
+        "now": machine.sim.now,
+        "retired": machine.instructions_retired,
+        "exits": dict(machine.stack.exit_counts),
+        "aux_exits": dict(machine.stack.aux_exit_counts),
+        "totals": dict(machine.tracer.totals),
+        "deliveries": deliveries,
+        "pending": [machine.interrupts.pending_count(ctx)
+                    for ctx in range(machine.core.n_contexts)],
+        "state": final_state(machine),
+    }
+
+
+@settings(max_examples=100, deadline=None)
+@given(program=mixed_programs(),
+       mode=st.sampled_from(ExecutionMode.ALL),
+       level=st.sampled_from((1, 2)),
+       kind=st.sampled_from(("timer", "spurious")),
+       picks=st.lists(st.tuples(st.integers(0, 10**6),
+                                st.integers(0, 10**6),
+                                st.integers(0, 2),
+                                st.sampled_from(SPURIOUS_VECTORS)),
+                      min_size=1, max_size=3))
+def test_segment_replay_matches_stepped_loop(program, mode, level, kind,
+                                             picks):
+    """Events due strictly inside a segment — an armed TSC-deadline
+    timer, or spurious interrupts injected the way the fuzz harness
+    schedules them — leave segment replay and the stepped loop in the
+    same place: same result, clock, exits, tracer totals, deliveries
+    and architectural state."""
+    assert (segments.batchable_dynamic(program)
+            >= segments.COMPILE_MIN_INSTRUCTIONS)
+    spans = _work_spans(mode, program, level)
+    if kind == "timer":
+        picks = picks[:1]   # one deadline; re-arming replaces it
+    events = []
+    for index, offset, ctx, vector in picks if spans else ():
+        start, end = spans[index % len(spans)]
+        events.append((kind, start + 1 + offset % (end - start - 1),
+                       ctx, vector))
+    assert (_observe(mode, program, level, events, Machine.run_program)
+            == _observe(mode, program, level, events, _stepped))
 
 
 # -- tiny-program fallback -------------------------------------------------
 
 
 def test_tiny_programs_skip_the_segment_compiler(monkeypatch):
-    """Below COMPILE_MIN_INSTRUCTIONS the machine steps the legacy
-    loop even under the segment kernel — compiling a one-shot
-    10-instruction program costs more than batching saves."""
+    """Below COMPILE_MIN_INSTRUCTIONS the machine steps the
+    per-instruction loop — compiling a one-shot 10-instruction program
+    costs more than batching saves."""
     def boom(*args, **kwargs):
         raise AssertionError("tiny program reached compile_program")
 
     monkeypatch.setattr(segments, "compile_program", boom)
-    machine = Machine(mode=ExecutionMode.BASELINE, kernel="segment")
+    machine = Machine(mode=ExecutionMode.BASELINE)
     small = Program([isa.cpuid()],
                     repeat=segments.COMPILE_MIN_INSTRUCTIONS - 1)
     machine.run_program(small)
@@ -170,19 +317,19 @@ def test_threshold_sized_programs_still_compile(monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(segments, "compile_program", spy)
-    machine = Machine(mode=ExecutionMode.BASELINE, kernel="segment")
+    machine = Machine(mode=ExecutionMode.BASELINE)
     machine.run_program(Program(
         [isa.alu(10)], repeat=segments.COMPILE_MIN_INSTRUCTIONS))
     assert calls
 
 
 def test_tiny_program_results_match_legacy():
-    def run(kernel):
-        machine = Machine(mode=ExecutionMode.SW_SVT, kernel=kernel)
-        machine.run_program(Program([isa.cpuid()], repeat=10))
+    def run(execute):
+        machine = Machine(mode=ExecutionMode.SW_SVT)
+        execute(machine, Program([isa.cpuid()], repeat=10))
         return machine.sim.now, dict(machine.tracer.totals)
 
-    assert run("segment") == run("legacy")
+    assert run(Machine.run_program) == run(_stepped)
 
 
 def test_machine_obs_forces_legacy_cadence():
@@ -191,8 +338,8 @@ def test_machine_obs_forces_legacy_cadence():
     machine = Machine(mode=ExecutionMode.BASELINE, observer=Observer())
     program = Program([isa.alu(100)] * 10)
     machine.run_program(program)
-    # Per-instruction observability requires the stepwise path even
-    # under the segment kernel; totals must match a plain legacy run.
-    legacy = Machine(mode=ExecutionMode.BASELINE, kernel="legacy")
-    legacy.run_program(program)
-    assert machine.sim.now == legacy.sim.now
+    # Per-instruction observability requires the stepwise path; totals
+    # must match a plain stepped run.
+    reference = Machine(mode=ExecutionMode.BASELINE)
+    _stepped(reference, program)
+    assert machine.sim.now == reference.sim.now

@@ -1,11 +1,12 @@
-"""The bench harness: document shape, regression compare, floors,
-native count gate, CLI."""
+"""The bench harness: document shape, regression compare, native count
+gate, CLI."""
 
 import json
 
+import pytest
+
 from repro.exp import bench
 from repro.exp.result import canonical_json
-from repro.sim import kernel as simkernel
 from repro.workloads import native_queue
 
 
@@ -28,68 +29,36 @@ def _doc(wall_by_name, section="smoke"):
 
 
 def test_bench_section_shape():
-    section = bench.bench_section(
-        ["table1"], smoke=True, repeats=1,
-        kernels=(simkernel.SEGMENT, simkernel.LEGACY))
+    section = bench.bench_section(["table1"], smoke=True, repeats=1)
     entry = section["experiments"]["table1"]
     assert entry["cells"] >= 1
-    segment = entry["kernels"][simkernel.SEGMENT]
-    legacy = entry["kernels"][simkernel.LEGACY]
-    assert segment["wall_s"] > 0
-    assert set(segment["cell_wall_s"]) and all(
-        wall >= 0 for wall in segment["cell_wall_s"].values())
-    assert set(segment["memo"]) == {"hits", "misses", "wipes",
-                                    "entries"}
-    assert legacy["wall_s"] > 0
-    assert entry["speedup"] > 0
-    assert set(entry["cell_speedup"]) == set(segment["cell_wall_s"])
-    assert section["totals"]["wall_s"][simkernel.SEGMENT] > 0
-    assert section["totals"]["speedup"] > 0
-
-
-def test_bench_section_without_legacy_column():
-    section = bench.bench_section(["table1"], smoke=True, repeats=1,
-                                  kernels=(simkernel.SEGMENT,))
-    entry = section["experiments"]["table1"]
-    assert list(entry["kernels"]) == [simkernel.SEGMENT]
-    assert "speedup" not in entry
-    assert "speedup" not in section["totals"]
+    assert entry["wall_s"] > 0
+    assert set(entry["cell_wall_s"]) and all(
+        wall >= 0 for wall in entry["cell_wall_s"].values())
+    assert set(entry["memo"]) == {"hits", "misses", "wipes", "entries"}
+    assert section["totals"]["wall_s"] == entry["wall_s"]
 
 
 def test_bench_section_records_native_calls():
-    """Every kernel's fig8 entry counts one native replay per (mode,
-    load point) per repeat; other experiments count none."""
+    """fig8's entry counts one native replay per (mode, load point) per
+    repeat; other experiments count none."""
     from repro.workloads import memcached
 
     section = bench.bench_section(["fig8", "table1"], smoke=True,
                                   repeats=2)
     fig8 = section["experiments"]["fig8"]
-    assert set(fig8["kernels"]) == set(simkernel.KERNELS)
     want = fig8["cells"] * len(memcached.DEFAULT_LOADS_KQPS) * 2
-    for timing in fig8["kernels"].values():
-        assert timing["native"] == {"calls": want, "fallbacks": 0}
-    for timing in section["experiments"]["table1"]["kernels"].values():
-        assert timing["native"] == {"calls": 0, "fallbacks": 0}
+    assert fig8["native"] == {"calls": want, "fallbacks": 0}
+    assert section["experiments"]["table1"]["native"] == {
+        "calls": 0, "fallbacks": 0}
 
 
 def test_bench_document_is_json_serializable():
     doc = bench.bench_document(["table1"], sections=("smoke",),
-                               repeats=1, legacy=False)
-    assert doc["schema"] == bench.SCHEMA
-    assert doc["kernel_version"]
-    assert doc["kernels"] == [simkernel.SEGMENT]
+                               repeats=1)
+    assert doc["schema"] == bench.SCHEMA == "repro-bench/3"
     assert doc["native_status"] == native_queue.native_status()
     json.loads(canonical_json(doc))
-
-
-def test_bench_document_kernel_subset():
-    doc = bench.bench_document(["table1"], sections=("smoke",),
-                               repeats=1,
-                               kernels=(simkernel.LEGACY,))
-    assert doc["kernels"] == [simkernel.LEGACY]
-    entry = doc["sections"]["smoke"]["experiments"]["table1"]
-    assert list(entry["kernels"]) == [simkernel.LEGACY]
-    assert "speedup" not in entry
 
 
 # -- compare ---------------------------------------------------------------
@@ -122,42 +91,30 @@ def test_compare_ignores_unknown_sections():
     assert bench.compare(current, baseline) == []
 
 
-def test_render_mentions_speedups():
+def test_render_summarises_walls_and_native_calls():
     section = {
         "experiments": {
-            "fig8": {
-                "cells": 2,
-                "kernels": {
-                    "segment": {"wall_s": 0.5, "events_per_s": 10,
-                                "instructions_per_s": 1000,
-                                "memo": {"hits": 3, "misses": 1,
-                                         "wipes": 0},
-                                "native": {"calls": 16,
-                                           "fallbacks": 0}},
-                    "legacy": {"wall_s": 1.5},
-                },
-                "speedup": 3.0,
-            },
+            "fig8": {"cells": 2, "wall_s": 0.5, "events_per_s": 10,
+                     "instructions_per_s": 1000,
+                     "memo": {"hits": 3, "misses": 1, "wipes": 0},
+                     "native": {"calls": 16, "fallbacks": 0}},
         },
-        "totals": {"wall_s": {"segment": 0.5, "legacy": 1.5},
-                   "speedup": 3.0},
+        "totals": {"wall_s": 0.5},
     }
     text = bench.render({"native_status": "ok",
                          "sections": {"smoke": section}})
     assert "fig8" in text
-    assert "3.00x" in text
-    assert "speedup 3.00x" in text
+    assert "0.5000" in text
+    assert "total: 0.50s" in text
     assert "native 16 call(s), 0 fallback(s) [ok]" in text
 
 
-# -- check_floors ----------------------------------------------------------
+# -- check_native_counts ---------------------------------------------------
 
 
-def _kernel_doc(walls_by_name, section="full", native=None,
-                repeats=1, status="ok"):
-    """A bench document; ``native`` maps kernel -> (calls, fallbacks)
-    for every entry."""
-    native = native or {}
+def _native_doc(native_by_name, section="full", repeats=1, status="ok"):
+    """A bench document; ``native_by_name`` maps experiment ->
+    (calls, fallbacks)."""
     return {
         "schema": bench.SCHEMA,
         "repeats": repeats,
@@ -165,63 +122,35 @@ def _kernel_doc(walls_by_name, section="full", native=None,
         "sections": {
             section: {
                 "experiments": {
-                    name: {"cells": 2, "kernels": {
-                        kernel: {"wall_s": wall, "native": dict(zip(
-                            ("calls", "fallbacks"),
-                            native.get(kernel, (0, 0))))}
-                        for kernel, wall in walls.items()
-                    }}
-                    for name, walls in walls_by_name.items()
+                    name: {"cells": 2, "wall_s": 0.04,
+                           "native": dict(zip(("calls", "fallbacks"),
+                                              native))}
+                    for name, native in native_by_name.items()
                 },
-                "totals": {"wall_s": {}},
+                "totals": {"wall_s": 0.04},
             },
         },
     }
 
 
-def test_check_floors_passes_a_healthy_document():
-    doc = _kernel_doc({
-        "fig8": {"segment": 0.04, "legacy": 0.04},
-        "table1": {"segment": 0.01, "legacy": 0.012},
-    })
-    assert bench.check_floors(doc) == []
-
-
-def test_check_floors_flags_segment_losing_to_legacy():
-    doc = _kernel_doc({
-        "ablation_hw_model": {"segment": 0.5, "legacy": 0.3},
-    })
-    bars = [f["bar"] for f in bench.check_floors(doc)]
-    assert "speedup" in bars
-
-
-def test_check_floors_tolerates_noise_floor_jitter():
-    doc = _kernel_doc({
-        "table1": {"segment": 0.006, "legacy": 0.005},
-    })
-    assert bench.check_floors(doc) == []
-
-
 def test_check_native_counts_passes_every_load_point_native():
-    doc = _kernel_doc({"fig8": {"segment": 0.04, "legacy": 0.04}},
-                      native={"segment": (48, 0), "legacy": (48, 0)},
-                      repeats=3)
+    doc = _native_doc({"fig8": (48, 0)}, repeats=3)
     assert bench.check_native_counts(doc) == []
 
 
 def test_check_native_counts_flags_misses_with_the_tier_status():
-    doc = _kernel_doc({"fig8": {"segment": 0.4, "legacy": 0.4}},
-                      native={"segment": (16, 0), "legacy": (12, 4)},
-                      section="smoke", repeats=2,
+    doc = _native_doc({"fig8": (28, 4)}, section="smoke", repeats=2,
                       status="no C compiler")
     misses = bench.check_native_counts(doc)
-    assert [(m["kernel"], m["calls"], m["expected_calls"],
-             m["fallbacks"]) for m in misses] == [
-        ("segment", 16, 32, 0), ("legacy", 12, 32, 4)]
-    assert {m["status"] for m in misses} == {"no C compiler"}
+    assert [(m["section"], m["calls"], m["expected_calls"],
+             m["fallbacks"], m["status"]) for m in misses] == [
+        ("smoke", 28, 32, 4, "no C compiler")]
+    # Too few calls fail even without a fallback.
+    assert bench.check_native_counts(
+        _native_doc({"fig8": (16, 0)}, repeats=2))
     # Other experiments never run the loop and are not gated.
-    assert bench.check_native_counts(_kernel_doc(
-        {"table1": {"segment": 0.01, "legacy": 0.01}})) == []
+    assert bench.check_native_counts(
+        _native_doc({"table1": (0, 0)})) == []
 
 
 # -- CLI -------------------------------------------------------------------
@@ -232,19 +161,20 @@ def test_cli_bench_writes_document_and_checks_baseline(tmp_path, capsys):
 
     out = tmp_path / "bench.json"
     code = main(["bench", "--smoke", "--experiments", "table1",
-                 "--repeats", "1", "--no-legacy", "--out", str(out)])
+                 "--repeats", "1", "--out", str(out)])
     assert code == 0
     doc = json.loads(out.read_text())
     assert doc["schema"] == bench.SCHEMA
     assert "table1" in doc["sections"]["smoke"]["experiments"]
 
-    # A fresh run against its own artifact as the baseline passes.
+    # A fresh run against that artifact as the baseline passes.
     # (Huge threshold: a repeats=1 milli-second cell under full-suite
     # load can jitter far past the default 25%; the flag is what is
     # under test here, not the machine's scheduler.)
     code = main(["bench", "--smoke", "--experiments", "table1",
-                 "--repeats", "1", "--no-legacy",
-                 "--baseline", str(out), "--out", str(out),
+                 "--repeats", "1",
+                 "--baseline", str(out),
+                 "--out", str(tmp_path / "again.json"),
                  "--threshold", "100", "--check"])
     assert code == 0
 
@@ -253,16 +183,15 @@ def test_cli_bench_writes_document_and_checks_baseline(tmp_path, capsys):
     # above compare()'s noise floor and absolute regression slack,
     # unlike table1's single cell.
     code = main(["bench", "--smoke", "--experiments", "fig7",
-                 "--repeats", "1", "--no-legacy", "--out", str(out)])
+                 "--repeats", "1", "--out", str(out)])
     assert code == 0
     slow = json.loads(out.read_text())
     entry = slow["sections"]["smoke"]["experiments"]["fig7"]
-    for timing in entry["kernels"].values():
-        timing["wall_s"] = timing["wall_s"] / 1000.0
+    entry["wall_s"] = entry["wall_s"] / 1000.0
     baseline_path = tmp_path / "tiny.json"
     baseline_path.write_text(json.dumps(slow))
     code = main(["bench", "--smoke", "--experiments", "fig7",
-                 "--repeats", "1", "--no-legacy",
+                 "--repeats", "1",
                  "--baseline", str(baseline_path),
                  "--out", str(out), "--check"])
     assert code == 1
@@ -285,3 +214,63 @@ def test_compare_requires_absolute_regression_delta():
     current = _doc({"jittery": 0.070, "big": 1.3})
     regressions = bench.compare(current, baseline)
     assert [r["experiment"] for r in regressions] == ["big"]
+
+
+# -- --check needs a baseline it can compare against ------------------------
+
+
+def _check(tmp_path, baseline, out=None):
+    from repro.cli import main
+
+    return main(["bench", "--smoke", "--experiments", "table1",
+                 "--repeats", "1", "--baseline", str(baseline),
+                 "--out", str(out or tmp_path / "out.json"),
+                 "--threshold", "100", "--check"])
+
+
+def test_check_fails_on_a_missing_baseline(tmp_path, capsys):
+    missing = tmp_path / "missing.json"
+    assert _check(tmp_path, missing) == 2
+    err = capsys.readouterr().err
+    assert str(missing) in err and "no such file" in err
+
+
+def test_check_fails_on_a_corrupt_baseline(tmp_path, capsys):
+    corrupt = tmp_path / "corrupt.json"
+    corrupt.write_text('{"schema": "repro-bench/3", "sections"')
+    assert _check(tmp_path, corrupt) == 2
+    err = capsys.readouterr().err
+    assert str(corrupt) in err and "not JSON" in err
+
+
+def test_check_fails_on_a_baseline_of_another_schema(tmp_path, capsys):
+    old = tmp_path / "v2.json"
+    old.write_text(json.dumps({"schema": "repro-bench/2",
+                               "sections": {}}))
+    assert _check(tmp_path, old) == 2
+    err = capsys.readouterr().err
+    assert str(old) in err and "repro-bench/2" in err
+
+
+def test_check_refuses_to_overwrite_its_baseline(tmp_path, capsys):
+    baseline = tmp_path / "BENCH_sim.json"
+    text = canonical_json(_doc({"table1": 1.0}))
+    baseline.write_text(text)
+    assert _check(tmp_path, baseline, out=baseline) == 2
+    assert "is the baseline" in capsys.readouterr().err
+    assert baseline.read_text() == text
+
+
+@pytest.mark.parametrize("content", [None, "not json"])
+def test_without_check_an_unusable_baseline_is_informational(
+        tmp_path, capsys, content):
+    from repro.cli import main
+
+    baseline = tmp_path / "baseline.json"
+    if content is not None:
+        baseline.write_text(content)
+    code = main(["bench", "--smoke", "--experiments", "table1",
+                 "--repeats", "1", "--baseline", str(baseline),
+                 "--out", str(tmp_path / "out.json")])
+    assert code == 0
+    assert "nothing to compare" in capsys.readouterr().err

@@ -12,10 +12,8 @@ import pytest
 
 from repro.exp.result import canonical_json
 from repro.fuzz import bugs, evaluate_case, generate_case
-from repro.fuzz.harness import (KERNELS, MODES, run_case_on,
-                                sanitized)
+from repro.fuzz.harness import MODES, run_case_on, sanitized
 from repro.errors import ConfigError
-from repro.sim import kernel as simkernel
 from repro.sim import sanitizer
 
 #: Seeds kept small so the whole battery stays in test-suite budget.
@@ -34,9 +32,8 @@ def test_stock_machines_pass_every_oracle(clean_report):
     assert not clean_report.failed
 
 
-def test_all_six_machines_ran(clean_report):
-    assert sorted(clean_report.outcomes) == sorted(
-        (mode, kernel) for mode in MODES for kernel in KERNELS)
+def test_all_three_machines_ran(clean_report):
+    assert sorted(clean_report.outcomes) == sorted(MODES)
     for outcome in clean_report.outcomes.values():
         assert outcome.instructions > 0
         assert outcome.crash is None
@@ -72,14 +69,14 @@ def test_bugs_are_hw_only(clean_report):
     outcomes are bit-identical with or without the bug armed."""
     for bug in bugs.names():
         for mode in MODES[:2]:
-            stock = clean_report.outcomes[(mode, simkernel.SEGMENT)]
+            stock = clean_report.outcomes[mode]
             bugged = run_case_on(
-                mode, simkernel.SEGMENT,
+                mode,
                 generate_case(CLEAN_SEED, n_ops=N_OPS,
                               fault_ratio=0.0),
                 bug=bug)
-            assert (canonical_json(bugged.kernel_comparable())
-                    == canonical_json(stock.kernel_comparable()))
+            assert (canonical_json(bugged.replay_comparable())
+                    == canonical_json(stock.replay_comparable()))
 
 
 def test_unknown_bug_rejected():
@@ -89,8 +86,8 @@ def test_unknown_bug_rejected():
 
 def test_outcome_replay_is_byte_stable():
     case = generate_case(CLEAN_SEED, n_ops=N_OPS, fault_ratio=0.0)
-    first = run_case_on("hw_svt", simkernel.SEGMENT, case)
-    second = run_case_on("hw_svt", simkernel.SEGMENT, case)
+    first = run_case_on("hw_svt", case)
+    second = run_case_on("hw_svt", case)
     assert (canonical_json(first.to_dict())
             == canonical_json(second.to_dict()))
 
@@ -106,11 +103,10 @@ def test_sanitized_context_manager_restores_env():
 
 
 def test_steering_snapshot_reports_table2(clean_report):
-    for kernel in KERNELS:
-        steering = clean_report.outcomes[("hw_svt", kernel)].steering
-        assert steering["svt"] == [0, 1, 2]
-        assert steering["redirect"] == 0
-        assert steering["is_vm"] is False
-        assert steering["resolve"] == {"1": 1, "2": 2}
-        assert steering["ctxt_faults"] == 0
-        assert steering["ctxt_mismatches"] == 0
+    steering = clean_report.outcomes["hw_svt"].steering
+    assert steering["svt"] == [0, 1, 2]
+    assert steering["redirect"] == 0
+    assert steering["is_vm"] is False
+    assert steering["resolve"] == {"1": 1, "2": 2}
+    assert steering["ctxt_faults"] == 0
+    assert steering["ctxt_mismatches"] == 0

@@ -102,14 +102,11 @@ def test_sojourn_mean_is_a_left_fold():
 
 def test_queueing_dispatch_falls_back_on_unsupported_shapes():
     """Shapes the fast loop does not compile take the reference path."""
-    from repro.sim import kernel as simkernel
     from repro.sim.rng import DeterministicRng
 
     odd = memcached.EtcConfig(servers=3)
-    with simkernel.use_kernel(simkernel.SEGMENT):
-        dispatched = memcached._queueing_run(
-            2600.0, 5800.0, 10.0, odd, DeterministicRng(7),
-            requests=3_000)
+    dispatched = memcached._queueing_run(
+        2600.0, 5800.0, 10.0, odd, DeterministicRng(7), requests=3_000)
     reference = memcached._queueing_run_reference(
         2600.0, 5800.0, 10.0, odd, DeterministicRng(7), requests=3_000)
     assert dispatched == reference

@@ -1,6 +1,6 @@
 """The native memcached queue loop: bit-identical to the Python fast
-path, engaged by workload shape under every kernel, and never a silent
-or unsafe fallback."""
+path, engaged by workload shape, and never a silent or unsafe
+fallback."""
 
 import json
 import math
@@ -11,7 +11,6 @@ import pytest
 
 from repro.exp.result import canonical_json
 from repro.exp.runner import run_experiments
-from repro.sim import kernel as simkernel
 from repro.sim.rng import DeterministicRng
 from repro.workloads import memcached, native_queue
 
@@ -95,19 +94,14 @@ def test_queue_replay_state_resumes_python_stream():
         == [pure.random() for _ in range(16)]
 
 
-def test_default_path_engages_native_tier(monkeypatch):
-    """One native replay per load point, with no kernel selected and
-    under the legacy kernel alike: dispatch depends on shape only."""
-    monkeypatch.delenv(simkernel.ENV_VAR, raising=False)
+def test_default_path_engages_native_tier():
+    """One native replay per load point: dispatch depends on shape
+    only."""
     want = {"calls": len(memcached.DEFAULT_LOADS_KQPS), "fallbacks": 0}
     native_queue.reset_native_stats()
     memcached.run(requests=2_000)
     assert native_queue.native_stats() == want, \
         native_queue.native_status()
-    native_queue.reset_native_stats()
-    with simkernel.use_kernel(simkernel.LEGACY):
-        memcached.run(requests=2_000)
-    assert native_queue.native_stats() == want
 
 
 def _one_ulp_higher_p99(real, get_ns, set_ns, load, cfg, rng, requests):
