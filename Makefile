@@ -112,7 +112,7 @@ loadtest-smoke:
 lint:
 	$(PYTHON) -m repro lint
 	@if command -v ruff >/dev/null 2>&1; then \
-		ruff check src tests benchmarks examples; \
+		ruff check src tests examples; \
 	else \
 		echo "ruff not installed; skipping ruff"; \
 	fi

@@ -9,7 +9,7 @@ from repro.analysis.breakdown import (
 from repro.analysis.figures import bar_chart, grouped_bar_chart, line_plot
 from repro.analysis.hw_model import predicted_speedup, scale_sw_to_hw
 from repro.analysis.loc import audit as loc_audit
-from repro.analysis.report import format_table, render_result, speedup_row
+from repro.analysis.report import format_table, render_result
 
 __all__ = [
     "bar_chart",
@@ -21,7 +21,6 @@ __all__ = [
     "loc_audit",
     "predicted_speedup",
     "scale_sw_to_hw",
-    "speedup_row",
     "table1_rows",
     "vmcs_access_share",
 ]

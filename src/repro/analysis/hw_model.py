@@ -8,8 +8,8 @@ scaled the speedup assuming that every VM trap from L2 and L1 would not
 pay the cost of context switching."*
 
 :func:`scale_sw_to_hw` applies exactly that scaling to a traced SW SVt
-run, as a cross-check of our direct HW SVt simulation — the ablation
-bench `benchmarks/test_ablation_hw_model.py` compares the two.
+run, as a cross-check of our direct HW SVt simulation — the
+``ablation_hw_model`` experiment compares the two.
 """
 
 from repro.sim.trace import Category

@@ -1,8 +1,7 @@
 """Plain-text rendering: tables, and whole experiment ``Result``s.
 
-The benchmarks print measured-vs-paper rows; keeping the formatting here
-makes the bench files read like the paper's tables.  :func:`render_result`
-is the pure renderer the CLI uses over the experiment runtime's
+:func:`render_result` is the pure renderer the CLI, and the committed
+``results/<name>.txt`` files, use over the experiment runtime's
 structured results — no experiment logic lives here, only presentation.
 """
 
@@ -26,23 +25,6 @@ def format_table(headers, rows, title=None):
         lines.append("  ".join(row[i].ljust(widths[i])
                                for i in range(len(row))))
     return "\n".join(lines)
-
-
-def speedup_row(label, baseline_value, measured, paper, unit=""):
-    """One Fig.-7-style row: measured baseline + speedups vs paper's."""
-    measured_sw, measured_hw = measured
-    paper_base, paper_sw, paper_hw = paper
-    return (
-        label,
-        f"{baseline_value:.1f}{unit} (paper {paper_base:.0f}{unit})",
-        f"{measured_sw:.2f}x (paper {paper_sw:.2f}x)",
-        f"{measured_hw:.2f}x (paper {paper_hw:.2f}x)",
-    )
-
-
-def fmt_us(ns):
-    """Nanoseconds -> 'X.XX us' string."""
-    return f"{ns / 1000.0:.2f} us"
 
 
 def _render_table(table):

@@ -53,8 +53,9 @@ def build_parser():
                              "to enumerate them, 'smoke' for a fast "
                              "runtime baseline, 'lint' for the svtlint "
                              "invariant checker")
-    parser.add_argument("--seed", type=int, default=7,
-                        help="workload RNG seed (default 7)")
+    parser.add_argument("--seed", type=int, default=None,
+                        help="workload RNG seed (default: "
+                             "per-experiment)")
     parser.add_argument("--iterations", type=int, default=None,
                         help="microbenchmark iterations (default: "
                              "per-experiment)")

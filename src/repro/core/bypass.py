@@ -14,9 +14,9 @@ its control; and because L0 pre-authorised the bypass set when it built
 vmcs02, the security argument mirrors the paper's: the hardware only
 short-circuits exits L0 *would have reflected verbatim anyway*.
 
-The ablation bench `benchmarks/test_ablation_bypass.py` quantifies how
-close this gets to "full hardware support" (which would make a nested
-trap cost the same as a single-level one).
+The ``ablation_bypass`` experiment quantifies how close this gets to
+"full hardware support" (which would make a nested trap cost the same
+as a single-level one).
 """
 
 from repro.core.switch import HwSvtEngine

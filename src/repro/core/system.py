@@ -66,7 +66,7 @@ class Machine:
     """A full simulated host running the paper's L0/L1/L2 stack."""
 
     def __init__(self, mode=ExecutionMode.BASELINE, costs=None, config=None,
-                 wait_mechanism="mwait", placement="smt", keep_events=False,
+                 wait_mechanism="mwait", placement="smt",
                  engine_factory=None, observer=None, faults=None,
                  watchdog=None):
         """``engine_factory(sim, tracer, costs, core, channels)`` replaces
@@ -99,8 +99,7 @@ class Machine:
         if observer is None:
             observer = obs_ambient()
         self.obs = observer
-        self.tracer = Tracer(keep_events=keep_events,
-                             clock=self._read_clock)
+        self.tracer = Tracer()
         if observer is not None:
             observer.bind(self.sim)
             self.sim.obs = observer
@@ -219,13 +218,13 @@ class Machine:
                               mode=str(self.mode))
                 if self.obs is not None else nullcontext())
         # Segment replay batches charges, which would coarsen
-        # per-instruction observability (span streams, kept trace
-        # events); those paths keep the instruction-exact stepped loop.
-        # Programs with few batchable instructions also step: compiling
-        # them costs more than the batched replay saves
-        # (segments.COMPILE_MIN_INSTRUCTIONS counts ALU/PAUSE work),
-        # and both paths are byte-identical by contract either way.
-        fast = (self.obs is None and not self.tracer.keep_events
+        # per-instruction observability (span streams); that path keeps
+        # the instruction-exact stepped loop.  Programs with few
+        # batchable instructions also step: compiling them costs more
+        # than the batched replay saves (segments.COMPILE_MIN_INSTRUCTIONS
+        # counts ALU/PAUSE work), and both paths are byte-identical by
+        # contract either way.
+        fast = (self.obs is None
                 and (segments.batchable_dynamic(program)
                      >= segments.COMPILE_MIN_INSTRUCTIONS))
         with span:

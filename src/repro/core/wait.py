@@ -5,8 +5,8 @@ The paper compares **polling**, **mwait** (cache-line monitoring) and
 two communicating threads (sibling SMT threads, separate cores on one
 NUMA node, separate NUMA nodes), sweeping the size of the work performed
 between handoffs.  Numbers are "not shown for brevity"; the text states
-five qualitative observations, which `benchmarks/test_sec61_channels.py`
-asserts against this model:
+five qualitative observations, which the ``sec61`` experiment checks
+against this model:
 
 1. polling has the lowest latency for small workloads, but under SMT its
    overheads grow with the workload (the spinning thread steals execution

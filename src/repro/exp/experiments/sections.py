@@ -1,7 +1,8 @@
 """Section studies and extensions as registered experiments.
 
-Covers §6.1 (channel microbenchmarks), the deep-nesting and functional-L3
-extensions, §3.3 SVt/SMT coexistence, and the §7 related-work comparison.
+Covers §6.1 (channel microbenchmarks), §6.2 (VMCS-access share), the
+§5.3 deadlock, the deep-nesting and functional-L3 extensions, §3.3
+SVt/SMT coexistence, and the §7 related-work comparison.
 """
 
 from __future__ import annotations
@@ -70,6 +71,108 @@ class Sec61Channels(Experiment):
             ],
             scalars=scalars,
             paper={"mwait_speedup": 1.23},
+        )
+
+
+def _one_byte_reply(packet: Any) -> list[Any]:
+    """The §6.2 remote peer: answer every request with one byte."""
+    from repro.io.net import Packet
+
+    return [Packet("r", 1)]
+
+
+@register
+class Sec62VmcsShare(Experiment):
+    """§6.2: L0 time in the handlers of L1's VMCS accesses."""
+
+    name = "sec62"
+    title = "Sec. 6.2: VMCS-access share"
+    description = "share of L0 trap handling spent on L1's VMCS accesses"
+
+    #: netperf TCP_RR round trips profiled on the baseline machine.
+    ROUND_TRIPS = 12
+
+    def run_cell(self, cell: str, params: dict[str, Any]) -> Any:
+        from repro.analysis.breakdown import vmcs_access_share
+        from repro.core.system import Machine
+        from repro.io.net import install_network
+        from repro.workloads.netperf import RrConfig, _one_rr
+
+        machine = Machine(mode=ExecutionMode.BASELINE)
+        net = install_network(machine)
+        net.fabric.remote_handler = _one_byte_reply
+        config = RrConfig()
+        for op_index in range(1, self.ROUND_TRIPS + 1):
+            _one_rr(machine, net, config, op_index)
+        return vmcs_access_share(machine.stack)
+
+    def merge(self, params: dict[str, Any],
+              payloads: dict[str, Any]) -> Result:
+        share = payloads["all"]
+        return Result.create(
+            experiment=self.name,
+            params=params,
+            tables=[Table(
+                title="Sec. 6.2: L0 trap handling over "
+                      f"{self.ROUND_TRIPS} netperf round trips",
+                columns=("Quantity", "Measured"),
+                rows=[Row("L0 time in L1-VMCS-access handlers",
+                          (f"{share * 100:.1f}%",), paper="~4%")],
+            )],
+            scalars={"vmcs_access_share": share},
+            paper={"vmcs_access_share": 0.04},
+        )
+
+
+@register
+class Sec53Deadlock(Experiment):
+    """§5.3: the lost-IPI deadlock, with and without the wait-loop fix."""
+
+    name = "sec53"
+    title = "Sec. 5.3: interrupt deadlock"
+    description = "SW SVt lost-IPI interleaving with and without the fix"
+
+    VARIANTS = ("without_fix", "with_fix")
+
+    def cells(self, params: dict[str, Any]) -> tuple[str, ...]:
+        return self.VARIANTS
+
+    def run_cell(self, cell: str, params: dict[str, Any]) -> Any:
+        from repro.core.sw_prototype import DeadlockScenario
+
+        result = DeadlockScenario(with_fix=cell == "with_fix").run()
+        return {
+            "completed": result.completed,
+            "finished_at_ns": result.finished_at_ns,
+            "blocked_traps_injected": result.blocked_traps_injected,
+            "timeline": [[t, message] for t, message in result.timeline],
+        }
+
+    def merge(self, params: dict[str, Any],
+              payloads: dict[str, Any]) -> Result:
+        tables = []
+        scalars: dict[str, Any] = {}
+        for variant in self.VARIANTS:
+            payload = payloads[variant]
+            outcome = ("completes" if payload["completed"]
+                       else "deadlocks")
+            tables.append(Table(
+                title=f"{variant.replace('_', ' ')}: {outcome} at "
+                      f"{payload['finished_at_ns']} ns, "
+                      f"{payload['blocked_traps_injected']} SVT_BLOCKED "
+                      "trap(s) injected",
+                columns=("t (ns)", "event"),
+                rows=[Row(str(t), (message,))
+                      for t, message in payload["timeline"]],
+            ))
+            for key in ("completed", "finished_at_ns",
+                        "blocked_traps_injected"):
+                scalars[f"{variant}_{key}"] = payload[key]
+        return Result.create(
+            experiment=self.name,
+            params=params,
+            tables=tables,
+            scalars=scalars,
         )
 
 

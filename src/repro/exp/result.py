@@ -7,7 +7,8 @@ printing text.  A result carries:
   exactly what the CLI renders; cells are pre-formatted strings so serial
   and parallel runs emit byte-identical output.
 * **series** — ``(x, y)`` curves (:class:`Series`) for the line plots.
-* **scalars** — the raw machine-facing numbers benchmarks assert on.
+* **scalars** — the raw machine-facing numbers the paper claims are
+  asserted on (``tests/test_paper_claims.py``).
 * **paper** — the paper's expected values for those scalars, attached so
   any consumer can compute measured-vs-paper deltas without re-reading
   the paper.

@@ -17,14 +17,10 @@ from repro.sim.stats import (
     stddev,
     summarize,
 )
-from repro.sim.timeline import Span, Timeline, record_exit_timeline
 from repro.sim.trace import Tracer, Category
 
 __all__ = [
     "Category",
-    "Span",
-    "Timeline",
-    "record_exit_timeline",
     "DeterministicRng",
     "EventHandle",
     "SimulationError",

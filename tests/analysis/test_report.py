@@ -1,6 +1,6 @@
 """Report formatting."""
 
-from repro.analysis.report import fmt_us, format_table, speedup_row
+from repro.analysis.report import format_table
 
 
 def test_format_table_alignment():
@@ -19,16 +19,3 @@ def test_format_table_alignment():
 def test_format_table_empty_rows():
     text = format_table(["a"], [])
     assert "a" in text
-
-
-def test_speedup_row():
-    row = speedup_row("net lat", 160.6, (1.13, 2.34),
-                      (163.0, 1.10, 2.38), unit=" us")
-    assert row[0] == "net lat"
-    assert "160.6 us" in row[1]
-    assert "1.13x" in row[2]
-    assert "2.38x" in row[3]
-
-
-def test_fmt_us():
-    assert fmt_us(10_400) == "10.40 us"

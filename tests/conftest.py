@@ -8,9 +8,12 @@ import pytest
 
 from repro.cpu.costs import CostModel
 from repro.sim.engine import Simulator
-from repro.sim.trace import Tracer
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
+
+#: Experiments whose document depends on the source tree itself:
+#: ``table3`` counts this repository's own lines of code.
+SOURCE_DEPENDENT = ("table3",)
 
 #: Per-test wall-clock ceiling (seconds) for the SIGALRM fallback below.
 #: Generous — the whole suite runs in well under a minute — but finite,
@@ -133,10 +136,19 @@ def sim():
 
 
 @pytest.fixture
-def tracer():
-    return Tracer(keep_events=True)
-
-
-@pytest.fixture
 def costs():
     return CostModel()
+
+
+@pytest.fixture(scope="session")
+def documents():
+    """Every registered experiment's live Result document at default
+    parameters, except the :data:`SOURCE_DEPENDENT` ones: the documents
+    the golden file pins and the paper claims are asserted on."""
+    from repro.exp import registry
+    from repro.exp.runner import run_experiments
+
+    names = [name for name in registry.names()
+             if name not in SOURCE_DEPENDENT]
+    report = run_experiments(names, cache=None)
+    return {run.name: run.result.to_dict() for run in report.runs}

@@ -161,3 +161,11 @@ def test_run_result_counts_exits():
     )
     assert result.instructions == 4
     assert result.exits >= 2
+
+
+def test_mode_enum_is_frozen():
+    """Every mode-indexed document covers exactly the paper's three
+    execution modes, in this order."""
+    assert ExecutionMode.ALL == (ExecutionMode.BASELINE,
+                                 ExecutionMode.SW_SVT,
+                                 ExecutionMode.HW_SVT)

@@ -109,4 +109,4 @@ def test_svt_fields_exist_and_are_excluded():
 
 def test_registry_has_the_full_experiment_set():
     registry.ensure_loaded()
-    assert len(registry.names()) == 17
+    assert len(registry.names()) == 22

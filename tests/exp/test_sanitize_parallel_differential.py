@@ -29,7 +29,7 @@ def plain_serial():
 
 
 def test_registry_fully_covered(plain_serial):
-    assert len(plain_serial.runs) == 17
+    assert len(plain_serial.runs) == 22
 
 
 def test_sanitized_parallel_is_byte_identical(plain_serial,

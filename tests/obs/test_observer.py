@@ -36,13 +36,6 @@ def test_charge_emits_the_charged_window():
     assert span.level == CATEGORY_LEVEL[Category.GUEST_WORK] == 2
 
 
-def test_charge_meta_becomes_span_args():
-    observer = Observer(Simulator())
-    observer.charge(Category.CHANNEL, 0, {"direction": "tx"})
-    (span,) = observer.spans.finished()
-    assert span.args == {"direction": "tx"}
-
-
 def test_every_table1_category_has_a_level():
     for _, categories in TABLE1_FOLD:
         for category in categories:

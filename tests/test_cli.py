@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cli import build_parser, main
+from repro.exp import registry, runner
 
 
 def run_cli(capsys, *argv):
@@ -75,3 +76,26 @@ def test_related(capsys):
     out = run_cli(capsys, "related")
     assert "sriov" in out
     assert "no live migration" in out
+
+
+def test_all_without_flags_runs_every_experiment_at_its_defaults(
+        monkeypatch):
+    """``repro all`` with no flags must not override any experiment's
+    declared defaults (chaos declares seed 2019, fig8 and fig10 seed
+    7)."""
+    captured = {}
+
+    class Captured(Exception):
+        pass
+
+    def capture(names, overrides=None, **_kwargs):
+        captured.update(names=list(names), overrides=overrides)
+        raise Captured
+
+    monkeypatch.setattr(runner, "run_experiments", capture)
+    with pytest.raises(Captured):
+        main(["all", "--json", "--no-cache"])
+    assert captured["names"] == registry.names()
+    for experiment in registry.experiments():
+        assert (experiment.resolve(captured["overrides"])
+                == experiment.all_defaults()), experiment.name

@@ -1,15 +1,16 @@
 """Documentation <-> code consistency.
 
-DESIGN.md's module map and per-experiment index must reference files
-that actually exist; nothing rots silently.
+DESIGN.md's module map must reference files that actually exist, and
+DESIGN.md's per-experiment index and EXPERIMENTS.md must name every
+registered experiment and cite only experiments, ``results/`` files
+and claim tests that exist; nothing rots silently.
 """
 
 import re
 from pathlib import Path
 
-import pytest
-
 import repro
+from repro.exp import registry
 
 REPO_ROOT = Path(repro.__file__).resolve().parent.parent.parent
 DESIGN = (REPO_ROOT / "DESIGN.md").read_text()
@@ -26,28 +27,43 @@ def test_design_module_map_files_exist():
         assert (SRC / path).exists(), f"DESIGN.md references missing {path}"
 
 
-def test_design_bench_targets_exist():
-    benches = set(re.findall(r"`(benchmarks/[a-z0-9_]+\.py)`", DESIGN))
-    assert len(benches) >= 15
-    for path in benches:
+def _cited_experiments(text):
+    """Experiment names a document cites as `repro <name>`."""
+    return set(re.findall(r"`repro ([a-z0-9_]+)`", text))
+
+
+def _cited_results(text):
+    return set(re.findall(r"`(results/[a-z0-9_]+\.txt)`", text))
+
+
+def test_design_experiment_targets_exist():
+    cited = _cited_experiments(DESIGN)
+    assert len(cited) >= 15
+    assert cited <= set(registry.names()), sorted(
+        cited - set(registry.names()))
+    for path in _cited_results(DESIGN):
         assert (REPO_ROOT / path).exists(), path
 
 
-def test_experiments_bench_targets_exist():
-    benches = set(re.findall(r"`(benchmarks/[a-z0-9_]+\.py)`", EXPERIMENTS))
-    for path in benches:
+def test_experiments_md_targets_exist():
+    cited = _cited_experiments(EXPERIMENTS)
+    assert cited <= set(registry.names()), sorted(
+        cited - set(registry.names()))
+    for path in _cited_results(EXPERIMENTS):
         assert (REPO_ROOT / path).exists(), path
-    names = set(re.findall(r"`(test_[a-z0-9_]+\.py)`", EXPERIMENTS))
-    for name in names:
-        assert (REPO_ROOT / "benchmarks" / name).exists(), name
+    claims = (REPO_ROOT / "tests" / "test_paper_claims.py").read_text()
+    for name in set(re.findall(r"`(test_[a-z0-9_]+)`", EXPERIMENTS)):
+        assert f"def {name}(" in claims, name
 
 
-def test_every_bench_file_is_indexed_in_design():
-    bench_files = {
-        p.name for p in (REPO_ROOT / "benchmarks").glob("test_*.py")
-    }
-    for name in bench_files:
-        assert name in DESIGN, f"{name} not indexed in DESIGN.md"
+def test_every_experiment_is_indexed_in_design():
+    missing = set(registry.names()) - _cited_experiments(DESIGN)
+    assert not missing, f"not indexed in DESIGN.md: {sorted(missing)}"
+
+
+def test_every_experiment_is_documented_in_experiments_md():
+    missing = set(registry.names()) - _cited_experiments(EXPERIMENTS)
+    assert not missing, f"not documented in EXPERIMENTS.md: {sorted(missing)}"
 
 
 def test_readme_examples_exist():

@@ -13,32 +13,29 @@ Every document the benchmark checks its output against
 digest there, so the two references cannot disagree; experiments
 registered later are covered by the golden file alone.
 
-The paper's headline claims are asserted on the same documents.
+``results/<name>.txt`` is each registered experiment's live document as
+the CLI renders it, ``table3`` included: a PR that edits a counted
+module commits the new footprint table.  The files must match byte for
+byte; ``pytest --update-golden`` rewrites them and deletes any
+``results/*.txt`` no experiment renders.
+
+The paper's claims are asserted on the same documents in
+``tests/test_paper_claims.py``.
 """
 
 import hashlib
 import json
+from itertools import takewhile
 from pathlib import Path
 
-import pytest
-
+from repro.analysis.report import render_result
 from repro.exp import registry
-from repro.exp.result import canonical_json
-from repro.exp.runner import run_experiments
+from repro.exp.registry import RunContext
+from repro.exp.result import Result, canonical_json
 
-#: Experiments whose document depends on the source tree itself.
-EXCLUDED = ("table3",)
-
-BENCHMARK_EXPECTED = (Path(__file__).resolve().parents[1]
-                      / "perfbench" / "expected.json")
-
-
-@pytest.fixture(scope="module")
-def documents():
-    registry.ensure_loaded()
-    names = [name for name in registry.names() if name not in EXCLUDED]
-    report = run_experiments(names, cache=None)
-    return {run.name: run.result.to_dict() for run in report.runs}
+REPO_ROOT = Path(__file__).resolve().parents[1]
+BENCHMARK_EXPECTED = REPO_ROOT / "perfbench" / "expected.json"
+RESULTS_DIR = REPO_ROOT / "results"
 
 
 def test_documents_match_golden(golden, documents):
@@ -56,16 +53,43 @@ def test_documents_match_benchmark_digests(documents):
             f"{name}: canonical JSON sha256 differs from perfbench's"
 
 
-def test_fig8_paper_claims(documents):
-    """Paper Fig. 8 (§6.3.1) at the experiment's default parameters:
-    the 2.20x p99 / 1.43x average headline, more load within the SLA
-    under SVt, and latency curves that rise with load."""
-    fig8 = documents["fig8"]
-    scalars = fig8["scalars"]
-    assert scalars["p99_improvement"] == pytest.approx(2.20, abs=0.35)
-    assert scalars["avg_improvement"] == pytest.approx(1.43, abs=0.25)
-    assert (scalars["svt_max_kqps_in_sla"]
-            > scalars["base_max_kqps_in_sla"])
-    for series in fig8["series"]:
-        p99s = [y for _x, y in series["points"]]
-        assert p99s == sorted(p99s), series["name"]
+def _rendered_results(documents):
+    """``{file name: text}`` for every registered experiment."""
+    results = {name: Result.from_dict(doc)
+               for name, doc in documents.items()}
+    for experiment in registry.experiments():
+        if experiment.name not in results:
+            results[experiment.name] = experiment.run(
+                RunContext.create(experiment.resolve()))
+    return {f"{name}.txt": render_result(result) + "\n"
+            for name, result in results.items()}
+
+
+def test_results_match_documents(golden, documents):
+    rendered = _rendered_results(documents)
+    committed = {path.name for path in RESULTS_DIR.glob("*.txt")}
+    stale = sorted(committed - set(rendered))
+    if golden.update:
+        for name in stale:
+            (RESULTS_DIR / name).unlink()
+        for name, text in rendered.items():
+            (RESULTS_DIR / name).write_bytes(text.encode())
+        return
+    problems = []
+    for name, text in sorted(rendered.items()):
+        if name not in committed:
+            problems.append(f"results/{name} is missing")
+            continue
+        old = (RESULTS_DIR / name).read_bytes().decode()
+        if old != text:
+            same = takewhile(lambda pair: pair[0] == pair[1], zip(
+                old.splitlines(True), text.splitlines(True)))
+            problems.append(f"results/{name} differs from its live "
+                            f"document at line {len(list(same)) + 1}")
+    problems += [f"results/{name} is rendered by no experiment"
+                 for name in stale]
+    assert not problems, (
+        "\n".join(problems)
+        + "\nIf the change is intentional, regenerate with "
+          "pytest --update-golden"
+    )
