@@ -1,35 +1,4 @@
-"""Time-breakdown accounting (paper Table 1 and the §6.2/§6.3 profiles)."""
-
-from repro.sim.trace import Category
-
-
-def table1_rows(tracer, operations=1):
-    """Render a tracer's totals as the paper's Table 1 rows.
-
-    Lazy save/restore is folded into the L0/L1 handler rows, exactly as
-    the paper folds it ("some of the context switching costs in (1) and
-    (4) are folded into (3) and (5)").  Returns
-    ``[(label, us, percent)]``.
-    """
-    per_op = {
-        key: tracer.totals.get(key, 0) / operations
-        for key in tracer.totals
-    }
-    rows = [
-        ("0 L2", per_op.get(Category.GUEST_WORK, 0)),
-        ("1 Switch L2<->L0", per_op.get(Category.SWITCH_L2_L0, 0)),
-        ("2 Transform vmcs02/vmcs12",
-         per_op.get(Category.VMCS_TRANSFORM, 0)),
-        ("3 L0 handler",
-         per_op.get(Category.L0_HANDLER, 0)
-         + per_op.get(Category.L0_LAZY_SWITCH, 0)),
-        ("4 Switch L0<->L1", per_op.get(Category.SWITCH_L0_L1, 0)),
-        ("5 L1 handler",
-         per_op.get(Category.L1_HANDLER, 0)
-         + per_op.get(Category.L1_LAZY_SWITCH, 0)),
-    ]
-    total = sum(ns for _, ns in rows) or 1
-    return [(label, ns / 1000.0, 100.0 * ns / total) for label, ns in rows]
+"""Exit-handling profiles (paper §6.2/§6.3)."""
 
 
 def exit_reason_profile(stack):

@@ -39,34 +39,6 @@ def bar_chart(items, width=50, unit="", title=None, reference=None):
     return "\n".join(lines)
 
 
-def grouped_bar_chart(groups, width=40, unit="", title=None):
-    """Groups of labelled bars, like the paper's Fig. 7/10.
-
-    ``groups`` is ``[(group_label, [(series_label, value)])]``.
-    """
-    groups = list(groups)
-    if not groups:
-        raise ConfigError("grouped chart needs at least one group")
-    peak = max(
-        value for _, bars in groups for _, value in bars
-    ) or 1.0
-    series_width = max(
-        len(str(name)) for _, bars in groups for name, _ in bars
-    )
-    lines = []
-    if title:
-        lines.append(title)
-    for group_label, bars in groups:
-        lines.append(f"{group_label}:")
-        for name, value in bars:
-            filled = int(round(value / peak * width))
-            lines.append(
-                f"  {str(name):>{series_width}}  {'#' * filled}  "
-                f"{value:g}{unit}"
-            )
-    return "\n".join(lines)
-
-
 def line_plot(series, width=60, height=16, title=None, x_label="",
               y_label="", y_ceiling=None):
     """Multi-series scatter/line plot on a character grid.

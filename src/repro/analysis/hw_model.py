@@ -43,10 +43,3 @@ def scale_sw_to_hw(tracer, interrupt_wake_share=0.85):
         tracer.totals.get(Category.INTERRUPT, 0) * interrupt_wake_share
     )
     return total - removed
-
-
-def predicted_speedup(tracer):
-    """Speedup the paper's methodology would report for this trace."""
-    total = tracer.total()
-    predicted = scale_sw_to_hw(tracer)
-    return total / predicted if predicted else float("inf")

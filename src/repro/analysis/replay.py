@@ -47,9 +47,6 @@ Known limits (documented, asserted in tests)
   ``svt_stall_resume = 0``) leave no total to divide, so their ops are
   unrecoverable; record under a model that prices them (the default
   ``xeon-paper`` does).
-* :func:`svt_projection` predicts HW SVt from a baseline/SW trace; it
-  cannot see the ``ctxtst`` register writes HW SVt adds
-  (``CROSS_CONTEXT``, ~1 ns each), so it under-predicts by that much.
 """
 
 from dataclasses import dataclass, field
@@ -97,12 +94,6 @@ class RecordedTrace:
     totals: dict = field(default_factory=dict)
     counts: dict = field(default_factory=dict)
 
-    def total_ns(self):
-        return sum(self.totals.values())
-
-    def ns_per_op(self):
-        return self.total_ns() / self.iterations
-
 
 @dataclass(frozen=True)
 class RepricedTrace:
@@ -118,9 +109,6 @@ class RepricedTrace:
 
     def total_ns(self):
         return sum(self.totals.values())
-
-    def ns_per_op(self):
-        return self.total_ns() / self.trace.iterations
 
 
 def unit_price(model, category, *, level=2, reason="CPUID",
@@ -265,46 +253,3 @@ def reprice(trace, model, placement=None, mechanism=None):
         carried=tuple(sorted(carried)),
     )
 
-
-def svt_projection(trace, model=None):
-    """Predicted HW SVt total from a baseline or SW SVt trace.
-
-    The §6 methodology (:func:`repro.analysis.hw_model.scale_sw_to_hw`)
-    made *fractional* scaling assumptions; with the unit-operation
-    counts recovered by replay the projection is structural instead:
-    every removable crossing (explicit switches, lazy save/restore,
-    channel hops) is dropped and replaced by one hardware stall/resume
-    event per crossing, priced by the target model.  Known limit: the
-    ``ctxtst`` register writes HW SVt adds (~1 ns each) are invisible
-    to a baseline/SW recording, so this slightly under-predicts.
-    """
-    target = costmodels.resolve(model)
-    source = costmodels.get_model(trace.model_id)
-    ops = _derive_ops(trace, source)
-
-    removable = (
-        Category.SWITCH_L2_L0,
-        Category.SWITCH_L0_L1,
-        Category.L0_LAZY_SWITCH,
-        Category.L1_LAZY_SWITCH,
-        Category.CHANNEL,
-    )
-    crossings = (
-        ops.get(Category.SWITCH_L2_L0, 0)
-        + ops.get(Category.SWITCH_L0_L1, 0)
-        + ops.get(Category.CHANNEL, 0)
-    )
-    total = 0
-    for category, recorded in trace.totals.items():
-        if category in removable:
-            continue
-        if category in ops:
-            price = unit_price(
-                target, category, level=trace.level, reason=trace.reason,
-                placement=trace.placement, mechanism=trace.mechanism,
-            )
-            total += ops[category] * price
-        else:
-            total += recorded
-    total += crossings * target.svt_stall_resume
-    return total

@@ -38,6 +38,51 @@ from repro.exp.cache import ResultCache, default_cache_dir
 from repro.exp.result import canonical_json
 
 
+def positive_int(text):
+    """argparse type for ``--iterations`` and ``--depth``: an int >= 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(
+            f"must be a positive integer, got {value}")
+    return value
+
+
+def fault_rates(text):
+    """argparse type for ``chaos --rates``: comma-separated rates, each
+    in [0, 1].  Returns the text unchanged (the experiment parameter is
+    a string)."""
+    from repro.exp.experiments.chaos import parse_rates
+
+    try:
+        rates = parse_rates(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"not a comma-separated list of numbers: {text!r}") from None
+    if not rates:
+        raise argparse.ArgumentTypeError("needs at least one rate")
+    for rate in rates:
+        if not 0.0 <= rate <= 1.0:
+            raise argparse.ArgumentTypeError(
+                f"rate {rate:g} is outside [0, 1]")
+    return text
+
+
+def experiment_names(text):
+    """argparse type for ``bench --experiments``: registered names."""
+    names = [name for name in text.split(",") if name]
+    known = registry.names()
+    unknown = [name for name in names if name not in known]
+    if unknown:
+        raise argparse.ArgumentTypeError(
+            f"unknown experiment(s) {', '.join(unknown)}; choose from "
+            f"{', '.join(known)}")
+    return names
+
+
 def build_parser():
     registry.ensure_loaded()
     parser = argparse.ArgumentParser(
@@ -56,10 +101,10 @@ def build_parser():
     parser.add_argument("--seed", type=int, default=None,
                         help="workload RNG seed (default: "
                              "per-experiment)")
-    parser.add_argument("--iterations", type=int, default=None,
+    parser.add_argument("--iterations", type=positive_int, default=None,
                         help="microbenchmark iterations (default: "
                              "per-experiment)")
-    parser.add_argument("--depth", type=int, default=None,
+    parser.add_argument("--depth", type=positive_int, default=None,
                         help="max nesting depth for 'deep' (default 5)")
     parser.add_argument("--cost-model", default=None, metavar="NAME",
                         choices=costmodels.model_names(),
@@ -138,7 +183,7 @@ def _cmd_run(argv):
     parser.add_argument("--level", type=int, default=2,
                         choices=[0, 1, 2],
                         help="virtualization level to run at (default 2)")
-    parser.add_argument("--iterations", type=int, default=50,
+    parser.add_argument("--iterations", type=positive_int, default=50,
                         help="measured iterations (default 50; one "
                              "warm-up iteration is added)")
     parser.add_argument("--cost-model", default=None, metavar="NAME",
@@ -248,10 +293,10 @@ def _cmd_chaos(argv):
     )
     parser.add_argument("--seed", type=int, default=2019,
                         help="fault-plan seed (default 2019)")
-    parser.add_argument("--rates", default=None,
+    parser.add_argument("--rates", type=fault_rates, default=None,
                         help="comma-separated per-event fault rates "
                              "(default '0.0,0.02,0.1,0.3')")
-    parser.add_argument("--iterations", type=int, default=None,
+    parser.add_argument("--iterations", type=positive_int, default=None,
                         help="nested cpuid iterations per cell "
                              "(default 30)")
     parser.add_argument("--jobs", type=int, default=1, metavar="N",
@@ -316,7 +361,8 @@ def _cmd_bench(argv):
                              "job; default: smoke and full sections)")
     parser.add_argument("--full", action="store_true",
                         help="full parameters only")
-    parser.add_argument("--experiments", default=None, metavar="A,B,C",
+    parser.add_argument("--experiments", type=experiment_names,
+                        default=None, metavar="A,B,C",
                         help="comma-separated subset (default: all "
                              "registered experiments)")
     parser.add_argument("--repeats", type=int, default=3, metavar="N",
@@ -354,7 +400,7 @@ def _cmd_bench(argv):
         sections = ("full",)
     else:
         sections = ("smoke", "full")
-    names = (args.experiments.split(",") if args.experiments else None)
+    names = args.experiments or None
 
     baseline_path = args.baseline or bench.default_bench_path()
     out = args.out or bench.default_bench_path()

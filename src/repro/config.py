@@ -47,14 +47,6 @@ class HostConfig:
     def total_hw_threads(self):
         return self.total_cores * self.smt_per_core
 
-    @property
-    def numa_nodes(self):
-        return self.sockets
-
-    def cycles_to_ns(self, cycles):
-        """Convert core cycles to nanoseconds at the configured frequency."""
-        return cycles / self.freq_ghz
-
 
 @dataclass(frozen=True)
 class VMConfig:
@@ -97,11 +89,6 @@ class MachineConfig:
             raise ConfigError("VM levels must be strictly increasing")
         if levels and levels != list(range(1, len(levels) + 1)):
             raise ConfigError("VM levels must be contiguous starting at L1")
-
-    @property
-    def nesting_depth(self):
-        """Number of virtualization levels below the host (2 = nested)."""
-        return len(self.vms)
 
     def vm(self, level):
         for candidate in self.vms:

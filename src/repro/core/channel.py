@@ -194,20 +194,6 @@ class CommandRing:
         self.popped += 1
         return self._entries.popleft()
 
-    def peek(self):
-        if (self._entries
-                and self._entries[0].visible_at <= self._now(None)):
-            return self._entries[0]
-        return None
-
-    @property
-    def occupancy(self):
-        return len(self._entries)
-
-    @property
-    def is_empty(self):
-        return self.peek() is None
-
     def check_invariants(self):
         if self.popped > self.pushed:
             raise AssertionError("popped more commands than pushed")

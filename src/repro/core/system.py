@@ -374,10 +374,6 @@ class Machine:
             self._deferred.popleft()()
             drained += 1
 
-    @property
-    def has_pending_io(self):
-        return bool(self._deferred)
-
     def wait_until(self, predicate, limit_ns=1_000_000_000):
         """Idle the machine until ``predicate()`` holds, servicing timer
         and device events as simulated time passes.  Models the guest

@@ -146,17 +146,3 @@ def handoff(costs, mechanism, placement, workload_ns, lost_wakeup=False,
     return HandoffResult(mechanism, placement, workload_ns, producer_ns,
                          response, burns_remote, recovered)
 
-
-def sweep(costs, mechanisms=None, placements=None, workloads=None):
-    """Cartesian sweep; returns a list of :class:`HandoffResult`."""
-    mechanisms = mechanisms or WaitMechanism.ALL
-    placements = placements or Placement.ALL
-    workloads = workloads if workloads is not None else (
-        0, 100, 500, 1000, 5000, 20000, 100000,
-    )
-    return [
-        handoff(costs, mech, place, wl)
-        for mech in mechanisms
-        for place in placements
-        for wl in workloads
-    ]

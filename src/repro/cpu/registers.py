@@ -78,18 +78,6 @@ class ArchRegisters:
             )
         self._values[name] = value & 0xFFFFFFFFFFFFFFFF
 
-    def copy(self):
-        clone = ArchRegisters()
-        clone._values = dict(self._values)
-        return clone
-
-    def diff(self, other):
-        """Names whose values differ between the two snapshots."""
-        names = set(self._values) | set(other._values)
-        return sorted(
-            name for name in names if self.read(name) != other.read(name)
-        )
-
     def as_dict(self):
         """Snapshot of the explicitly-written registers."""
         return dict(self._values)

@@ -63,16 +63,6 @@ def cost_model_fingerprint(model: Optional[CostModel] = None) -> str:
     return hashlib.sha256(payload).hexdigest()[:16]
 
 
-def registry_fingerprint() -> str:
-    """Digest over *every* registered model — any constant of any
-    model, or the registered set itself, changing invalidates keys
-    that fold this in."""
-    doc = {name: dataclasses.asdict(costmodels.get_model(name))
-           for name in costmodels.model_names()}
-    payload = json.dumps(doc, sort_keys=True).encode()
-    return hashlib.sha256(payload).hexdigest()[:16]
-
-
 @lru_cache(maxsize=1)
 def code_fingerprint() -> str:
     """Content hash over every ``repro`` source file (path + bytes)."""

@@ -28,7 +28,6 @@ from dataclasses import dataclass
 from typing import Any, Iterable, Mapping, Optional, Union
 
 from repro.errors import ConfigError
-from repro.obs.metrics import flatten_metrics
 
 #: Version tag embedded in every serialized result.
 SCHEMA = "repro-result/1"
@@ -200,22 +199,12 @@ class Result:
         return dict(self.scalars)
 
     @property
-    def paper_dict(self) -> dict[str, Scalar]:
-        return dict(self.paper)
-
-    @property
     def meta_dict(self) -> dict[str, Scalar]:
         return dict(self.meta)
 
     def scalar(self, key: str) -> Scalar:
         """One measured number, by name (raises ``KeyError`` if absent)."""
         return dict(self.scalars)[key]
-
-    def get_series(self, name: str) -> Series:
-        for series in self.series:
-            if series.name == name:
-                return series
-        raise KeyError(name)
 
     # -- serialization ---------------------------------------------------
 
@@ -256,20 +245,6 @@ class Result:
     @classmethod
     def from_json(cls, text: str) -> Result:
         return cls.from_dict(json.loads(text))
-
-
-def metrics_pairs(snapshot: Mapping[str, Any]) -> Pairs:
-    """Flatten an observability metrics snapshot into frozen pairs.
-
-    Lets an experiment attach selected per-run counters to a result's
-    ``scalars``/``meta`` without breaking the frozen-mapping contract:
-    histogram entries become ``key!count``/``key!sum`` integers, and the
-    ordering is the deterministic one `repro.obs.metrics` guarantees.
-    """
-    pairs: list[tuple[str, Scalar]] = []
-    for key, value in flatten_metrics(snapshot):
-        pairs.append((str(key), _check_scalar(value, f"metrics[{key!r}]")))
-    return tuple(pairs)
 
 
 def canonical_json(doc: Any) -> str:

@@ -66,10 +66,6 @@ class RunReport:
     sanitizer_reports: list[str] = field(default_factory=list)
 
     @property
-    def results(self) -> dict[str, Result]:
-        return {run.name: run.result for run in self.runs}
-
-    @property
     def served(self) -> list[str]:
         return sorted(run.name for run in self.runs if run.cached)
 

@@ -5,7 +5,7 @@ The chaos layer of the reproduction: seeded fault plans
 injector (:class:`~repro.faults.injector.FaultInjector`), sim-clock
 watchdogs with bounded backoff and graceful SW-SVt -> BASELINE
 degradation (:class:`~repro.faults.watchdog.Watchdog`), and the
-generalized §5.3 chaos scenarios (`repro.faults.scenario`).
+VMCS scrubber and resilience-matrix cell (`repro.faults.scenario`).
 
 See ``docs/robustness.md`` for the fault taxonomy and recovery
 contracts.

@@ -72,11 +72,6 @@ class FaultInjector:
         if self.obs is not None:
             self.obs.count("faults_injected_total", n, kind=kind)
 
-    def note_injected(self, kind, n=1):
-        """Public injection counter for scenario-driven faults (the
-        injector did not draw them itself)."""
-        self._count_injected(kind, n)
-
     def note_recovered(self, kind, n=1):
         self.recovered[kind] = self.recovered.get(kind, 0) + n
         if self.obs is not None:

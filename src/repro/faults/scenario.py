@@ -1,29 +1,17 @@
 """Chaos scenarios: end-to-end fault drills over the simulated stack.
 
-Three layers, composable:
+Two layers, composable:
 
 * :class:`VmcsScrubber` — detect-and-repair for injected VMCS
   corruption (diff against a clean snapshot, restore, count recovery);
-* :class:`GeneralizedDeadlockScenario` — the §5.3 interleaving with the
-  scripted IPI replaced by *plan-driven* spurious IPIs at seeded sim
-  times, runnable with or without watchdog recovery.  Without a
-  watchdog it reproduces the deadlock and captures the structured
-  :class:`~repro.sim.engine.DeadlockReport`; with one, every blocked
-  exchange either recovers (SVT_BLOCKED-style injection after backoff)
-  or degrades, never hangs;
 * :func:`run_chaos_cell` — one cell of the resilience matrix: a nested
   cpuid loop on a :class:`~repro.core.system.Machine` with the fault
   plan armed (ring faults under SW SVt, spurious interrupts and VMCS
   corruption everywhere), returning the injection/recovery scoreboard.
 """
 
-from dataclasses import dataclass, field
-
-from repro.core.channel import PairedChannels
 from repro.errors import DeadlockError
-from repro.faults.injector import FaultInjector
-from repro.faults.plan import FaultKind, FaultPlan
-from repro.sim.engine import Simulator
+from repro.faults.plan import FaultKind
 
 #: Livelock budget for chaos runs: generous (a chaos cell fires a few
 #: hundred events) but finite, so a self-rescheduling bug is loud.
@@ -60,191 +48,6 @@ class VmcsScrubber:
             if self.faults is not None:
                 self.faults.resolve_vmcs(self.vmcs.name)
         return changed
-
-
-@dataclass
-class GeneralizedDeadlockResult:
-    """Outcome of one :class:`GeneralizedDeadlockScenario` run."""
-
-    completed: bool
-    degraded: bool
-    finished_at_ns: int
-    ipis_injected: int
-    ipis_recovered: int
-    watchdog_strikes: int
-    timeline: list = field(default_factory=list)
-    #: Structured report when the run deadlocked (None otherwise).
-    report: object = None
-
-
-class GeneralizedDeadlockScenario:
-    """§5.3 generalized: seeded spurious IPIs instead of one scripted one.
-
-    The SVt-thread in L1_1 is handling a CMD_VM_TRAP when kernel
-    threads preempt it at *plan-seeded* times, each IPI-ing the L1_0
-    vCPU and synchronously waiting.  L0_0 blocks on CMD_VM_RESUME:
-
-    * ``watchdog=None`` — L0_0 waits blindly; the first preemption
-      wedges the stack and the run returns a captured
-      :class:`~repro.sim.engine.DeadlockReport` naming the waiters.
-    * with a :class:`~repro.faults.watchdog.Watchdog` — each backoff
-      expiry re-checks for interrupts targeting parked vCPUs and
-      injects the SVT_BLOCKED trap (the paper's fix, now driven by the
-      recovery machinery instead of a scripted poll); exhaustion
-      degrades instead of hanging.
-    """
-
-    HANDLING_NS = 5_000
-    ACK_NS = 400
-    RESCHEDULE_NS = 100
-
-    def __init__(self, plan=None, watchdog=None, obs=None):
-        self.plan = plan or FaultPlan()
-        self.injector = FaultInjector(self.plan, obs=obs)
-        self.watchdog = watchdog
-        self.sim = Simulator()
-        self.obs = obs
-        if obs is not None:
-            obs.bind(self.sim)
-            self.sim.obs = obs
-        self.channels = PairedChannels("chaos.vcpu0", obs=obs,
-                                       clock=lambda: self.sim.now)
-        self.timeline = []
-        self._svt_preempted = False
-        self._svt_remaining = self.HANDLING_NS
-        self._handling_since = 0
-        self._ipi_pending = False
-        self._completed = False
-        self._degraded = False
-        self._recovered = 0
-        self._completion_handle = None
-
-    def _log(self, message):
-        self.timeline.append((self.sim.now, message))
-
-    def _ipi_times(self):
-        """Seeded preemption times within the handling window."""
-        rate = self.plan.rate_for(FaultKind.SPURIOUS_IRQ)
-        if rate == 0.0:
-            return []
-        rng = self.injector.stream("deadlock:ipis")
-        count = max(1, min(self.plan.max_spurious,
-                           int(round(rate * 4))))
-        return sorted(rng.randint(1, self.HANDLING_NS - 1)
-                      for _ in range(count))
-
-    def run(self):
-        self.channels.send_trap({"exit_reason": "EPT_MISCONFIG"},
-                                now=self.sim.now)
-        self.channels.take_request()
-        self._log("L0_0 sent CMD_VM_TRAP, waiting for CMD_VM_RESUME")
-        self.sim.park("L0_0", waits_on=self.channels.response.name,
-                      blocked_on="L1_1.svt")
-        self._completion_handle = self.sim.after(
-            self.HANDLING_NS, self._svt_thread_finishes
-        )
-        ipi_times = self._ipi_times()
-        for when in ipi_times:
-            self.sim.at(when, self._preempt)
-        if self.watchdog is not None:
-            self.watchdog.start()
-            self.sim.after(self.watchdog.backoff_ns(0),
-                           self._watchdog_fires)
-        report = None
-        try:
-            self.sim.run_until_idle(max_events=CHAOS_MAX_EVENTS)
-        except DeadlockError as err:
-            report = err.report
-            self.injector.note_deadlocked()
-        return GeneralizedDeadlockResult(
-            completed=self._completed,
-            degraded=self._degraded,
-            finished_at_ns=self.sim.now,
-            ipis_injected=len(ipi_times),
-            ipis_recovered=self._recovered,
-            watchdog_strikes=(self.watchdog.total_strikes
-                              if self.watchdog is not None else 0),
-            timeline=list(self.timeline),
-            report=report,
-        )
-
-    # -- the adversary -----------------------------------------------------
-
-    def _preempt(self):
-        if self._completed or self._degraded or self._svt_preempted:
-            return
-        self._svt_preempted = True
-        self._svt_remaining = max(
-            1, self._svt_remaining - (self.sim.now - self._handling_since)
-        )
-        if self._completion_handle is not None:
-            self._completion_handle.cancel()
-            self._completion_handle = None
-        self.injector.note_injected(FaultKind.SPURIOUS_IRQ)
-        self._ipi_pending = True
-        self._log("kernel thread preempts SVt-thread, IPIs L1_0, waits")
-        self.sim.park("L1_1.svt", waits_on="cpu (preempted)",
-                      blocked_on="L1_1.kernel")
-        self.sim.park("L1_1.kernel", waits_on="IPI ack from L1_0",
-                      blocked_on="L1_0")
-        self.sim.park("L1_0", waits_on="being scheduled",
-                      blocked_on="L0_0")
-
-    # -- the recovery machinery --------------------------------------------
-
-    def _watchdog_fires(self):
-        """One backoff expiry of L0_0's guarded wait."""
-        if self._completed or self._degraded:
-            return
-        if self.watchdog.exhausted:
-            strikes = self.watchdog.give_up()
-            self._degraded = True
-            self.injector.note_degraded()
-            self._log(f"watchdog exhausted after {strikes} strikes; "
-                      "degrading to BASELINE switch path")
-            # Abandoning the reflection path unblocks everyone: L0_0
-            # handles the exit itself; the SVt machinery is retired.
-            for name in ("L0_0", "L1_0", "L1_1.kernel", "L1_1.svt"):
-                self.sim.unpark(name)
-            return
-        self.watchdog.strike()
-        if self._ipi_pending:
-            self._ipi_pending = False
-            self._log("watchdog check: pending IPI for parked L1_0; "
-                      "injecting SVT_BLOCKED")
-            self.sim.after(self.ACK_NS, self._l10_acks_ipi)
-        self.sim.after(self.watchdog.backoff_ns(self.watchdog.strikes),
-                       self._watchdog_fires)
-
-    def _l10_acks_ipi(self):
-        self._recovered += 1
-        self.injector.note_recovered(FaultKind.SPURIOUS_IRQ)
-        self._log("L1_0 handled the IPI and yielded back")
-        self.sim.unpark("L1_0")
-        self.sim.unpark("L1_1.kernel")
-        self.sim.after(self.RESCHEDULE_NS, self._svt_thread_resumes)
-
-    def _svt_thread_resumes(self):
-        if self._completed or self._degraded:
-            return
-        self._svt_preempted = False
-        self._handling_since = self.sim.now
-        self.sim.unpark("L1_1.svt")
-        self._log("SVt-thread rescheduled, resumes trap handling")
-        self._completion_handle = self.sim.after(
-            max(1, self._svt_remaining), self._svt_thread_finishes
-        )
-
-    def _svt_thread_finishes(self):
-        if self._svt_preempted or self._degraded:
-            return
-        self.channels.send_resume({"regs": {}}, now=self.sim.now)
-        self.channels.take_response()
-        self._completed = True
-        if self.watchdog is not None:
-            self.watchdog.succeed()
-        self.sim.unpark("L0_0")
-        self._log("SVt-thread sent CMD_VM_RESUME; L0_0 resumes L2")
 
 
 # ---------------------------------------------------------------------------

@@ -43,14 +43,9 @@ class VirtQueue:
         self._avail = deque()
         self._used = deque()
         self.kicks = 0
+        # Set by models that coalesce completion interrupts away (real
+        # virtio does it with VIRTIO_RING_F_EVENT_IDX).
         self.interrupts_suppressed = False
-        # VIRTIO_RING_F_EVENT_IDX: the driver publishes the completion
-        # count it wants to be interrupted at; the device stays silent
-        # until completions cross it (how real virtio coalesces the
-        # TX-completion interrupts our STREAM/memcached models suppress).
-        self.event_idx_enabled = False
-        self.used_event = 0
-        self._last_notified = 0
         # lifetime stats
         self.added = 0
         self.completed = 0
@@ -74,31 +69,10 @@ class VirtQueue:
         if self.obs is not None:
             self.obs.count("virtqueue_kicks_total", queue=self.name)
 
-    def enable_event_idx(self):
-        """Negotiate VIRTIO_RING_F_EVENT_IDX."""
-        self.event_idx_enabled = True
-        self.used_event = 0
-        self._last_notified = 0
-
-    def set_used_event(self, completion_count):
-        """Driver: "interrupt me once ``completion_count`` buffers have
-        completed" (the avail ring's used_event field)."""
-        if completion_count < 0:
-            raise VirtualizationError("used_event must be >= 0")
-        self.used_event = completion_count
-
     def should_notify(self):
         """Device side: does this completion warrant an interrupt?
         Call after :meth:`push_used`."""
-        if self.interrupts_suppressed:
-            return False
-        if not self.event_idx_enabled:
-            return True
-        if self.completed >= self.used_event \
-                and self._last_notified < self.used_event:
-            self._last_notified = self.completed
-            return True
-        return False
+        return not self.interrupts_suppressed
 
     def reap_used(self):
         """Driver collects one completion; returns the descriptor."""

@@ -17,6 +17,7 @@ Table 1 rows from a trace file alone — the acceptance path
 from __future__ import annotations
 
 import json
+from pathlib import Path
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from repro.obs.metrics import merge_snapshots
@@ -91,10 +92,17 @@ def write_chrome_trace(path: Any, observer: Observer,
                        process_name: str = "repro-sim") -> Dict[str, Any]:
     """Serialize :func:`chrome_trace` to ``path``; returns the doc."""
     doc = chrome_trace(observer, process_name=process_name)
-    with open(path, "w") as fh:
-        json.dump(doc, fh, sort_keys=True, indent=1)
-        fh.write("\n")
+    _write_json(path, doc, indent=1)
     return doc
+
+
+def _write_json(path: Any, doc: Dict[str, Any], indent: int) -> None:
+    """Write ``doc`` to ``path``, creating its parent directory."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with path.open("w") as fh:
+        json.dump(doc, fh, sort_keys=True, indent=indent)
+        fh.write("\n")
 
 
 def metrics_document(snapshots: Iterable[Dict[str, Any]],
@@ -112,9 +120,7 @@ def write_metrics(path: Any, snapshots: Iterable[Dict[str, Any]],
                   meta: Optional[Dict[str, Any]] = None) \
         -> Dict[str, Any]:
     doc = metrics_document(snapshots, meta=meta)
-    with open(path, "w") as fh:
-        json.dump(doc, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    _write_json(path, doc, indent=2)
     return doc
 
 
@@ -123,7 +129,9 @@ def write_metrics(path: Any, snapshots: Iterable[Dict[str, Any]],
 # ---------------------------------------------------------------------------
 
 #: Table 1 rows: label plus the charge categories folded into it (the
-#: paper folds lazy save/restore into the handler rows).
+#: paper folds lazy save/restore into the handler rows).  The one fold
+#: definition: :func:`trace_breakdown` and the ``table1`` experiment
+#: (:func:`repro.workloads.cpuid.table1_breakdown`) both sum through it.
 TABLE1_FOLD: Tuple[Tuple[str, Tuple[str, ...]], ...] = (
     ("0 L2", (Category.GUEST_WORK,)),
     ("1 Switch L2<->L0", (Category.SWITCH_L2_L0,)),

@@ -1,22 +1,17 @@
 """Discrete-event simulation substrate used by every other subpackage.
 
 The simulator keeps an integer nanosecond clock.  Synchronous "machine"
-code advances time by charging costs (:meth:`Simulator.advance`), while
-asynchronous events (interrupt arrivals, client requests) are scheduled
-with :meth:`Simulator.after` / :meth:`Simulator.at` and fire in timestamp
-order whenever the clock sweeps past them.
+code advances time through one charging call, :meth:`Simulator.charge`,
+while asynchronous events (interrupt arrivals, client requests) are
+scheduled with :meth:`Simulator.after` / :meth:`Simulator.at` and fire
+in timestamp order whenever the clock sweeps past them.
+:meth:`Simulator.advance` is ``charge``'s drain-on-every-call reference,
+kept for the charge ≡ advance property test.
 """
 
 from repro.sim.engine import EventHandle, Simulator, SimulationError
 from repro.sim.rng import DeterministicRng
-from repro.sim.stats import (
-    Summary,
-    mean,
-    percentile,
-    remove_outliers,
-    stddev,
-    summarize,
-)
+from repro.sim.stats import percentile
 from repro.sim.trace import Tracer, Category
 
 __all__ = [
@@ -25,11 +20,6 @@ __all__ = [
     "EventHandle",
     "SimulationError",
     "Simulator",
-    "Summary",
     "Tracer",
-    "mean",
     "percentile",
-    "remove_outliers",
-    "stddev",
-    "summarize",
 ]

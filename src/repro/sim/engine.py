@@ -3,29 +3,30 @@
 Two styles of progress coexist:
 
 * *Synchronous* code (hypervisor handlers, guest instruction execution)
-  calls :meth:`Simulator.advance` to charge elapsed time.  Any events whose
-  deadline falls inside the advanced window fire at their exact timestamp,
-  so asynchronous arrivals interleave deterministically with synchronous
-  execution.
+  calls :meth:`Simulator.charge` to charge elapsed time; it is the one
+  charging call.  Any events whose deadline falls inside the charged
+  window fire at their exact timestamp, so asynchronous arrivals
+  interleave deterministically with synchronous execution.
 * *Asynchronous* code registers callbacks with :meth:`Simulator.after` or
   :meth:`Simulator.at`; callbacks run with the clock set to their deadline.
 
 Determinism: ties on the timestamp are broken by registration order, and
 no wall-clock or global randomness is consulted anywhere.
 
-**Fast path (docs/performance.md).**  :meth:`Simulator.charge` is the
-hot-path twin of :meth:`advance`: it keeps a conservative-low cache of
-the earliest scheduled deadline (``_next_due``) and, while the charge
-target stays below it, bumps the clock without touching the heap at
-all.  The cache only ever *under*-estimates the true next live deadline
-(pushes min-update it, pops refresh it from the heap root, which may be
-a cancelled entry at an earlier time), so a skipped drain can never skip
-a due event.  Fired and cancelled handles are recycled through a
-bounded freelist — but only when their refcount proves no outside alias
-survives that could later ``cancel()`` the reincarnated event — and the
-heap is compacted inside :meth:`at` once cancelled entries outnumber
-live ones (watchdog retry timers would otherwise leak dead handles
-forever).
+**Fast path (docs/performance.md).**  :meth:`Simulator.advance` is the
+drain-on-every-call reference for :meth:`Simulator.charge`, kept only
+for the charge ≡ advance property test.  ``charge`` keeps a
+conservative-low cache of the earliest scheduled deadline
+(``_next_due``) and, while the charge target stays below it, bumps the
+clock without touching the heap at all.  The cache only ever
+*under*-estimates the true next live deadline (pushes min-update it,
+pops refresh it from the heap root, which may be a cancelled entry at
+an earlier time), so a skipped drain can never skip a due event.
+Fired and cancelled handles are recycled through a bounded freelist —
+but only when their refcount proves no outside alias survives that
+could later ``cancel()`` the reincarnated event — and the heap is
+compacted inside :meth:`at` once cancelled entries outnumber live ones
+(watchdog retry timers would otherwise leak dead handles forever).
 
 **Deadlock/livelock detection.**  Blocking participants announce
 themselves with :meth:`Simulator.park` (and :meth:`Simulator.unpark` on
@@ -233,9 +234,9 @@ class Simulator:
     def advance(self, ns):
         """Advance the clock by ``ns``, firing events that fall due.
 
-        Synchronous machine code uses this to charge execution costs.
-        Events fire with ``now`` set to their own deadline; after the last
-        due event the clock lands exactly on the target time.
+        The reference for :meth:`charge`: it peeks the heap on every
+        call.  Events fire with ``now`` set to their own deadline; after
+        the last due event the clock lands exactly on the target time.
         """
         if ns < 0:
             raise SimulationError(f"cannot advance by negative time {ns}")
@@ -253,7 +254,7 @@ class Simulator:
         no event can fall due, so the clock bumps without a heap peek;
         otherwise the call flushes through the same :meth:`_drain` as
         ``advance`` and every due event fires at its exact timestamp.
-        Synchronous machine code on the hot path charges through this.
+        Synchronous machine code charges through this.
         """
         if ns < 0:
             raise SimulationError(f"cannot advance by negative time {ns}")

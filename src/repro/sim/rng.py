@@ -67,9 +67,6 @@ class DeterministicRng:
     def setstate(self, state):
         self._random.setstate(state)
 
-    def shuffle(self, seq):
-        self._random.shuffle(seq)
-
     # -- distributions ----------------------------------------------------
 
     def exponential(self, mean_value):

@@ -1,33 +1,6 @@
-"""Statistics helpers implementing the paper's measurement methodology.
-
-Paper §6.1: *"The loop is repeated until standard deviation and timing
-overheads are below 1% of the mean with 2σ confidence, after ignoring
-outliers with 4σ confidence."*  :func:`remove_outliers` and
-:func:`repeat_until_stable` implement exactly that protocol so benchmark
-code reads like the paper's description.
-"""
+"""Percentile helper for latency distributions (Fig. 8's p99)."""
 
 import math
-from dataclasses import dataclass
-
-
-def mean(samples):
-    """Arithmetic mean; raises on an empty sequence."""
-    samples = list(samples)
-    if not samples:
-        raise ValueError("mean of empty sample set")
-    return sum(samples) / len(samples)
-
-
-def stddev(samples):
-    """Population standard deviation (0.0 for a single sample)."""
-    samples = list(samples)
-    if not samples:
-        raise ValueError("stddev of empty sample set")
-    if len(samples) == 1:
-        return 0.0
-    mu = mean(samples)
-    return math.sqrt(sum((x - mu) ** 2 for x in samples) / len(samples))
 
 
 def percentile(samples, pct):
@@ -47,74 +20,3 @@ def percentile(samples, pct):
         return ordered[lo]
     frac = rank - lo
     return ordered[lo] * (1 - frac) + ordered[hi] * frac
-
-
-def remove_outliers(samples, sigma=4.0):
-    """Drop samples farther than ``sigma`` standard deviations from the
-    mean (the paper's 4σ outlier rejection).  Returns a new list; if every
-    sample would be rejected the original list is returned unchanged."""
-    samples = list(samples)
-    if len(samples) < 3:
-        return samples
-    mu = mean(samples)
-    sd = stddev(samples)
-    if sd == 0:
-        return samples
-    kept = [x for x in samples if abs(x - mu) <= sigma * sd]
-    return kept if kept else samples
-
-
-@dataclass(frozen=True)
-class Summary:
-    """Summary statistics for a sample set."""
-
-    count: int
-    mean: float
-    std: float
-    minimum: float
-    maximum: float
-    p50: float
-    p99: float
-
-    def rel_std(self):
-        """Standard deviation as a fraction of the mean (0 if mean==0)."""
-        return self.std / self.mean if self.mean else 0.0
-
-
-def summarize(samples, outlier_sigma=None):
-    """Build a :class:`Summary`, optionally rejecting outliers first."""
-    samples = list(samples)
-    if outlier_sigma is not None:
-        samples = remove_outliers(samples, outlier_sigma)
-    return Summary(
-        count=len(samples),
-        mean=mean(samples),
-        std=stddev(samples),
-        minimum=min(samples),
-        maximum=max(samples),
-        p50=percentile(samples, 50),
-        p99=percentile(samples, 99),
-    )
-
-
-def repeat_until_stable(sample_fn, rel_tol=0.01, confidence_sigma=2.0,
-                        outlier_sigma=4.0, min_samples=8, max_samples=512):
-    """Repeat ``sample_fn()`` until the 2σ confidence half-width of the
-    mean drops below ``rel_tol`` of the mean (paper §6.1 protocol).
-
-    Returns the :class:`Summary` of the accepted samples.  Determinism is
-    the caller's business — ``sample_fn`` should consume a seeded RNG.
-    """
-    samples = []
-    while len(samples) < max_samples:
-        samples.append(sample_fn())
-        if len(samples) < min_samples:
-            continue
-        kept = remove_outliers(samples, outlier_sigma)
-        mu = mean(kept)
-        if mu == 0:
-            return summarize(kept)
-        half_width = confidence_sigma * stddev(kept) / math.sqrt(len(kept))
-        if half_width / abs(mu) <= rel_tol:
-            return summarize(kept)
-    return summarize(remove_outliers(samples, outlier_sigma))

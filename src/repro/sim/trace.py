@@ -69,23 +69,6 @@ class Tracer:
             return sum(self.totals.values())
         return sum(self.totals.get(c, 0) for c in categories)
 
-    def share(self, category):
-        """Fraction of all traced time spent in ``category``."""
-        whole = self.total()
-        if whole == 0:
-            return 0.0
-        return self.totals.get(category, 0) / whole
-
-    def merged_with(self, other):
-        """Return a new tracer with both tracers' totals summed."""
-        merged = Tracer()
-        for src in (self, other):
-            for category, ns in src.totals.items():
-                merged.totals[category] += ns
-            for category, n in src.counts.items():
-                merged.counts[category] += n
-        return merged
-
     def reset(self):
         self.totals.clear()
         self.counts.clear()

@@ -161,10 +161,6 @@ class EptTable:
         """INVEPT: bump the generation (models TLB shootdown points)."""
         self.generation += 1
 
-    @property
-    def mapped_bytes(self):
-        return sum(size for _, size, _ in self._ranges)
-
     def __repr__(self):
         return (
             f"EptTable({self.name!r}, {len(self._ranges)} ranges, "

@@ -67,11 +67,6 @@ class VCpu:
     def rip(self):
         return self.read(RegNames.RIP)
 
-    def advance_rip(self, instruction_length):
-        """Skip the emulated instruction (paper §1: "e.g., increase the
-        instruction pointer after emulating an access to an I/O device")."""
-        self.write(RegNames.RIP, self.rip + instruction_length)
-
     # -- MSR store ---------------------------------------------------------------
 
     def read_msr(self, msr):

@@ -10,9 +10,10 @@ One module per benchmark family:
 * `repro.workloads.video` — soft-realtime playback (Fig. 10)
 * `repro.workloads.channels` — wait-mechanism microbenchmarks (§6.1)
 
-Each module exposes ``run(mode=...)`` returning a result dataclass and a
-``PAPER`` constant with the numbers the paper reports, so benchmarks can
-print measured-vs-paper rows.
+Each module exposes the measurements its figure needs (for example
+``run_latency``/``run_bandwidth``) and a ``PAPER`` constant with the
+numbers the paper reports.  The registered experiments in
+`repro.exp.experiments` call them.
 """
 
 from repro.workloads import (
@@ -24,12 +25,9 @@ from repro.workloads import (
     tpcc,
     video,
 )
-from repro.workloads.base import ModeComparison, compare_modes
 
 __all__ = [
-    "ModeComparison",
     "channels",
-    "compare_modes",
     "cpuid",
     "disk",
     "memcached",

@@ -2,7 +2,8 @@
 
 Paper §6.1: *"a loop with the operation under scrutiny, surrounded by a
 series of dependant register increments that simulate a variable
-workload"*; repeated until the mean stabilises per the §6 protocol.
+workload"*.  The simulator is deterministic, so one warmed-up pass
+stands in for the paper's repeat-until-stable loop.
 """
 
 from dataclasses import dataclass
@@ -10,6 +11,7 @@ from dataclasses import dataclass
 from repro.core.mode import ExecutionMode
 from repro.core.system import Machine
 from repro.cpu import isa
+from repro.obs.export import TABLE1_FOLD
 
 #: Figure 6 numbers from the paper.
 PAPER = {
@@ -75,29 +77,19 @@ def table1_breakdown(costs=None, iterations=50):
 
     Returns ``[(part_label, us, percent)]`` in the paper's row order.
     The hidden lazy save/restore shares are folded into the L0/L1 handler
-    rows exactly as the paper folds them.
+    rows exactly as the paper folds them (:data:`TABLE1_FOLD`).
     """
-    from repro.sim.trace import Category
-
     machine = Machine(mode=ExecutionMode.BASELINE, costs=costs)
     machine.run_program(isa.Program([isa.cpuid()], repeat=1))
     before = machine.tracer.snapshot()
     machine.run_program(isa.Program([isa.cpuid()], repeat=iterations))
-    totals = {
-        key: machine.tracer.totals[key] - before.get(key, 0)
+    per_op = {
+        key: (machine.tracer.totals[key] - before.get(key, 0)) / iterations
         for key in machine.tracer.totals
     }
-    per_op = {key: value / iterations for key, value in totals.items()}
-
     rows = [
-        ("0 L2", per_op.get(Category.GUEST_WORK, 0)),
-        ("1 Switch L2<->L0", per_op.get(Category.SWITCH_L2_L0, 0)),
-        ("2 Transform vmcs02/vmcs12", per_op.get(Category.VMCS_TRANSFORM, 0)),
-        ("3 L0 handler", per_op.get(Category.L0_HANDLER, 0)
-         + per_op.get(Category.L0_LAZY_SWITCH, 0)),
-        ("4 Switch L0<->L1", per_op.get(Category.SWITCH_L0_L1, 0)),
-        ("5 L1 handler", per_op.get(Category.L1_HANDLER, 0)
-         + per_op.get(Category.L1_LAZY_SWITCH, 0)),
+        (label, sum(per_op.get(category, 0) for category in categories))
+        for label, categories in TABLE1_FOLD
     ]
     total = sum(ns for _, ns in rows)
     return [

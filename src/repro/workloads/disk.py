@@ -176,27 +176,3 @@ def run_bandwidth(mode=ExecutionMode.BASELINE, write=False, config=None,
     elapsed = machine.sim.now - started
     total_kb = cfg.requests * cfg.nbytes / 1024.0
     return total_kb * 1e9 / elapsed  # KB/s
-
-
-@dataclass(frozen=True)
-class DiskResult:
-    mode: str
-    randrd_latency_us: float
-    randwr_latency_us: float
-    randrd_bandwidth_kbs: float
-    randwr_bandwidth_kbs: float
-
-
-def run(mode=ExecutionMode.BASELINE, costs=None, timings=None):
-    """All four disk metrics for one mode."""
-    return DiskResult(
-        mode=mode,
-        randrd_latency_us=run_latency(mode, write=False, costs=costs,
-                                      timings=timings),
-        randwr_latency_us=run_latency(mode, write=True, costs=costs,
-                                      timings=timings),
-        randrd_bandwidth_kbs=run_bandwidth(mode, write=False, costs=costs,
-                                           timings=timings),
-        randwr_bandwidth_kbs=run_bandwidth(mode, write=True, costs=costs,
-                                           timings=timings),
-    )

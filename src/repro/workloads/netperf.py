@@ -61,13 +61,6 @@ class StreamConfig:
     tx_completion_irq: bool = False
 
 
-@dataclass(frozen=True)
-class NetResult:
-    mode: str
-    latency_us: float = 0.0
-    bandwidth_mbps: float = 0.0
-
-
 def _build(mode, costs=None, timings=None):
     machine = Machine(mode=mode, costs=costs)
     net = install_network(machine, timings)
@@ -161,12 +154,3 @@ def run_bandwidth(mode=ExecutionMode.BASELINE, config=None, costs=None,
     wire_ns = serialization_ns(total_bytes, timings.nic_effective_gbps)
     elapsed = max(cpu_ns, wire_ns)
     return total_bytes * 8 * 1000.0 / elapsed  # Mbps
-
-
-def run(mode=ExecutionMode.BASELINE, costs=None, timings=None):
-    """Both network metrics for one mode."""
-    return NetResult(
-        mode=mode,
-        latency_us=run_latency(mode, costs=costs, timings=timings),
-        bandwidth_mbps=run_bandwidth(mode, costs=costs, timings=timings),
-    )

@@ -56,10 +56,6 @@ class VideoResult:
     dropped: int
     burst_us: float
 
-    @property
-    def drop_rate(self):
-        return self.dropped / self.frames if self.frames else 0.0
-
 
 def measure_burst_us(mode=ExecutionMode.BASELINE, config=None, costs=None):
     """Duration of one media-chunk read burst, via the live machine."""

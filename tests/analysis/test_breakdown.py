@@ -1,36 +1,12 @@
-"""Breakdown accounting: Table 1 rows and exit-reason profiles."""
+"""Exit-reason and VMCS-access profiles."""
 
 import pytest
 
-from repro.analysis.breakdown import (
-    exit_reason_profile,
-    table1_rows,
-    vmcs_access_share,
-)
+from repro.analysis.breakdown import exit_reason_profile, vmcs_access_share
 from repro.core.mode import ExecutionMode
 from repro.core.system import Machine
 from repro.cpu import isa
-from repro.sim.trace import Category, Tracer
 from repro.virt.exits import ExitInfo, ExitReason
-
-
-def test_table1_rows_from_real_run():
-    machine = Machine(mode=ExecutionMode.BASELINE)
-    machine.run_program(isa.Program([isa.cpuid()], repeat=4))
-    rows = table1_rows(machine.tracer, operations=4)
-    as_dict = {label: (us, pct) for label, us, pct in rows}
-    assert as_dict["3 L0 handler"][0] == pytest.approx(4.89, abs=0.01)
-    assert sum(us for us, _ in as_dict.values()) == pytest.approx(
-        10.40, abs=0.01)
-    assert sum(pct for _, pct in as_dict.values()) == pytest.approx(100.0)
-
-
-def test_table1_rows_fold_lazy_into_handlers():
-    tracer = Tracer()
-    tracer.record(Category.L0_HANDLER, 1000)
-    tracer.record(Category.L0_LAZY_SWITCH, 500)
-    rows = {label: us for label, us, _ in table1_rows(tracer)}
-    assert rows["3 L0 handler"] == pytest.approx(1.5)
 
 
 def test_exit_reason_profile_sorted_and_normalised():

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.analysis.figures import bar_chart, grouped_bar_chart, line_plot
+from repro.analysis.figures import bar_chart, line_plot
 from repro.errors import ConfigError
 
 
@@ -32,22 +32,6 @@ def test_bar_chart_empty_rejected():
 def test_bar_chart_zero_values():
     text = bar_chart([("a", 0), ("b", 0)])
     assert "#" not in text
-
-
-def test_grouped_bar_chart():
-    text = grouped_bar_chart([
-        ("120 FPS", [("baseline", 40), ("svt", 26)]),
-        ("60 FPS", [("baseline", 3), ("svt", 0)]),
-    ], width=40)
-    assert "120 FPS:" in text
-    lines = text.splitlines()
-    base_line = next(l for l in lines if "baseline" in l and "40" in l)
-    assert base_line.count("#") == 40
-
-
-def test_grouped_empty_rejected():
-    with pytest.raises(ConfigError):
-        grouped_bar_chart([])
 
 
 def test_line_plot_places_points():

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.analysis.hw_model import (
-    predicted_speedup,
     removable_context_switch_ns,
     scale_sw_to_hw,
 )
@@ -45,8 +44,3 @@ def test_scaling_sw_trace_also_lands_near_hw():
     predicted = scale_sw_to_hw(sw.tracer) / 10 / 1000.0  # us per op
     assert predicted == pytest.approx(5.36, rel=0.03)
 
-
-def test_predicted_speedup_for_cpuid_near_paper():
-    baseline = traced_cpuid_machine(ExecutionMode.BASELINE)
-    assert predicted_speedup(baseline.tracer) == pytest.approx(1.94,
-                                                               abs=0.03)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.wait import Placement, WaitMechanism, handoff, sweep
+from repro.core.wait import Placement, WaitMechanism, handoff
 from repro.cpu.costs import CostModel
 from repro.errors import ConfigError
 
@@ -86,11 +86,6 @@ def test_paper_conclusion_smt_plus_mwait_compromise(cm):
         assert mwait.response_ns <= handoff(
             cm, WaitMechanism.MWAIT, Placement.NUMA, workload
         ).response_ns
-
-
-def test_sweep_covers_grid(cm):
-    results = sweep(cm, workloads=(0, 100))
-    assert len(results) == len(WaitMechanism.ALL) * len(Placement.ALL) * 2
 
 
 def test_invalid_inputs_rejected(cm):

@@ -40,19 +40,6 @@ def test_non_integer_value_rejected():
         ArchRegisters().write("rax", "nope")
 
 
-def test_copy_is_independent():
-    regs = ArchRegisters({"rax": 1})
-    clone = regs.copy()
-    clone.write("rax", 2)
-    assert regs.read("rax") == 1
-
-
-def test_diff_lists_changed_names():
-    a = ArchRegisters({"rax": 1, "rbx": 2})
-    b = ArchRegisters({"rax": 1, "rbx": 3, "rcx": 4})
-    assert a.diff(b) == ["rbx", "rcx"]
-
-
 def test_equality_ignores_storage_detail():
     a = ArchRegisters({"rax": 0})
     b = ArchRegisters()

@@ -32,7 +32,7 @@ def test_chaos_jobs_do_not_change_the_document():
 
 def test_chaos_result_accounts_for_every_fault():
     report = run_experiments(["chaos"], overrides=FAST, jobs=1)
-    scalars = report.results["chaos"].scalars_dict
+    scalars = report.runs[0].result.scalars_dict
     assert scalars["injected_total"] > 0
     assert scalars["unresolved_total"] == 0
     assert scalars["deadlocked_total"] == 0

@@ -49,9 +49,6 @@ def test_mapping_views_and_scalar_access():
     assert result.scalar("speedup") == 1.94
     with pytest.raises(KeyError):
         result.scalar("missing")
-    assert result.get_series("curve").points == ((1.0, 10.0), (2.0, 20.0))
-    with pytest.raises(KeyError):
-        result.get_series("missing")
 
 
 def test_round_trip_is_exact():

@@ -21,7 +21,7 @@ def test_serial_runner_matches_direct_run():
 
     direct = experiment.run(RunContext.create(
         experiment.resolve({"iterations": 10})))
-    assert report.results["fig6"] == direct
+    assert report.runs[0].result == direct
 
 
 def test_cache_round_trip(tmp_path):
@@ -34,7 +34,7 @@ def test_cache_round_trip(tmp_path):
     assert warm.served == ["fig6"] and warm.computed == []
     # Cache temperature must not leak into the document.
     assert warm.to_json() == cold.to_json()
-    assert warm.results["fig6"] == cold.results["fig6"]
+    assert warm.runs[0].result == cold.runs[0].result
 
 
 def test_document_covers_every_requested_experiment(tmp_path):
@@ -50,5 +50,5 @@ def test_document_covers_every_requested_experiment(tmp_path):
 
 def test_smoke_overlay_applies():
     report = run_experiments(["fig6"], jobs=1, smoke=True)
-    assert report.results["fig6"].params_dict["iterations"] == \
+    assert report.runs[0].result.params_dict["iterations"] == \
         registry.get("fig6").smoke["iterations"]

@@ -1,14 +1,10 @@
-"""Chaos scenarios: scrubber, generalized §5.3, resilience-matrix cells."""
+"""Chaos scenarios: scrubber and resilience-matrix cells."""
 
 import pytest
 
 from repro.core.mode import ExecutionMode
-from repro.faults import FaultInjector, FaultKind, FaultPlan, Watchdog
-from repro.faults.scenario import (
-    GeneralizedDeadlockScenario,
-    VmcsScrubber,
-    run_chaos_cell,
-)
+from repro.faults import FaultInjector, FaultKind, FaultPlan
+from repro.faults.scenario import VmcsScrubber, run_chaos_cell
 from repro.virt.vmcs import Vmcs
 
 HOT = FaultPlan(seed=2019, rate=0.3)
@@ -48,57 +44,6 @@ def test_scrubber_rearm_adopts_legitimate_writes():
     scrubber.rearm()
     assert scrubber.scrub() == []
     assert vmcs.read("tsc_offset") == 777
-
-
-# -- GeneralizedDeadlockScenario -------------------------------------------
-
-def test_without_watchdog_deadlocks_with_named_waiters():
-    # ISSUE acceptance: watchdog disabled, the generalized §5.3 scenario
-    # must end in a DeadlockReport naming the blocked waiters.
-    result = GeneralizedDeadlockScenario(plan=HOT, watchdog=None).run()
-    assert not result.completed
-    assert result.report is not None
-    assert result.report.kind == "deadlock"
-    names = {w.name for w in result.report.waiters}
-    assert "L0_0" in names
-    assert {"L1_0", "L1_1.kernel", "L1_1.svt"} <= names
-    assert ("L0_0", "L1_1.svt") in set(result.report.edges)
-
-
-def test_with_watchdog_recovers_and_completes():
-    result = GeneralizedDeadlockScenario(
-        plan=HOT, watchdog=Watchdog()
-    ).run()
-    assert result.completed
-    assert not result.degraded
-    assert result.report is None
-    assert result.ipis_injected > 0
-    assert result.ipis_recovered == result.ipis_injected
-    assert result.watchdog_strikes > 0
-
-
-def test_zero_plan_completes_without_faults():
-    result = GeneralizedDeadlockScenario(plan=FaultPlan()).run()
-    assert result.completed
-    assert result.ipis_injected == 0
-    assert result.finished_at_ns == GeneralizedDeadlockScenario.HANDLING_NS
-
-
-def test_exhausted_watchdog_degrades_instead_of_hanging():
-    # A watchdog whose backoff can never outlast the preemption windows
-    # burns its strikes and degrades — the run still terminates.
-    wd = Watchdog(timeout_ns=10, backoff_factor=1,
-                  max_backoff_ns=10, max_strikes=1)
-    result = GeneralizedDeadlockScenario(plan=HOT, watchdog=wd).run()
-    assert result.degraded or result.completed
-    assert result.report is None            # never a hang
-
-
-def test_scenario_is_seed_deterministic():
-    a = GeneralizedDeadlockScenario(plan=HOT, watchdog=Watchdog()).run()
-    b = GeneralizedDeadlockScenario(plan=HOT, watchdog=Watchdog()).run()
-    assert a.timeline == b.timeline
-    assert a.finished_at_ns == b.finished_at_ns
 
 
 # -- run_chaos_cell ---------------------------------------------------------

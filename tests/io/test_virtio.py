@@ -86,6 +86,28 @@ def test_in_flight_accounting():
     assert queue.used_count == 1
 
 
+def drained(queue, n):
+    for i in range(n):
+        queue.add_buffer(i, 1)
+    for _ in range(n):
+        queue.push_used(queue.pop_avail())
+
+
+def test_unsuppressed_queue_always_notifies():
+    queue = VirtQueue("q", 8)
+    drained(queue, 1)
+    assert queue.should_notify()
+    drained(queue, 1)
+    assert queue.should_notify()
+
+
+def test_suppressed_queue_never_notifies():
+    queue = VirtQueue("q", 8)
+    queue.interrupts_suppressed = True
+    drained(queue, 1)
+    assert not queue.should_notify()
+
+
 def test_kick_counter():
     queue = VirtQueue("q", size=4)
     queue.kick()

@@ -42,10 +42,10 @@ def test_nested_spans_track_depth(recorder, clock):
     inner = recorder.begin("inner")
     assert outer.depth == 0
     assert inner.depth == 1
-    assert recorder.open_depth == 2
+    assert recorder.open_span_names() == ("outer", "inner")
     recorder.end(inner)
     recorder.end(outer)
-    assert recorder.open_depth == 0
+    assert recorder.open_span_names() == ()
 
 
 def test_end_closes_younger_spans_left_open(recorder, clock):
@@ -53,7 +53,7 @@ def test_end_closes_younger_spans_left_open(recorder, clock):
     leaked = recorder.begin("leaked")
     clock.advance(10)
     recorder.end(outer)
-    assert recorder.open_depth == 0
+    assert recorder.open_span_names() == ()
     assert leaked.end_ns == 10
     assert outer.end_ns == 10
 
@@ -75,7 +75,7 @@ def test_emit_records_pretimed_interval(recorder):
     span = recorder.emit("guest_work", 100, 150, level=2)
     assert span.cat == CAT_CHARGE
     assert span.duration_ns == 50
-    assert recorder.open_depth == 0
+    assert recorder.open_span_names() == ()
 
 
 def test_span_args_kept(recorder):
@@ -107,21 +107,3 @@ def test_finished_order_is_stable_for_ties(recorder):
     recorder.emit("c", 0, 5)
     names = [span.name for span in recorder.finished()]
     assert names == ["c", "a", "b"]
-
-
-def test_totals_by_name_sums_durations(recorder, clock):
-    recorder.emit("guest_work", 0, 30)
-    recorder.emit("guest_work", 40, 50)
-    recorder.emit("l0_handler", 30, 40)
-    totals = recorder.totals_by_name()
-    assert totals == {"guest_work": 40, "l0_handler": 10}
-
-
-def test_totals_by_name_filters_by_category(recorder, clock):
-    recorder.emit("x", 0, 10, cat=CAT_CHARGE)
-    span = recorder.begin("x")
-    clock.advance(3)
-    recorder.end(span)
-    assert recorder.totals_by_name(CAT_CHARGE) == {"x": 10}
-    assert recorder.totals_by_name(CAT_STRUCT) == {"x": 3}
-    assert recorder.totals_by_name() == {"x": 13}

@@ -1,43 +1,13 @@
-"""Statistics helpers vs numpy references and the paper's protocol."""
+"""Percentile helper vs numpy's reference."""
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.sim.stats import (
-    mean,
-    percentile,
-    remove_outliers,
-    repeat_until_stable,
-    stddev,
-    summarize,
-)
+from repro.sim.stats import percentile
 
 finite_floats = st.floats(min_value=-1e9, max_value=1e9,
                           allow_nan=False, allow_infinity=False)
-
-
-def test_mean_simple():
-    assert mean([1, 2, 3]) == 2
-
-
-def test_mean_empty_raises():
-    with pytest.raises(ValueError):
-        mean([])
-
-
-def test_stddev_single_sample_is_zero():
-    assert stddev([42]) == 0.0
-
-
-def test_stddev_matches_numpy():
-    data = [3.0, 1.0, 4.0, 1.5, 9.2, 2.6]
-    assert stddev(data) == pytest.approx(np.std(data))
-
-
-@given(st.lists(finite_floats, min_size=1, max_size=60))
-def test_mean_matches_numpy(data):
-    assert mean(data) == pytest.approx(np.mean(data), rel=1e-9, abs=1e-6)
 
 
 @given(st.lists(finite_floats, min_size=1, max_size=60),
@@ -58,81 +28,3 @@ def test_percentile_bounds_checked():
 def test_percentile_empty_raises():
     with pytest.raises(ValueError):
         percentile([], 50)
-
-
-def test_remove_outliers_drops_extreme_point():
-    data = [10.0] * 50 + [10.2] * 49 + [1e6]
-    kept = remove_outliers(data, sigma=4.0)
-    assert 1e6 not in kept
-    assert len(kept) == 99
-
-
-def test_remove_outliers_keeps_tight_data():
-    data = [5.0, 5.1, 4.9, 5.05]
-    assert remove_outliers(data) == data
-
-
-def test_remove_outliers_small_samples_untouched():
-    assert remove_outliers([1.0, 100.0]) == [1.0, 100.0]
-
-
-def test_remove_outliers_zero_variance():
-    data = [7.0] * 10
-    assert remove_outliers(data) == data
-
-
-@given(st.lists(finite_floats, min_size=3, max_size=60))
-def test_remove_outliers_never_empties(data):
-    assert remove_outliers(data, sigma=4.0)
-
-
-@given(st.lists(finite_floats, min_size=3, max_size=60))
-def test_remove_outliers_is_subset(data):
-    kept = remove_outliers(data, sigma=4.0)
-    remaining = list(data)
-    for x in kept:
-        remaining.remove(x)  # raises if kept is not a sub-multiset
-
-
-def test_summarize_fields():
-    summary = summarize([1.0, 2.0, 3.0, 4.0])
-    assert summary.count == 4
-    assert summary.mean == 2.5
-    assert summary.minimum == 1.0
-    assert summary.maximum == 4.0
-    assert summary.p50 == 2.5
-
-
-def test_summarize_with_outlier_rejection():
-    data = [10.0] * 99 + [1e9]
-    summary = summarize(data, outlier_sigma=4.0)
-    assert summary.count == 99
-    assert summary.mean == 10.0
-
-
-def test_repeat_until_stable_constant_series_converges_fast():
-    calls = []
-
-    def sample():
-        calls.append(1)
-        return 5.0
-
-    summary = repeat_until_stable(sample, min_samples=8)
-    assert summary.mean == 5.0
-    assert len(calls) == 8
-
-
-def test_repeat_until_stable_reaches_paper_tolerance():
-    # Alternating series: relative half-width shrinks as 1/sqrt(n).
-    values = iter([10.0 + (0.1 if i % 2 else -0.1) for i in range(600)])
-    summary = repeat_until_stable(lambda: next(values), rel_tol=0.01)
-    assert summary.mean == pytest.approx(10.0, rel=0.01)
-    # 2 sigma * 0.1 / sqrt(n) <= 0.01 * 10  =>  n >= 4: min_samples rules.
-    assert summary.count >= 8
-
-
-def test_repeat_until_stable_caps_at_max_samples():
-    values = iter(range(10_000))
-    summary = repeat_until_stable(lambda: float(next(values)),
-                                  rel_tol=1e-9, max_samples=32)
-    assert summary.count <= 32

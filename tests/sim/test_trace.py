@@ -27,29 +27,6 @@ def test_total_selected_categories():
     assert tracer.total() == 100
 
 
-def test_share():
-    tracer = Tracer()
-    tracer.record(Category.GUEST_WORK, 25)
-    tracer.record(Category.IDLE, 75)
-    assert tracer.share(Category.GUEST_WORK) == 0.25
-
-
-def test_share_of_empty_tracer_is_zero():
-    assert Tracer().share(Category.IDLE) == 0.0
-
-
-def test_merged_with_sums_both():
-    a, b = Tracer(), Tracer()
-    a.record(Category.IDLE, 10)
-    b.record(Category.IDLE, 5)
-    b.record(Category.CHANNEL, 7)
-    merged = a.merged_with(b)
-    assert merged.totals[Category.IDLE] == 15
-    assert merged.totals[Category.CHANNEL] == 7
-    # Sources unchanged.
-    assert a.totals[Category.IDLE] == 10
-
-
 def test_reset_clears_everything():
     tracer = Tracer()
     tracer.record(Category.IDLE, 10)

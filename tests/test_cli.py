@@ -1,5 +1,7 @@
 """Command-line interface."""
 
+import json
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -99,3 +101,37 @@ def test_all_without_flags_runs_every_experiment_at_its_defaults(
     for experiment in registry.experiments():
         assert (experiment.resolve(captured["overrides"])
                 == experiment.all_defaults()), experiment.name
+
+
+@pytest.mark.parametrize("argv", [
+    ["table1", "--iterations", "0"],
+    ["table1", "--iterations", "-1"],
+    ["run", "cpuid", "--iterations", "0"],
+    ["deep", "--depth", "0"],
+    ["chaos", "--smoke", "--iterations", "0"],
+    ["chaos", "--smoke", "--iterations", "-3"],
+    ["chaos", "--rates", "2.0"],
+    ["chaos", "--rates=-0.1"],
+    ["chaos", "--rates", "abc"],
+    ["bench", "--smoke", "--experiments", "nope"],
+], ids=" ".join)
+def test_bad_input_exits_2_with_one_error_line(capsys, argv):
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    errors = [line for line in captured.err.splitlines()
+              if "error:" in line]
+    assert len(errors) == 1, captured.err
+
+
+def test_run_writes_trace_and_metrics_into_a_new_directory(capsys,
+                                                           tmp_path):
+    out = tmp_path / "new" / "dir"
+    run_cli(capsys, "run", "cpuid", "--iterations", "2", "--no-breakdown",
+            "--trace", str(out / "t.json"),
+            "--metrics", str(out / "m.json"))
+    assert json.loads((out / "t.json").read_text())["traceEvents"]
+    metrics = json.loads((out / "m.json").read_text())
+    assert metrics["schema"] == "repro-metrics/1"

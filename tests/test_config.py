@@ -33,16 +33,11 @@ def test_derived_host_totals():
     host = HostConfig()
     assert host.total_cores == 16
     assert host.total_hw_threads == 32
-    assert host.numa_nodes == 2
 
 
 def test_usable_vcpus_excludes_reserved():
     # Paper: "Reserved vCPUs never run our experiments".
     assert paper_machine().vm(2).usable_vcpus == 2
-
-
-def test_cycles_to_ns():
-    assert HostConfig().cycles_to_ns(24) == pytest.approx(10.0)
 
 
 def test_vm_level_validation():
@@ -67,7 +62,7 @@ def test_missing_level_lookup():
 
 
 def test_nesting_depth():
-    assert paper_machine().nesting_depth == 2
+    assert len(paper_machine().vms) == 2
 
 
 def test_host_validation():

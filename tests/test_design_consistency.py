@@ -3,11 +3,17 @@
 DESIGN.md's module map must reference files that actually exist, and
 DESIGN.md's per-experiment index and EXPERIMENTS.md must name every
 registered experiment and cite only experiments, ``results/`` files
-and claim tests that exist; nothing rots silently.
+and claim tests that exist.  Every backticked repo path and
+``repro.…`` dotted name in the user-facing docs must exist too;
+nothing rots silently.
 """
 
+import glob
+import importlib
 import re
 from pathlib import Path
+
+import pytest
 
 import repro
 from repro.exp import registry
@@ -83,3 +89,55 @@ def test_paper_anchor_numbers_present_in_design():
 def test_design_declares_paper_match():
     assert "matches" in DESIGN.splitlines()[7].lower() or \
         "matches" in DESIGN[:800].lower()
+
+
+#: Documents whose backticked citations must resolve.  ROADMAP.md is
+#: exempt: it names planned files.
+CITING_DOCS = sorted(
+    [REPO_ROOT / name for name in ("README.md", "DESIGN.md",
+                                   "EXPERIMENTS.md")]
+    + list((REPO_ROOT / "docs").glob("*.md"))
+    + [REPO_ROOT / ".claude" / "skills" / "verify" / "SKILL.md"]
+)
+
+REPO_PATH_PREFIXES = ("tests/", "src/", "docs/", "examples/", "results/")
+
+
+def _backticked(doc):
+    return re.findall(r"`([^`\n]+)`", doc.read_text())
+
+
+def _resolves(dotted):
+    """Whether ``repro.a.b.c`` names a module or an attribute chain."""
+    parts = dotted.split(".")
+    for split in range(len(parts), 0, -1):
+        try:
+            target = importlib.import_module(".".join(parts[:split]))
+        except ImportError:
+            continue
+        for attribute in parts[split:]:
+            if not hasattr(target, attribute):
+                return False
+            target = getattr(target, attribute)
+        return True
+    return False
+
+
+@pytest.mark.parametrize("doc", CITING_DOCS,
+                         ids=lambda doc: str(doc.relative_to(REPO_ROOT)))
+def test_doc_citations_exist(doc):
+    missing = []
+    for span in _backticked(doc):
+        if "<" in span:
+            continue                        # a placeholder, e.g. <name>
+        if span.startswith(REPO_PATH_PREFIXES):
+            path = span.split()[0].split("::")[0]
+            found = (glob.glob(str(REPO_ROOT / path), recursive=True)
+                     if "*" in path else (REPO_ROOT / path).exists())
+            if not found:
+                missing.append(path)
+        elif span.startswith("repro."):
+            name = span.split("(")[0]
+            if not _resolves(name):
+                missing.append(name)
+    assert not missing, f"{doc.name} cites missing names: {missing}"

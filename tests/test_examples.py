@@ -10,18 +10,12 @@ import repro
 
 EXAMPLES = Path(repro.__file__).resolve().parent.parent.parent / "examples"
 
-FAST_EXAMPLES = [
-    "quickstart.py",
-    "svt_internals.py",
-    "deadlock_demo.py",
-    "deep_nesting.py",
-]
 
-
-@pytest.mark.parametrize("name", FAST_EXAMPLES)
-def test_example_runs_clean(name):
+@pytest.mark.parametrize("script", sorted(EXAMPLES.glob("*.py")),
+                         ids=lambda script: script.name)
+def test_example_runs_clean(script):
     result = subprocess.run(
-        [sys.executable, str(EXAMPLES / name)],
+        [sys.executable, str(script)],
         capture_output=True, text=True, timeout=180,
     )
     assert result.returncode == 0, result.stderr

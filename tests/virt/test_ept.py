@@ -105,13 +105,6 @@ def test_invalidate_bumps_generation():
     assert ept.generation == 1
 
 
-def test_mapped_bytes():
-    ept = EptTable()
-    ept.map_range(0x0, 0x1000, 0x0)
-    ept.map_range(0x10000, 0x2000, 0x100000)
-    assert ept.mapped_bytes == 0x3000
-
-
 @settings(max_examples=40)
 @given(st.integers(min_value=0, max_value=0x3FFF))
 def test_property_compose_equals_two_step(gpa):

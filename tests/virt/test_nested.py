@@ -3,6 +3,7 @@
 import pytest
 
 from repro import ExecutionMode, Machine
+from repro.analysis.breakdown import exit_reason_profile
 from repro.cpu import isa
 from repro.errors import VirtualizationError
 from repro.sim.trace import Category
@@ -113,7 +114,7 @@ def test_exit_time_accounting(machine):
     elapsed = machine.stack.l2_exit(ExitInfo(ExitReason.CPUID, {"leaf": 0}))
     assert machine.stack.exit_ns[ExitReason.CPUID] == elapsed
     assert elapsed > 0
-    assert machine.stack.profile_share(ExitReason.CPUID) == 1.0
+    assert exit_reason_profile(machine.stack) == {ExitReason.CPUID: 1.0}
 
 
 def test_vcpu_exit_counter(machine):

@@ -54,12 +54,6 @@ def test_unbind_without_bind_rejected(vcpu):
         vcpu.unbind_context()
 
 
-def test_advance_rip(vcpu):
-    vcpu.write("rip", 0x100)
-    vcpu.advance_rip(3)
-    assert vcpu.rip == 0x103
-
-
 def test_msr_store(vcpu):
     assert vcpu.read_msr(0x6E0) == 0
     vcpu.write_msr(0x6E0, 123)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import VirtualizationError
+from repro.errors import EptFault, VirtualizationError
 from repro.io.device import MmioDevice
 from repro.virt.vm import VirtualMachine
 
@@ -14,8 +14,12 @@ class NullDevice(MmioDevice):
 
 def test_ram_mapping_created():
     vm = VirtualMachine("g", 1, ram_mb=8)
-    assert vm.ept.translate(0x0) == VirtualMachine.RAM_BASE_HPA + (1 << 36)
-    assert vm.ept.mapped_bytes == 8 * 1024 * 1024
+    base_hpa = VirtualMachine.RAM_BASE_HPA + (1 << 36)
+    ram_end = 8 * 1024 * 1024
+    assert vm.ept.translate(0x0) == base_hpa
+    assert vm.ept.translate(ram_end - 1) == base_hpa + ram_end - 1
+    with pytest.raises(EptFault):
+        vm.ept.translate(ram_end)
 
 
 def test_ram_target_base_override():

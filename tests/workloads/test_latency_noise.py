@@ -1,12 +1,13 @@
 """Paper §6.3.1: "SVt acceleration results in lower and less noisy
 network receive and transfer latencies."""
 
+import statistics
+
 import pytest
 
 from repro.core.mode import ExecutionMode
 from repro.io.net import Packet, install_network
 from repro.core.system import Machine
-from repro.sim.stats import mean, stddev
 from repro.workloads.netperf import RrConfig, _one_rr
 
 
@@ -27,15 +28,15 @@ def samples():
 
 
 def test_svt_latencies_lower(samples):
-    assert mean(samples[ExecutionMode.SW_SVT]) \
-        < mean(samples[ExecutionMode.BASELINE])
+    assert statistics.fmean(samples[ExecutionMode.SW_SVT]) \
+        < statistics.fmean(samples[ExecutionMode.BASELINE])
 
 
 def test_svt_latencies_less_noisy(samples):
     # The periodic timer re-arm (every 4th op) injects latency spread;
     # SVt shrinks that op's surcharge, tightening the distribution.
-    base_sd = stddev(samples[ExecutionMode.BASELINE])
-    svt_sd = stddev(samples[ExecutionMode.SW_SVT])
+    base_sd = statistics.pstdev(samples[ExecutionMode.BASELINE])
+    svt_sd = statistics.pstdev(samples[ExecutionMode.SW_SVT])
     assert svt_sd < base_sd
 
 

@@ -59,9 +59,3 @@ def test_bandwidth_speedups_shape(bandwidths):
     assert hw == pytest.approx(netperf.PAPER["bandwidth_speedup_hw"],
                                abs=0.05)
     assert hw >= sw
-
-
-def test_run_returns_both_metrics():
-    result = netperf.run(ExecutionMode.HW_SVT)
-    assert result.latency_us > 0
-    assert result.bandwidth_mbps > 0
