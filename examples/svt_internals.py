@@ -30,7 +30,8 @@ def show(core, step):
 
 
 def main():
-    core = SmtCore(Simulator(), CostModel(), Tracer(), n_contexts=3)
+    sim = Simulator()
+    core = SmtCore(sim, CostModel(), Tracer(sim), n_contexts=3)
     print("SVt-enabled SMT core, 3 hardware contexts, shared PRF of "
           f"{core.prf.size} physical registers\n")
 

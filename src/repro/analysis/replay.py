@@ -15,21 +15,14 @@ and is what makes the ``repro dse`` design-space driver cheap: record
 the three modes once, then sweep hundreds of candidate models over the
 recordings.
 
-Why totals, not counts
-----------------------
+Why totals
+----------
 
 ``ops`` per category is derived as ``total // unit_price`` (with an
-exact-divisibility check), **not** from ``Tracer.counts``:
-
-* the L0 handler charge is split into two records per nested exit
-  (inject before entering L1, the remainder after — see
-  ``repro.virt.nested._reflect_to_l1``), so the record count is 2× the
-  semantic operation count;
-* HW SVt records zero-ns ``STALL_RESUME`` entries for VMPTRLD's free
-  field caching (``svt_vmptrld_cache = 0``), inflating the count
-  without moving the total.
-
-Totals divide out both artifacts exactly.
+exact-divisibility check).  A charge count would not do: the L0 handler
+is charged in two pieces per nested exit (inject before entering L1,
+the remainder after — see ``repro.virt.nested._reflect_to_l1``), and
+the total divides that split out exactly.
 
 Known limits (documented, asserted in tests)
 --------------------------------------------
@@ -76,7 +69,7 @@ UNPRICED = frozenset({
 class RecordedTrace:
     """One recorded run: per-category totals plus pricing context.
 
-    ``totals``/``counts`` are post-warmup deltas (the §6 measurement
+    ``totals`` are post-warmup deltas (the §6 measurement
     protocol — the first HW SVt resume differs, so it is excluded just
     as :func:`repro.workloads.cpuid.run` excludes it).  The context
     fields pin everything the unit-price table needs: the exit reason,
@@ -92,7 +85,6 @@ class RecordedTrace:
     placement: str = "smt"
     mechanism: str = "mwait"
     totals: dict = field(default_factory=dict)
-    counts: dict = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -163,20 +155,10 @@ def record_cpuid(mode=ExecutionMode.BASELINE, level=2, iterations=50,
                       wait_mechanism=mechanism)
     program = isa.Program([isa.cpuid()], repeat=1)
     machine.run_program(program, level=level)
-    totals_before = machine.tracer.snapshot()
-    counts_before = dict(machine.tracer.counts)
+    before = machine.tracer.snapshot()
     machine.run_program(isa.Program([isa.cpuid()], repeat=iterations),
                         level=level)
-    totals = {
-        category: machine.tracer.totals[category] - totals_before.get(
-            category, 0)
-        for category in machine.tracer.totals
-    }
-    counts = {
-        category: machine.tracer.counts[category] - counts_before.get(
-            category, 0)
-        for category in machine.tracer.counts
-    }
+    totals = machine.tracer.since(before)
     return RecordedTrace(
         mode=str(mode),
         level=level,
@@ -185,8 +167,7 @@ def record_cpuid(mode=ExecutionMode.BASELINE, level=2, iterations=50,
         reason="CPUID",
         placement=placement,
         mechanism=mechanism,
-        totals={k: v for k, v in totals.items() if v or counts.get(k)},
-        counts={k: v for k, v in counts.items() if v},
+        totals={k: v for k, v in totals.items() if v},
     )
 
 

@@ -18,7 +18,7 @@ set — nothing can be silently dropped.
     python -m repro run cpuid --mode baseline --trace out.json
     python -m repro run cpuid --profile        # cProfile a single cell
     python -m repro table1 --metrics metrics.json
-    python -m repro bench --smoke     # perf harness -> BENCH_sim.json
+    python -m repro bench             # perf harness -> BENCH_sim.json
     python -m repro table1 --cost-model arm-flavour
     python -m repro dse --smoke       # replay-based design-space sweep
 
@@ -39,7 +39,9 @@ from repro.exp.result import canonical_json
 
 
 def positive_int(text):
-    """argparse type for ``--iterations`` and ``--depth``: an int >= 1."""
+    """argparse type for counts (``--iterations``, ``--depth``,
+    ``--jobs``, ``--repeats``, fuzz's ``--runs``/``--ops``): an
+    int >= 1."""
     try:
         value = int(text)
     except ValueError:
@@ -113,7 +115,8 @@ def build_parser():
                              f"{', '.join(costmodels.model_names())})")
     parser.add_argument("--json", action="store_true",
                         help="emit structured results as canonical JSON")
-    parser.add_argument("--jobs", type=int, default=1, metavar="N",
+    parser.add_argument("--jobs", type=positive_int, default=1,
+                        metavar="N",
                         help="fan independent cells out over N worker "
                              "processes (default 1; output is "
                              "byte-identical at any N)")
@@ -299,7 +302,8 @@ def _cmd_chaos(argv):
     parser.add_argument("--iterations", type=positive_int, default=None,
                         help="nested cpuid iterations per cell "
                              "(default 30)")
-    parser.add_argument("--jobs", type=int, default=1, metavar="N",
+    parser.add_argument("--jobs", type=positive_int, default=1,
+                        metavar="N",
                         help="worker processes (default 1; output is "
                              "byte-identical at any N)")
     parser.add_argument("--smoke", action="store_true",
@@ -365,7 +369,8 @@ def _cmd_bench(argv):
                         default=None, metavar="A,B,C",
                         help="comma-separated subset (default: all "
                              "registered experiments)")
-    parser.add_argument("--repeats", type=int, default=3, metavar="N",
+    parser.add_argument("--repeats", type=positive_int, default=3,
+                        metavar="N",
                         help="timed repetitions per experiment; the "
                              "minimum is reported (default 3)")
     parser.add_argument("--cost-model", default=None, metavar="NAME",
@@ -375,7 +380,8 @@ def _cmd_bench(argv):
                              "exercises model-id cache keys in CI)")
     parser.add_argument("--out", type=Path, default=None, metavar="PATH",
                         help="output document (default BENCH_sim.json "
-                             "at the repo root)")
+                             "at the repo root; required when --smoke, "
+                             "--full or --experiments narrows the run)")
     parser.add_argument("--baseline", type=Path, default=None,
                         metavar="PATH",
                         help="baseline to compare against (default: "
@@ -391,6 +397,8 @@ def _cmd_bench(argv):
     parser.add_argument("--json", action="store_true",
                         help="emit the document on stdout")
     args = parser.parse_args(argv)
+    if args.threshold < 0:
+        parser.error(f"--threshold must be >= 0, got {args.threshold:g}")
 
     if args.smoke and args.full:
         sections = ("smoke", "full")
@@ -401,6 +409,10 @@ def _cmd_bench(argv):
     else:
         sections = ("smoke", "full")
     names = args.experiments or None
+    if args.out is None and (names or sections != ("smoke", "full")):
+        # A partial document must never replace the committed baseline.
+        parser.error("a partial run (--smoke, --full or --experiments) "
+                     "needs --out")
 
     baseline_path = args.baseline or bench.default_bench_path()
     out = args.out or bench.default_bench_path()

@@ -28,7 +28,6 @@ from repro.core.cross_context import ctxt_read, ctxt_write, resolve_target
 from repro.core.mode import ExecutionMode
 from repro.core.security import CoResidencyAuditor, audit_machine_run
 from repro.core.switch import (
-    BaselineEngine,
     HwSvtEngine,
     SwitchEngine,
     SwSvtEngine,
@@ -37,7 +36,6 @@ from repro.core.switch import (
 from repro.core.system import Machine
 
 __all__ = [
-    "BaselineEngine",
     "BypassSvtEngine",
     "CoResidencyAuditor",
     "CoexistConfig",

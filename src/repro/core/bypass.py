@@ -95,8 +95,8 @@ def install_bypass(machine, bypass_reasons=DEFAULT_BYPASS_SET):
         stack.vmcs12.record_exit(exit_info)
         engine.load_vmcs(stack.vmcs01)
         engine.bypass_to_l1()
-        stack._charge(stack.costs.l1_pure(exit_info.reason),
-                      Category.L1_HANDLER)
+        stack.tracer.charge(stack.costs.l1_pure(exit_info.reason),
+                            Category.L1_HANDLER)
         writer = engine.l1_writer(vcpu)
         stack.l1.handle_exit(exit_info, stack.l2_vm, vcpu, writer,
                              stack.vmcs01p)

@@ -22,9 +22,13 @@ from repro.sim.trace import Category
 
 
 class SwitchEngine:
-    """Interface + shared helpers.  Subclasses override the crossings."""
+    """Stock nested virtualization: memory-based context switches.
 
-    mode = None
+    This is the baseline engine and the base of the SVt engines, which
+    override the crossings and charges their mechanism replaces.
+    """
+
+    mode = ExecutionMode.BASELINE
 
     def __init__(self, sim, tracer, costs, obs=None):
         self.sim = sim
@@ -34,41 +38,44 @@ class SwitchEngine:
 
     def _charge(self, ns, category):
         if ns:
-            self.sim.charge(ns)
-            self.tracer.record(category, ns)
+            self.tracer.charge(ns, category)
             if self.obs is not None:
                 self.obs.observe("switch_ns", ns, category=category)
 
-    # -- crossings (overridden) -------------------------------------------
+    # -- crossings ----------------------------------------------------------
 
     def exit_l2_to_l0(self):
-        raise NotImplementedError
+        self._charge(self.costs.switch_l2_l0_each, Category.SWITCH_L2_L0)
 
     def resume_l2(self):
-        raise NotImplementedError
+        self._charge(self.costs.switch_l2_l0_each, Category.SWITCH_L2_L0)
 
     def enter_l1(self, exit_info, vcpu):
         """Hand a reflected exit to L1 (Alg. 1 line 6)."""
-        raise NotImplementedError
+        self._charge(self.costs.switch_l0_l1_each, Category.SWITCH_L0_L1)
 
     def leave_l1(self, vcpu):
         """L1's VM resume comes back to L0 (Alg. 1 line 12)."""
-        raise NotImplementedError
+        self._charge(self.costs.switch_l0_l1_each, Category.SWITCH_L0_L1)
 
     def aux_exit_begin(self):
         """An L1 privileged op traps to L0 (Alg. 1 line 8)."""
-        raise NotImplementedError
+        self._charge(self.costs.switch_l0_l1_each, Category.SWITCH_L0_L1)
 
     def aux_exit_end(self):
         """...and L0 resumes L1 (Alg. 1 line 10)."""
-        raise NotImplementedError
+        self._charge(self.costs.switch_l0_l1_each, Category.SWITCH_L0_L1)
+
+    def propagate_aux(self, kind):
+        """Extra work an aux op of ``kind`` costs while L0 handles it
+        (none here; SW SVt propagates some ops across threads)."""
 
     def exit_l1_single(self):
         """A plain (single-level) guest exit of L1 itself."""
-        raise NotImplementedError
+        self._charge(self.costs.switch_l2_l0_each, Category.SWITCH_L2_L0)
 
     def resume_l1_single(self):
-        raise NotImplementedError
+        self._charge(self.costs.switch_l2_l0_each, Category.SWITCH_L2_L0)
 
     # -- lazy save/restore charges (overridden where they vanish) -----------
 
@@ -88,7 +95,6 @@ class SwitchEngine:
 
     def load_vmcs(self, vmcs):
         """VMPTRLD: baseline folds the cost into the handler figures."""
-        vmcs.loaded = True
 
     # -- register writers -------------------------------------------------------
 
@@ -113,43 +119,15 @@ class SwitchEngine:
         self._charge(self.costs.idle_wake, Category.INTERRUPT)
 
 
-class BaselineEngine(SwitchEngine):
-    """Stock nested virtualization: memory-based context switches."""
-
-    mode = ExecutionMode.BASELINE
-
-    def exit_l2_to_l0(self):
-        self._charge(self.costs.switch_l2_l0_each, Category.SWITCH_L2_L0)
-
-    def resume_l2(self):
-        self._charge(self.costs.switch_l2_l0_each, Category.SWITCH_L2_L0)
-
-    def enter_l1(self, exit_info, vcpu):
-        self._charge(self.costs.switch_l0_l1_each, Category.SWITCH_L0_L1)
-
-    def leave_l1(self, vcpu):
-        self._charge(self.costs.switch_l0_l1_each, Category.SWITCH_L0_L1)
-
-    def aux_exit_begin(self):
-        self._charge(self.costs.switch_l0_l1_each, Category.SWITCH_L0_L1)
-
-    def aux_exit_end(self):
-        self._charge(self.costs.switch_l0_l1_each, Category.SWITCH_L0_L1)
-
-    def exit_l1_single(self):
-        self._charge(self.costs.switch_l2_l0_each, Category.SWITCH_L2_L0)
-
-    def resume_l1_single(self):
-        self._charge(self.costs.switch_l2_l0_each, Category.SWITCH_L2_L0)
-
-
 class SwSvtEngine(SwitchEngine):
     """The software-only prototype (paper §5.2).
 
-    The L2<->L0 path is the stock one; the L0<->L1 reflection becomes
-    command-ring traffic to the SVt-thread on the sibling SMT hardware
-    thread, and L1's lazy save/restore disappears (its state stays live
-    on that thread).  Register values ride in the command payloads.
+    The L2<->L0 path is the stock one, and so are L1's aux traps (L0
+    captures the SVt-thread's own trap on the *sibling* hardware
+    thread).  The L0<->L1 reflection becomes command-ring traffic to
+    the SVt-thread on the sibling SMT hardware thread, and L1's lazy
+    save/restore disappears (its state stays live on that thread).
+    Register values ride in the command payloads.
 
     Robustness (``docs/robustness.md``): every blocking ring wait runs
     under an optional sim-clock :class:`~repro.faults.watchdog.Watchdog`.
@@ -276,18 +254,20 @@ class SwSvtEngine(SwitchEngine):
                            placement=self.placement,
                            mechanism=self.mechanism)
 
-    def exit_l2_to_l0(self):
-        self._charge(self.costs.switch_l2_l0_each, Category.SWITCH_L2_L0)
-
-    def resume_l2(self):
-        self._charge(self.costs.switch_l2_l0_each, Category.SWITCH_L2_L0)
+    def _stock_switch(self, vcpu=None, writes=None):
+        """The stock L0<->L1 memory switch a degraded exchange falls back
+        to.  Leaving L1, it first applies L1's buffered register updates
+        directly (nothing is lost).  It charges the switch itself:
+        calling the inherited crossing would count a second crossing."""
+        if writes:
+            for register, value in writes.items():
+                vcpu.write(register, value)
+        self._pending_writes = None
+        self._charge(self.costs.switch_l0_l1_each, Category.SWITCH_L0_L1)
 
     def enter_l1(self, exit_info, vcpu):
         if self.degraded:
-            # Fallback: the stock memory context switch (BaselineEngine).
-            self._charge(self.costs.switch_l0_l1_each,
-                         Category.SWITCH_L0_L1)
-            self._pending_writes = None
+            self._stock_switch()
             return
         payload = {
             "exit_reason": exit_info.reason,
@@ -301,8 +281,7 @@ class SwSvtEngine(SwitchEngine):
                 "enter_l1", self.channels.request,
                 lambda: self.channels.try_send_trap(payload,
                                                     now=self.sim.now)):
-            self._charge(self.costs.switch_l0_l1_each,
-                         Category.SWITCH_L0_L1)
+            self._stock_switch()
             return
         self._hop()
         request = self._await_guarded(
@@ -311,8 +290,7 @@ class SwSvtEngine(SwitchEngine):
             lambda: self.channels.resend_trap(payload, now=self.sim.now),
         )
         if request is None:
-            self._charge(self.costs.switch_l0_l1_each,
-                         Category.SWITCH_L0_L1)
+            self._stock_switch()
             return
         self._pending_writes = {}
 
@@ -320,12 +298,8 @@ class SwSvtEngine(SwitchEngine):
         writes = self._pending_writes or {}
         self._pending_writes = None
         if self.degraded:
-            # Post-degradation (or degraded mid-exit): apply L1's
-            # buffered updates directly and pay the stock switch.
-            for register, value in writes.items():
-                vcpu.write(register, value)
-            self._charge(self.costs.switch_l0_l1_each,
-                         Category.SWITCH_L0_L1)
+            # Post-degradation, or degraded mid-exit.
+            self._stock_switch(vcpu, writes)
             return
         payload = {"regs": dict(writes)}
         if self.watchdog is not None:
@@ -334,10 +308,7 @@ class SwSvtEngine(SwitchEngine):
                 "leave_l1", self.channels.response,
                 lambda: self.channels.try_send_resume(payload,
                                                       now=self.sim.now)):
-            for register, value in writes.items():
-                vcpu.write(register, value)
-            self._charge(self.costs.switch_l0_l1_each,
-                         Category.SWITCH_L0_L1)
+            self._stock_switch(vcpu, writes)
             return
         self._hop()
         response = self._await_guarded(
@@ -348,11 +319,8 @@ class SwSvtEngine(SwitchEngine):
         )
         if response is None:
             # The writes never made it through the ring: apply the
-            # producer-side copy directly (nothing is lost).
-            for register, value in writes.items():
-                vcpu.write(register, value)
-            self._charge(self.costs.switch_l0_l1_each,
-                         Category.SWITCH_L0_L1)
+            # producer-side copy.
+            self._stock_switch(vcpu, writes)
             return
         for register, value in response.payload["regs"].items():
             vcpu.write(register, value)
@@ -363,26 +331,12 @@ class SwSvtEngine(SwitchEngine):
             super().charge_l1_lazy()
         # L1's handler state never leaves its SMT thread: no lazy cost.
 
-    def aux_exit_begin(self):
-        # The SVt-thread's own trap is captured by L0 on the *sibling*
-        # hardware thread, through the stock exit path.
-        self._charge(self.costs.switch_l0_l1_each, Category.SWITCH_L0_L1)
-
-    def aux_exit_end(self):
-        self._charge(self.costs.switch_l0_l1_each, Category.SWITCH_L0_L1)
-
     def propagate_aux(self, kind):
         """Cross-thread state propagation for consistency-critical ops
         (L01 -> L00 and back)."""
         if kind in self.PROPAGATED_AUX:
             self._hop()
             self._hop()
-
-    def exit_l1_single(self):
-        self._charge(self.costs.switch_l2_l0_each, Category.SWITCH_L2_L0)
-
-    def resume_l1_single(self):
-        self._charge(self.costs.switch_l2_l0_each, Category.SWITCH_L2_L0)
 
     def charge_guest_wake(self, target_level):
         """The SVt-thread is mwait-parked on the sibling hardware thread:
@@ -422,7 +376,6 @@ class HwSvtEngine(SwitchEngine):
     def load_vmcs(self, vmcs):
         """VMPTRLD caches the SVt fields into the micro-registers
         (paper §4 step B)."""
-        vmcs.loaded = True
         self.core.load_svt_fields(
             vmcs.read("svt_visor"),
             vmcs.read("svt_vm"),
@@ -497,7 +450,7 @@ def make_engine(mode, sim, tracer, costs, core=None, channels=None,
     """Factory used by :class:`repro.core.system.Machine`."""
     ExecutionMode.validate(mode)
     if mode == ExecutionMode.BASELINE:
-        return BaselineEngine(sim, tracer, costs, obs=obs)
+        return SwitchEngine(sim, tracer, costs, obs=obs)
     if mode == ExecutionMode.SW_SVT:
         if channels is None:
             raise ConfigError("SW SVt needs a PairedChannels instance")

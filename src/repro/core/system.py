@@ -67,14 +67,8 @@ class Machine:
 
     def __init__(self, mode=ExecutionMode.BASELINE, costs=None, config=None,
                  wait_mechanism="mwait", placement="smt",
-                 engine_factory=None, observer=None, faults=None,
-                 watchdog=None):
-        """``engine_factory(sim, tracer, costs, core, channels)`` replaces
-        the mode's stock switch engine — the hook ablation studies use to
-        model hybrid designs (e.g. SVt contexts multiplexed past the SMT
-        width, paper §3.1).
-
-        ``observer`` (a :class:`repro.obs.Observer`) turns on span
+                 observer=None, faults=None, watchdog=None):
+        """``observer`` (a :class:`repro.obs.Observer`) turns on span
         tracing and/or metrics; when ``None`` the machine adopts an
         ambient capture observer if one is active (the experiment
         runner's per-cell metrics path) and otherwise runs the exact
@@ -99,11 +93,10 @@ class Machine:
         if observer is None:
             observer = obs_ambient()
         self.obs = observer
-        self.tracer = Tracer()
+        self.tracer = Tracer(self.sim)
         if observer is not None:
             observer.bind(self.sim)
             self.sim.obs = observer
-            self.tracer.observer = observer
         # Runtime ordering sanitizer (REPRO_SIM_SANITIZE=1): observes
         # shared-state accesses against the new machine's clock; a no-op
         # global None when the flag is unset (repro.sim.sanitizer).
@@ -152,22 +145,12 @@ class Machine:
                 self.l2_vm.vcpu.name, placement=placement, obs=observer,
                 clock=self._read_clock, faults=faults,
             )
-        if engine_factory is not None:
-            self.engine = engine_factory(
-                self.sim, self.tracer, self.costs, self.core, self.channels
-            )
-            # Ablation factories keep their legacy signature; attach the
-            # observer afterwards so their charges still hit the metrics.
-            if observer is not None and getattr(
-                    self.engine, "obs", None) is None:
-                self.engine.obs = observer
-        else:
-            self.engine = make_engine(
-                mode, self.sim, self.tracer, self.costs,
-                core=self.core, channels=self.channels,
-                placement=placement, mechanism=wait_mechanism,
-                obs=observer, faults=faults, watchdog=watchdog,
-            )
+        self.engine = make_engine(
+            mode, self.sim, self.tracer, self.costs,
+            core=self.core, channels=self.channels,
+            placement=placement, mechanism=wait_mechanism,
+            obs=observer, faults=faults, watchdog=watchdog,
+        )
 
         self.stack = NestedStack(
             self.sim, self.tracer, self.costs, self.engine,
@@ -294,15 +277,13 @@ class Machine:
                 break
             next_due = sim.peek_next_time()
             if next_due is None or next_due - sim.now >= remaining:
-                self._charge(remaining, Category.GUEST_WORK)
+                self.tracer.charge(remaining, Category.GUEST_WORK)
                 retired += (n - index) + n * (passes - 1)
                 break
             # An event falls strictly inside the remaining span: step
             # one instruction (exactly the stepped cadence) so the
             # boundary checks re-run right after it fires.
-            cost = costs[index]
-            if cost:
-                self._charge(cost, Category.GUEST_WORK)
+            self.tracer.charge(costs[index], Category.GUEST_WORK)
             retired += 1
             index += 1
             if index == n:
@@ -325,13 +306,14 @@ class Machine:
             self.service_io()
         self._take_pending_interrupts(level)
         if instruction.work_ns:
-            self._charge(instruction.work_ns, Category.GUEST_WORK)
+            self.tracer.charge(instruction.work_ns, Category.GUEST_WORK)
         if level == 0:
             self._execute_native(instruction)
             return
         if instruction.kind == Op.CPUID:
             # Guest-side share of the trapped instruction (Table 1 part 0).
-            self._charge(self.costs.cpuid_guest_work, Category.GUEST_WORK)
+            self.tracer.charge(self.costs.cpuid_guest_work,
+                               Category.GUEST_WORK)
         exit_info = self._classify(instruction, level)
         if exit_info is None:
             self._execute_locally(instruction, level)
@@ -343,7 +325,7 @@ class Machine:
 
     def elapse(self, ns, category=Category.IDLE):
         """Let simulated time pass (device/wire waits, idle gaps)."""
-        self._charge(ns, category)
+        self.tracer.charge(ns, category)
 
     def run_until_idle(self, limit=None, max_events=None):
         """Drain scheduled events (device completions, timers).
@@ -392,7 +374,8 @@ class Machine:
                 raise VirtualizationError("wait_until: limit exceeded")
             # Idle until the event fires (its callback typically posts a
             # deferred chain, serviced on the next loop turn).
-            self._charge(max(0, next_event - self.sim.now), Category.IDLE)
+            self.tracer.charge(max(0, next_event - self.sim.now),
+                               Category.IDLE)
         return self.sim.now
 
     # ------------------------------------------------------------------
@@ -480,9 +463,10 @@ class Machine:
             host.write("rbx", ebx)
             host.write("rcx", ecx)
             host.write("rdx", edx)
-            self._charge(self.costs.cpuid_guest_work, Category.GUEST_WORK)
+            self.tracer.charge(self.costs.cpuid_guest_work,
+                               Category.GUEST_WORK)
         elif instruction.kind == Op.WRMSR:
-            self._charge(self.costs.timer_program, Category.GUEST_WORK)
+            self.tracer.charge(self.costs.timer_program, Category.GUEST_WORK)
 
     def _virtual_tsc(self):
         """TSC ticks at the configured core frequency."""
@@ -499,15 +483,15 @@ class Machine:
             value = self._virtual_tsc() + vmcs.read("tsc_offset")
             vm.vcpu.write("rax", value & 0xFFFFFFFF)
             vm.vcpu.write("rdx", (value >> 32) & 0xFFFFFFFF)
-            self._charge(self.costs.memory_touch, Category.GUEST_WORK)
+            self.tracer.charge(self.costs.memory_touch, Category.GUEST_WORK)
             return
         if instruction.kind == Op.WRMSR:
             vm.vcpu.write_msr(instruction.operand("msr"),
                               instruction.operand("value"))
-            self._charge(self.costs.memory_touch, Category.GUEST_WORK)
+            self.tracer.charge(self.costs.memory_touch, Category.GUEST_WORK)
         elif instruction.kind == Op.RDMSR:
             vm.vcpu.write("rax", vm.vcpu.read_msr(instruction.operand("msr")))
-            self._charge(self.costs.memory_touch, Category.GUEST_WORK)
+            self.tracer.charge(self.costs.memory_touch, Category.GUEST_WORK)
 
     # ------------------------------------------------------------------
     # Interrupts
@@ -535,20 +519,16 @@ class Machine:
                     qualification={"vector": vector},
                 ))
             else:
-                self._charge(self.costs.irq_delivery, Category.INTERRUPT)
+                self.tracer.charge(self.costs.irq_delivery, Category.INTERRUPT)
 
     def _total_exits(self):
         return (sum(self.stack.exit_counts.values())
                 + sum(self.stack.aux_exit_counts.values()))
 
     def _read_clock(self):
-        """Zero-argument clock handed to the tracer's span API."""
+        """Zero-argument clock handed to the ordering sanitizer and the
+        SW SVt command rings."""
         return self.sim.now
-
-    def _charge(self, ns, category):
-        if ns:
-            self.sim.charge(ns)
-            self.tracer.record(category, ns)
 
     def __repr__(self):
         return f"Machine(mode={self.mode!r}, t={self.sim.now} ns)"

@@ -4,7 +4,7 @@ The paper's cost story hinges on "saving and restoring dozens of
 registers" per VM trap (§1, §2.3).  We model the x86-64 register set a
 hypervisor actually context-switches: 16 GPRs, RIP/RFLAGS, control
 registers, segment bases and the MSRs KVM touches on the exit path —
-enough that "dozens" is literal here (see :func:`RegNames.switched_set`).
+enough that "dozens" is literal here (``RegNames.ALL``, 38 names).
 """
 
 from repro.errors import VirtualizationError
@@ -37,16 +37,6 @@ class RegNames:
     )
 
     ALL = GPRS + (RIP, RFLAGS) + CONTROL + SEGMENT_BASES + MSRS
-
-    @classmethod
-    def switched_set(cls):
-        """Registers a VM trap/resume must transfer — the "dozens of
-        values" of paper §2.3 (here: 38 named registers)."""
-        return cls.ALL
-
-    @classmethod
-    def is_msr(cls, name):
-        return name in cls.MSRS
 
 
 class ArchRegisters:

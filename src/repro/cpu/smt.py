@@ -86,8 +86,8 @@ class SmtCore:
         self.svt_visor = visor
         self.svt_vm = vm
         self.svt_nested = nested
-        self.sim.charge(self.costs.svt_vmptrld_cache)
-        self.tracer.record(Category.STALL_RESUME, self.costs.svt_vmptrld_cache)
+        self.tracer.charge(self.costs.svt_vmptrld_cache,
+                           Category.STALL_RESUME)
 
     # -- fetch steering (paper §4 steps C / steady state) ---------------------
 
@@ -126,8 +126,8 @@ class SmtCore:
             # The stall/resume pair is itself a sanctioned ordering
             # point between the two contexts' shared-state accesses.
             _san.ACTIVE.ordering_event("ctx-switch")
-        self.sim.charge(self.costs.svt_stall_resume)
-        self.tracer.record(Category.STALL_RESUME, self.costs.svt_stall_resume)
+        self.tracer.charge(self.costs.svt_stall_resume,
+                           Category.STALL_RESUME)
         if self.obs is not None:
             self.obs.count("svt_transitions_total",
                            src=current.index, dst=target_index)
@@ -140,8 +140,7 @@ class SmtCore:
         The *semantic* operation — permission checks and ``lvl``
         virtualization live in `repro.core.cross_context`."""
         value = self.context(target_index).read(register)
-        self.sim.charge(self.costs.ctxt_access)
-        self.tracer.record(Category.CROSS_CONTEXT, self.costs.ctxt_access)
+        self.tracer.charge(self.costs.ctxt_access, Category.CROSS_CONTEXT)
         if self.obs is not None:
             self.obs.count("ctxt_access_total", op="ctxtld")
         return value
@@ -149,8 +148,7 @@ class SmtCore:
     def cross_write(self, target_index, register, value):
         """Write ``register`` of another context through its rename map."""
         self.context(target_index).write(register, value)
-        self.sim.charge(self.costs.ctxt_access)
-        self.tracer.record(Category.CROSS_CONTEXT, self.costs.ctxt_access)
+        self.tracer.charge(self.costs.ctxt_access, Category.CROSS_CONTEXT)
         if self.obs is not None:
             self.obs.count("ctxt_access_total", op="ctxtst")
 

@@ -57,29 +57,16 @@ def hw_speedup(costs: CostModel, iterations: int = 10) -> float:
     return times[ExecutionMode.BASELINE] / times[ExecutionMode.HW_SVT]
 
 
-def traced_run(mode: str, repeat: int = 20) -> tuple[float, Any]:
-    """(ns_per_op, trace-delta) of a nested cpuid loop in ``mode``."""
-
+def traced_run(mode: str,
+               repeat: int = 20) -> tuple[float, dict[str, int]]:
+    """(ns_per_op, per-category ns) of a nested cpuid loop in ``mode``."""
     machine = Machine(mode=mode)
     machine.run_program(isa.Program([isa.cpuid()]))        # warmup
     before = machine.tracer.snapshot()
     start = machine.sim.now
     machine.run_program(isa.Program([isa.cpuid()], repeat=repeat))
     elapsed = machine.sim.now - start
-
-    class _Delta:
-        totals = {
-            key: machine.tracer.totals[key] - before.get(key, 0)
-            for key in machine.tracer.totals
-        }
-
-        @staticmethod
-        def total(*categories: str) -> int:
-            if not categories:
-                return sum(_Delta.totals.values())
-            return sum(_Delta.totals.get(c, 0) for c in categories)
-
-    return elapsed / repeat, _Delta
+    return elapsed / repeat, machine.tracer.since(before)
 
 
 def hw_model_cross_check(repeat: int = 20) -> dict[str, Any]:
@@ -143,10 +130,19 @@ class MultiplexedL1Engine(HwSvtEngine):
         self._charge(self.costs.switch_l0_l1_each, Category.SWITCH_L0_L1)
 
 
-def multiplexed_l1_engine(sim: Any, tracer: Any, costs: CostModel,
-                          core: Any, channels: Any) -> MultiplexedL1Engine:
-    """``Machine(engine_factory=)`` for the 2-context SVt core."""
-    return MultiplexedL1Engine(sim, tracer, costs, core)
+def multiplexed_machine() -> Machine:
+    """A booted HW SVt machine running :class:`MultiplexedL1Engine`.
+
+    Boot and the entry into steady state use only what the engine
+    inherits from :class:`HwSvtEngine`, so swapping it in afterwards
+    (as :func:`repro.core.bypass.install_bypass` does) is exact.
+    """
+    machine = Machine(ExecutionMode.HW_SVT)
+    engine = MultiplexedL1Engine(machine.sim, machine.tracer,
+                                 machine.costs, machine.core,
+                                 obs=machine.obs)
+    machine.engine = machine.stack.engine = engine
+    return machine
 
 
 # -- registered experiments ----------------------------------------------
@@ -325,8 +321,7 @@ class AblationMultiplex(Experiment):
         elif cell == "hw_svt_3ctx":
             machine = Machine(ExecutionMode.HW_SVT)
         else:
-            machine = Machine(ExecutionMode.HW_SVT,
-                              engine_factory=multiplexed_l1_engine)
+            machine = multiplexed_machine()
         return {"cpuid_us": cpuid_us(machine, self.ITERATIONS)}
 
     def merge(self, params: dict[str, Any],

@@ -21,7 +21,7 @@ Fault taxonomy (see ``docs/robustness.md``):
   (`repro.virt.vmcs`).
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 
 class FaultKind:
@@ -93,10 +93,6 @@ class FaultPlan:
     def is_zero(self):
         """True when no fault class can ever fire (the no-op plan)."""
         return all(self.rate_for(kind) == 0.0 for kind in FaultKind.ALL)
-
-    def with_seed(self, seed):
-        """Same plan, different stream seed (one per chaos cell)."""
-        return replace(self, seed=seed)
 
     def to_dict(self):
         return {

@@ -23,6 +23,7 @@ import argparse
 import sys
 from pathlib import Path
 
+from repro.cli import positive_int
 from repro.exp.result import canonical_json
 from repro.fuzz import bugs, driver, shrink
 from repro.fuzz.case import CaseSchemaError, load_case, save_case
@@ -38,10 +39,10 @@ def build_parser():
     )
     parser.add_argument("--seed", type=int, default=2019,
                         help="campaign seed (default: 2019)")
-    parser.add_argument("--runs", type=int, default=25,
+    parser.add_argument("--runs", type=positive_int, default=25,
                         help="generated cases per campaign "
                              "(default: 25)")
-    parser.add_argument("--ops", type=int, default=40,
+    parser.add_argument("--ops", type=positive_int, default=40,
                         help="ops per generated case (default: 40)")
     parser.add_argument("--budget", type=int,
                         default=shrink.DEFAULT_BUDGET,
@@ -56,7 +57,7 @@ def build_parser():
                         help="report failures without shrinking")
     parser.add_argument("--cost-model", default=None,
                         help="registered cost model to run under")
-    parser.add_argument("--jobs", type=int, default=1,
+    parser.add_argument("--jobs", type=positive_int, default=1,
                         help="worker processes (default: 1)")
     parser.add_argument("--bug", default=None, choices=bugs.names(),
                         help="arm a known-bad fixture machine "
@@ -140,11 +141,6 @@ def _replay_corpus(directory, cost_model):
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    if args.runs < 1 or args.ops < 1 or args.jobs < 1:
-        print("repro fuzz: --runs/--ops/--jobs must be positive",
-              file=sys.stderr)
-        return 2
-
     if args.corpus is not None:
         if not args.corpus.is_dir():
             print(f"repro fuzz: no corpus directory {args.corpus}",

@@ -17,7 +17,7 @@ invariants behind those promises as machine-checked rules:
   ``repro.core`` carry a watchdog/cycle-budget identifier (or a
   *justified* inline suppression; a bare disable is itself a finding).
 * **SVT006** :mod:`repro.lint.fastpath` — per-instruction loops in the
-  modelling packages charge time via ``sim.charge`` instead of the
+  modelling packages charge time via ``tracer.charge`` instead of the
   heap-draining ``sim.advance`` (justified suppressions as in SVT005).
 * **SVT007** :mod:`repro.lint.races` — whole-program sim-state race
   detector: shared core state (``cpu.context``/``cpu.prf``/

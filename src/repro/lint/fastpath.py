@@ -111,6 +111,6 @@ class FastPathRule(Rule):
             self, node,
             "per-instruction loop calls sim.advance, which drains the "
             "event heap every step and bypasses the batched-time fast "
-            "path; charge time via sim.charge(ns) instead, or add a "
-            "justified '# svtlint: disable=SVT006 — ...' comment",
+            "path; charge time via tracer.charge(ns, category) instead, "
+            "or add a justified '# svtlint: disable=SVT006 — ...' comment",
         )

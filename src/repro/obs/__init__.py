@@ -30,7 +30,6 @@ from repro.obs.export import (
 from repro.obs.metrics import (
     Histogram,
     MetricsRegistry,
-    flatten_metrics,
     merge_snapshots,
 )
 from repro.obs.observer import (
@@ -50,7 +49,6 @@ __all__ = [
     "capture_metrics",
     "charge_totals",
     "chrome_trace",
-    "flatten_metrics",
     "merge_snapshots",
     "metrics_document",
     "render_breakdown",

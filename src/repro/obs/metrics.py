@@ -15,7 +15,7 @@ so byte-identical runs produce byte-identical metric documents at any
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Dict, Iterable, Optional, Tuple
 
 #: A metric key: name plus its sorted ``(label, value)`` pairs.
 MetricKey = Tuple[str, Tuple[Tuple[str, Any], ...]]
@@ -192,20 +192,3 @@ def merge_snapshots(snapshots: Iterable[Dict[str, Any]]) \
             for key, data in sorted(histograms.items())
         },
     }
-
-
-def flatten_metrics(snapshot: Dict[str, Any]) \
-        -> List[Tuple[str, int]]:
-    """Flatten a snapshot to sorted ``(key, int)`` pairs.
-
-    Counters keep their key; histograms contribute ``key!count`` and
-    ``key!sum`` (the scalar facts result consumers assert on).  The
-    output is ready for :func:`repro.exp.result.freeze_mapping`.
-    """
-    flat: Dict[str, int] = {}
-    for key, value in snapshot.get("counters", {}).items():
-        flat[key] = value
-    for key, data in snapshot.get("histograms", {}).items():
-        flat[f"{key}!count"] = data["count"]
-        flat[f"{key}!sum"] = data["sum"]
-    return sorted(flat.items())

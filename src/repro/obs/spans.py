@@ -13,7 +13,7 @@ Two producers exist:
 * **structural spans** — opened/closed around control-flow landmarks
   (``l2_exit``, ``l1_handler``, ``aux_exit``, ``vhost_tx``, ...) by the
   wired subsystems;
-* **charge spans** — emitted by :meth:`repro.sim.trace.Tracer.record`
+* **charge spans** — emitted by :meth:`repro.sim.trace.Tracer.charge`
   for every nanosecond charged to a category, as the interval
   ``[now - ns, now]`` (the simulator advances *before* the charge is
   recorded, so that window is exactly the charged time).  Summing charge

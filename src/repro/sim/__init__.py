@@ -1,7 +1,8 @@
 """Discrete-event simulation substrate used by every other subpackage.
 
 The simulator keeps an integer nanosecond clock.  Synchronous "machine"
-code advances time through one charging call, :meth:`Simulator.charge`,
+code advances time through one charging call, :meth:`Tracer.charge`
+(which calls :meth:`Simulator.charge` and books the time to a category),
 while asynchronous events (interrupt arrivals, client requests) are
 scheduled with :meth:`Simulator.after` / :meth:`Simulator.at` and fire
 in timestamp order whenever the clock sweeps past them.

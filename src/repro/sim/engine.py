@@ -3,10 +3,11 @@
 Two styles of progress coexist:
 
 * *Synchronous* code (hypervisor handlers, guest instruction execution)
-  calls :meth:`Simulator.charge` to charge elapsed time; it is the one
-  charging call.  Any events whose deadline falls inside the charged
-  window fire at their exact timestamp, so asynchronous arrivals
-  interleave deterministically with synchronous execution.
+  charges elapsed time through :meth:`repro.sim.trace.Tracer.charge`,
+  the one charging call, which advances this clock with
+  :meth:`Simulator.charge`.  Any events whose deadline falls inside the
+  charged window fire at their exact timestamp, so asynchronous
+  arrivals interleave deterministically with synchronous execution.
 * *Asynchronous* code registers callbacks with :meth:`Simulator.after` or
   :meth:`Simulator.at`; callbacks run with the clock set to their deadline.
 
@@ -254,7 +255,8 @@ class Simulator:
         no event can fall due, so the clock bumps without a heap peek;
         otherwise the call flushes through the same :meth:`_drain` as
         ``advance`` and every due event fires at its exact timestamp.
-        Synchronous machine code charges through this.
+        Synchronous machine code reaches it through
+        :meth:`repro.sim.trace.Tracer.charge`.
         """
         if ns < 0:
             raise SimulationError(f"cannot advance by negative time {ns}")

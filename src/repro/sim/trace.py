@@ -1,9 +1,11 @@
 """Category-tagged time accounting.
 
-Every nanosecond the machine charges is attributed to a category.  The
-categories mirror the breakdown rows of the paper's Table 1, plus extra
-buckets used by the I/O and application models.  The Table 1 reproduction
-(`repro.analysis.breakdown`) simply reads these totals back.
+Every nanosecond the machine charges goes through :meth:`Tracer.charge`,
+which advances the simulator's clock and attributes the time to a
+category.  The categories mirror the breakdown rows of the paper's
+Table 1, plus extra buckets used by the I/O and application models.  The
+Table 1 reproduction (`repro.analysis.breakdown`) simply reads these
+totals back.
 """
 
 from collections import defaultdict
@@ -41,41 +43,37 @@ class Category:
 
 
 class Tracer:
-    """Accumulates per-category time.
+    """Per-category time ledger, and the one charging call.
 
-    ``observer`` (a :class:`repro.obs.Observer`, attached by the
-    machine when observability is on) receives every charge as a span;
-    it defaults off, keeping the disabled hot path identical to the
-    pre-observability code.
+    :meth:`charge` advances the simulator's clock and attributes the
+    same nanoseconds to a category, so the clock and ``totals`` can
+    never disagree.  A simulator with an observer attached
+    (``sim.obs``) also receives every charge as a span.
     """
 
-    def __init__(self):
+    def __init__(self, sim):
+        self.sim = sim
         self.totals = defaultdict(int)
-        self.counts = defaultdict(int)
-        self.observer = None
 
-    def record(self, category, ns):
-        """Attribute ``ns`` nanoseconds to ``category``."""
-        if ns < 0:
-            raise ValueError(f"negative trace charge {ns} for {category}")
-        self.totals[category] += ns
-        self.counts[category] += 1
-        if self.observer is not None:
-            self.observer.charge(category, ns)
-
-    def total(self, *categories):
-        """Sum of the given categories (all categories when none given)."""
-        if not categories:
-            return sum(self.totals.values())
-        return sum(self.totals.get(c, 0) for c in categories)
-
-    def reset(self):
-        self.totals.clear()
-        self.counts.clear()
+    def charge(self, ns, category):
+        """Advance the clock by ``ns`` and attribute them to
+        ``category``; a zero charge does nothing."""
+        if ns:
+            self.sim.charge(ns)
+            self.totals[category] += ns
+            obs = self.sim.obs
+            if obs is not None:
+                obs.charge(category, ns)
 
     def snapshot(self):
-        """Plain-dict copy of the totals (useful for diffs in tests)."""
+        """Plain-dict copy of the totals (the argument of :meth:`since`)."""
         return dict(self.totals)
+
+    def since(self, snapshot):
+        """Per-category ns charged since ``snapshot``, in ``totals``
+        order (categories first charged later included)."""
+        return {category: ns - snapshot.get(category, 0)
+                for category, ns in self.totals.items()}
 
     def __repr__(self):
         body = ", ".join(

@@ -10,11 +10,7 @@ from repro.virt.deep import DeepNestingModel
 from repro.virt.ept import EptTable, MmioRegion
 from repro.virt.exits import ExitInfo, ExitReason
 from repro.virt.l3 import ThirdLevelStack, install_third_level
-from repro.virt.transform import (
-    sync_shadow_to_vmcs12,
-    transform_02_to_12,
-    transform_12_to_02,
-)
+from repro.virt.transform import transform_02_to_12, transform_12_to_02
 from repro.virt.vmcs import Field, FieldRegistry, Vmcs
 
 __all__ = [
@@ -28,7 +24,6 @@ __all__ = [
     "FieldRegistry",
     "MmioRegion",
     "Vmcs",
-    "sync_shadow_to_vmcs12",
     "transform_02_to_12",
     "transform_12_to_02",
 ]

@@ -264,9 +264,6 @@ class Hypervisor:
         (paper Fig. 2 step 1 — here performed by whichever level plays
         the supervising hypervisor)."""
         vmcs.guest_read("exit_reason")
-        shadow = exit_info.qual("shadow_vmcs")
-        if shadow is not None:
-            shadow.take_dirty()   # shadow copy is now in sync
         self._advance_rip(exit_info, vcpu, writer, vmcs)
 
     def _handle_invept(self, exit_info, vm, vcpu, writer, vmcs):

@@ -41,6 +41,7 @@ class ThirdLevelStack:
         self.machine = machine
         self.stack = machine.stack
         self.costs = machine.costs
+        self.tracer = machine.tracer
         self.engine = machine.engine
 
         #: L2's own hypervisor persona (it was a plain guest until now).
@@ -111,24 +112,24 @@ class ThirdLevelStack:
         # L3 -> L0: the generic guest trap.
         self.engine.exit_l2_to_l0()
         self.engine.charge_l0_lazy_nested()
-        self._charge(self.costs.vmcs_transform_each,
-                     Category.VMCS_TRANSFORM)
+        self.tracer.charge(self.costs.vmcs_transform_each,
+                           Category.VMCS_TRANSFORM)
         transform_02_to_12(self.vmcs03, self.vmcs13, self.ept02)
-        self._charge(self.costs.l0_pure(exit_info.reason),
-                     Category.L0_HANDLER)
+        self.tracer.charge(self.costs.l0_pure(exit_info.reason),
+                           Category.L0_HANDLER)
         self.vmcs13.record_exit(exit_info)
 
         # L0 -> L2-as-handler (entering a *nested* guest).
         self._enter_l2_handler()
-        self._charge(self.costs.l1_pure(exit_info.reason),
-                     Category.L1_HANDLER)
+        self.tracer.charge(self.costs.l1_pure(exit_info.reason),
+                           Category.L1_HANDLER)
         self.l2_hypervisor.handle_exit(
             exit_info, self.l3_vm, vcpu, vcpu.write, self.vmcs23p
         )
         self._leave_l2_handler()
 
-        self._charge(self.costs.vmcs_transform_each,
-                     Category.VMCS_TRANSFORM)
+        self.tracer.charge(self.costs.vmcs_transform_each,
+                           Category.VMCS_TRANSFORM)
         transform_12_to_02(self.vmcs13, self.vmcs03, self.ept02,
                            self.stack.l0.policy,
                            composed_ept=self.composed_ept)
@@ -145,11 +146,12 @@ class ThirdLevelStack:
 
         kind = instruction.kind
         if instruction.work_ns:
-            self._charge(instruction.work_ns, Category.GUEST_WORK)
+            self.tracer.charge(instruction.work_ns, Category.GUEST_WORK)
         if kind == Op.ALU:
             return None
         if kind == Op.CPUID:
-            self._charge(self.costs.cpuid_guest_work, Category.GUEST_WORK)
+            self.tracer.charge(self.costs.cpuid_guest_work,
+                               Category.GUEST_WORK)
             return self.l3_exit(ExitInfo(
                 ExitReason.CPUID, dict(instruction.operands),
                 guest_rip=self.l3_vm.vcpu.rip,
@@ -210,28 +212,23 @@ class ThirdLevelStack:
         if self.engine.mode == ExecutionMode.HW_SVT:
             # A fourth hardware context would hold L3; entering the L2
             # handler is a thread resume.
-            self._charge(self.costs.svt_stall_resume,
-                         Category.STALL_RESUME)
+            self.tracer.charge(self.costs.svt_stall_resume,
+                               Category.STALL_RESUME)
         else:
             # Stock nested entry (the SW prototype accelerates only the
             # L0<->L1 reflection, paper §5.2).
-            self._charge(self.costs.switch_l0_l1_each,
-                         Category.SWITCH_L0_L1)
-            self._charge(self.costs.l1_lazy_switch,
-                         Category.L1_LAZY_SWITCH)
+            self.tracer.charge(self.costs.switch_l0_l1_each,
+                               Category.SWITCH_L0_L1)
+            self.tracer.charge(self.costs.l1_lazy_switch,
+                               Category.L1_LAZY_SWITCH)
 
     def _leave_l2_handler(self):
         if self.engine.mode == ExecutionMode.HW_SVT:
-            self._charge(self.costs.svt_stall_resume,
-                         Category.STALL_RESUME)
+            self.tracer.charge(self.costs.svt_stall_resume,
+                               Category.STALL_RESUME)
         else:
-            self._charge(self.costs.switch_l0_l1_each,
-                         Category.SWITCH_L0_L1)
-
-    def _charge(self, ns, category):
-        if ns:
-            self.machine.sim.charge(ns)
-            self.machine.tracer.record(category, ns)
+            self.tracer.charge(self.costs.switch_l0_l1_each,
+                               Category.SWITCH_L0_L1)
 
 
 def install_third_level(machine, ram_mb=8):

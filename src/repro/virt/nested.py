@@ -235,8 +235,8 @@ class NestedStack:
     def _handle_direct(self, exit_info, vcpu):
         """L0 handles the exit itself (no L1 involvement)."""
         self.engine.charge_l0_lazy_direct()
-        self._charge(self.costs.l0_pure(exit_info.reason),
-                     Category.L0_HANDLER)
+        self.tracer.charge(self.costs.l0_pure(exit_info.reason),
+                           Category.L0_HANDLER)
         writer = self.engine.l0_writer(vcpu, lvl=1)
         self.l0.handle_exit(exit_info, self.l2_vm, vcpu, writer, self.vmcs02)
 
@@ -244,10 +244,11 @@ class NestedStack:
         """Alg. 1 lines 3-14: reflect into L1 and return."""
         costs = self.costs
         obs = self.obs
+        charge = self.tracer.charge
         self.engine.charge_l0_lazy_nested()
 
         # Line 3: reflect hardware-written state into vmcs12.
-        self._charge(costs.vmcs_transform_each, Category.VMCS_TRANSFORM)
+        charge(costs.vmcs_transform_each, Category.VMCS_TRANSFORM)
         with (obs.span("vmcs_transform:02->12", level=0)
               if obs is not None else _NO_SPAN):
             transform_02_to_12(self.vmcs02, self.vmcs12, self.ept01,
@@ -256,7 +257,7 @@ class NestedStack:
         # Lines 4-5: load vmcs01, inject the trap into vmcs12.
         l0_cost = costs.l0_pure(exit_info.reason)
         inject_cost = l0_cost * _L0_INJECT_NUMER // _L0_INJECT_DENOM
-        self._charge(inject_cost, Category.L0_HANDLER)
+        charge(inject_cost, Category.L0_HANDLER)
         self.engine.load_vmcs(self.vmcs01)
         self.vmcs12.record_exit(exit_info)
 
@@ -267,7 +268,7 @@ class NestedStack:
 
         # Lines 7-11: L1 handles the trap (aux traps fire via the VMCS
         # callback while it touches non-shadowed vmcs01' fields).
-        self._charge(costs.l1_pure(exit_info.reason), Category.L1_HANDLER)
+        charge(costs.l1_pure(exit_info.reason), Category.L1_HANDLER)
         writer = self.engine.l1_writer(vcpu)
         with (obs.span(f"l1_handler:{exit_info.reason}", level=1,
                        reason=exit_info.reason)
@@ -281,8 +282,8 @@ class NestedStack:
 
         # Lines 13-14: load vmcs02, transform vmcs12 back into it.
         self.engine.load_vmcs(self.vmcs02)
-        self._charge(l0_cost - inject_cost, Category.L0_HANDLER)
-        self._charge(costs.vmcs_transform_each, Category.VMCS_TRANSFORM)
+        charge(l0_cost - inject_cost, Category.L0_HANDLER)
+        charge(costs.vmcs_transform_each, Category.VMCS_TRANSFORM)
         with (obs.span("vmcs_transform:12->02", level=0)
               if obs is not None else _NO_SPAN):
             transform_12_to_02(self.vmcs12, self.vmcs02, self.ept01,
@@ -296,36 +297,31 @@ class NestedStack:
     def _l1_vmcs_trap(self, kind, field_name):
         """L1 touched a non-shadowed vmcs01' field: trap to L0, emulate,
         resume L1."""
-        if not self._shadowing:
-            return
-        started = self.sim.now
-        self._aux_trap(kind, f"aux_exit:vmcs:{field_name}")
-        self.aux_exit_counts[kind] += 1
-        self.aux_exit_ns[kind] += self.sim.now - started
+        if self._shadowing:
+            self._aux_trap(kind, f"aux_exit:vmcs:{field_name}")
 
     def l1_aux_op(self, kind):
         """A privileged non-VMCS op by L1 during handling (INVEPT, timer
         reprogramming, control-register writes) — same trap pattern."""
-        started = self.sim.now
         self._aux_trap(kind, f"aux_exit:{kind}")
-        self.aux_exit_counts[kind] += 1
-        self.aux_exit_ns[kind] += self.sim.now - started
 
     def _aux_trap(self, kind, span_name):
         """Shared aux-trap body: L0 captures the trap, emulates, resumes."""
+        started = self.sim.now
         obs = self.obs
+        engine = self.engine
         with (obs.span(span_name, level=0, kind=kind)
               if obs is not None else _NO_SPAN):
             previous = _enter_ctx("L0")
-            self.engine.aux_exit_begin()
-            self._charge(self.costs.l0_pure(kind), Category.L0_HANDLER)
-            propagate = getattr(self.engine, "propagate_aux", None)
-            if propagate is not None:
-                propagate(kind)
-            self.engine.aux_exit_end()
+            engine.aux_exit_begin()
+            self.tracer.charge(self.costs.l0_pure(kind), Category.L0_HANDLER)
+            engine.propagate_aux(kind)
+            engine.aux_exit_end()
             _leave_ctx(previous)
         if obs is not None:
             obs.count("aux_exits_total", kind=kind)
+        self.aux_exit_counts[kind] += 1
+        self.aux_exit_ns[kind] += self.sim.now - started
 
     # ------------------------------------------------------------------
     # Single-level exits: L1's own traps into L0
@@ -346,8 +342,8 @@ class NestedStack:
             self.engine.exit_l1_single()
             _enter_ctx("L0")
             self.engine.charge_l0_single_lazy()
-            self._charge(self.costs.l0_single(exit_info.reason),
-                         Category.L0_HANDLER)
+            self.tracer.charge(self.costs.l0_single(exit_info.reason),
+                               Category.L0_HANDLER)
             writer = self.engine.l0_single_writer(vcpu)
             self.l0.handle_exit(exit_info, self.l1_vm, vcpu, writer,
                                 self.vmcs01)
@@ -377,7 +373,7 @@ class NestedStack:
                            "owner": "l1"},
             injected=True,
         )
-        self._charge(self.costs.irq_delivery, Category.INTERRUPT)
+        self.tracer.charge(self.costs.irq_delivery, Category.INTERRUPT)
         self.engine.charge_guest_wake(2)
         if self.obs is not None:
             self.obs.count("irq_injected_total", level=2, vector=vector)
@@ -390,8 +386,8 @@ class NestedStack:
             qualification={"vector": vector},
             injected=True,
         )
-        self._charge(self.costs.irq_delivery, Category.INTERRUPT)
-        self._charge(self.costs.irq_inject, Category.INTERRUPT)
+        self.tracer.charge(self.costs.irq_delivery, Category.INTERRUPT)
+        self.tracer.charge(self.costs.irq_inject, Category.INTERRUPT)
         self.engine.charge_guest_wake(1)
         if self.obs is not None:
             self.obs.count("irq_injected_total", level=1, vector=vector)
@@ -410,7 +406,7 @@ class NestedStack:
     def _l0_arm_timer(self, vcpu, deadline_value):
         if self.interrupts is not None:
             self.interrupts.arm_tsc_deadline(0, deadline_value)
-        self._charge(self.costs.timer_program, Category.INTERRUPT)
+        self.tracer.charge(self.costs.timer_program, Category.INTERRUPT)
 
     # ------------------------------------------------------------------
     # EPT plumbing
@@ -422,13 +418,6 @@ class NestedStack:
         used by vmcs02."""
         self.l1_aux_op(ExitReason.INVEPT)
         self.composed_ept = self.ept12.compose(self.ept01)
-        self._charge(self.costs.vmcs_transform_each,
-                     Category.VMCS_TRANSFORM)
+        self.tracer.charge(self.costs.vmcs_transform_each,
+                           Category.VMCS_TRANSFORM)
         self.vmcs02.ept = self.composed_ept
-
-    # ------------------------------------------------------------------
-
-    def _charge(self, ns, category):
-        if ns:
-            self.sim.charge(ns)
-            self.tracer.record(category, ns)

@@ -1,9 +1,9 @@
 """VMCS transformations between virtualization levels (paper §2.1-§2.2).
 
-Three operations, matching Figure 2 and Algorithm 1:
+Two operations, matching Figure 2 and Algorithm 1.  Step ① (L0
+shadowing L1's vmcs01' into vmcs12) needs no copy, because
+`repro.virt.nested` models vmcs01' and vmcs12 as one object:
 
-* :func:`sync_shadow_to_vmcs12` — step ①: L0 reflects L1's updates of
-  vmcs01' into its shadow copy vmcs12.
 * :func:`transform_12_to_02` — step ② / Alg. 1 line 14: build the
   descriptor L2 really runs on.  Guest-physical addresses set by L1
   become host-physical, and L0's policy is merged in ("L0 configures
@@ -54,23 +54,6 @@ class L0Policy:
     forced_io_traps: set = field(default_factory=set)
 
 
-def sync_shadow_to_vmcs12(vmcs01_prime, vmcs12, fields=None):
-    """Reflect L1's writes to vmcs01' into L0's shadow vmcs12.
-
-    ``fields`` limits the sync (the trap handler knows which field L1
-    touched); ``None`` syncs every dirty field.  Returns the synced names.
-    """
-    names = list(fields) if fields is not None else sorted(
-        vmcs01_prime.dirty_fields
-    )
-    for name in names:
-        vmcs12.write(name, vmcs01_prime.read(name), force=True)
-    vmcs12.trapped_msrs = set(vmcs01_prime.trapped_msrs)
-    vmcs12.trapped_io_ports = set(vmcs01_prime.trapped_io_ports)
-    vmcs12.force_tsc_exit = vmcs01_prime.force_tsc_exit
-    return names
-
-
 def transform_12_to_02(vmcs12, vmcs02, ept01, policy, composed_ept=None,
                        obs=None):
     """Build/refresh vmcs02 from vmcs12 (paper Fig. 2 step ②).
@@ -102,7 +85,6 @@ def transform_12_to_02(vmcs12, vmcs02, ept01, policy, composed_ept=None,
 
     if composed_ept is not None:
         vmcs02.ept = composed_ept
-    vmcs02.take_dirty()
     if obs is not None:
         obs.count("vmcs_fields_copied_total", direction="12->02",
                   n=len(_FIELDS_12_TO_02))
@@ -122,7 +104,6 @@ def transform_02_to_12(vmcs02, vmcs12, ept01, obs=None):
     """
     copy_fields(vmcs02, vmcs12, _FIELDS_02_TO_12, ept01.inverse,
                 _HOST_ADDRESS_FIELDS)
-    vmcs12.take_dirty()
     if obs is not None:
         obs.count("vmcs_fields_copied_total", direction="02->12",
                   n=len(_FIELDS_02_TO_12))

@@ -127,8 +127,6 @@ class Vmcs:
     def __init__(self, name, exit_on_write_callback=None):
         self.name = name
         self._values = {}
-        self._dirty = set()
-        self.loaded = False
         # When set, reads/writes of non-shadowed fields invoke this
         # callback — that is how an L1 access to vmcs01' traps into L0
         # (paper Alg. 1 lines 8-10).
@@ -160,7 +158,6 @@ class Vmcs:
             _san.ACTIVE.record(f"vmcs:{self.name}", field_name, "w",
                                "Vmcs.write")
         self._values[field_name] = value
-        self._dirty.add(field_name)
 
     # -- shadowed access (used by a guest hypervisor on its own VMCS) -----
 
@@ -179,17 +176,6 @@ class Vmcs:
         if not fld.shadow_write and self._trap_callback is not None:
             self._trap_callback("VMWRITE", field_name)
         self.write(field_name, value, force=not fld.writable)
-
-    # -- dirty tracking (drives transformation cost accounting) -----------
-
-    def take_dirty(self):
-        dirty = self._dirty
-        self._dirty = set()
-        return dirty
-
-    @property
-    def dirty_fields(self):
-        return frozenset(self._dirty)
 
     # -- exit info plumbing -------------------------------------------------
 
@@ -216,14 +202,13 @@ class Vmcs:
 
     def restore(self, values):
         """Reset the value store to a snapshot (the repair path after
-        detected corruption).  Changed fields are marked dirty so the
-        vmcs12 -> vmcs02 transformation re-syncs them; returns them."""
+        detected corruption); returns the names of the fields that
+        changed."""
         changed = self.diff(values)
         if _san.ACTIVE is not None:
             _san.ACTIVE.record(f"vmcs:{self.name}", "*", "w",
                                "Vmcs.restore")
         self._values = dict(values)
-        self._dirty |= set(changed)
         return changed
 
     def __repr__(self):
@@ -240,11 +225,10 @@ def copy_fields(src, dst, names, convert, convertible):
     of ``convertible`` passes through ``convert`` on the way (an address
     translation).  An active sanitizer sees each field's read and write
     in the same order; if ``convert`` raises, the fields before it are
-    already written and dirty.  Returns the converted names.
+    already written.  Returns the converted names.
     """
     values = src._values
     store = dst._values
-    dirty = dst._dirty
     sanitizer = _san.ACTIVE
     converted = []
     for name in names:
@@ -257,5 +241,4 @@ def copy_fields(src, dst, names, convert, convertible):
         if sanitizer is not None:
             sanitizer.record(f"vmcs:{dst.name}", name, "w", "Vmcs.write")
         store[name] = value
-        dirty.add(name)
     return converted

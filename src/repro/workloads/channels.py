@@ -121,11 +121,8 @@ def cpuid_with_mechanisms(costs=None, iterations=40):
             # time".
             from repro.sim.trace import Category
 
-            deltas = {
-                key: machine.tracer.totals[key] - before.get(key, 0)
-                for key in machine.tracer.totals
-            }
-            per_op = {k: v / iterations for k, v in deltas.items()}
+            per_op = {k: v / iterations
+                      for k, v in machine.tracer.since(before).items()}
             exempt = (per_op.get(Category.L1_HANDLER, 0)
                       + per_op.get(Category.CHANNEL, 0))
             inflatable = ns - exempt

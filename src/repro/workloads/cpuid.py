@@ -83,10 +83,8 @@ def table1_breakdown(costs=None, iterations=50):
     machine.run_program(isa.Program([isa.cpuid()], repeat=1))
     before = machine.tracer.snapshot()
     machine.run_program(isa.Program([isa.cpuid()], repeat=iterations))
-    per_op = {
-        key: (machine.tracer.totals[key] - before.get(key, 0)) / iterations
-        for key in machine.tracer.totals
-    }
+    per_op = {key: ns / iterations
+              for key, ns in machine.tracer.since(before).items()}
     rows = [
         (label, sum(per_op.get(category, 0) for category in categories))
         for label, categories in TABLE1_FOLD

@@ -68,19 +68,14 @@ def test_sw_placement_what_if(recordings):
 
 
 def test_ops_divide_out_split_charges(recordings):
-    # The L0 handler is charged in two pieces per exit and HW SVt logs
-    # zero-ns STALL_RESUME records for VMPTRLD's free field caching;
-    # unit-op derivation must see through both (why repricing is
-    # totals-based, not counts-based).
+    # The L0 handler is charged in two pieces per exit; unit-op
+    # derivation must see through the split (why repricing is
+    # totals-based).
     baseline = replay.reprice(recordings[ExecutionMode.BASELINE],
                               "xeon-paper")
     assert baseline.ops[Category.L0_HANDLER] == 50
-    assert recordings[ExecutionMode.BASELINE].counts[
-        Category.L0_HANDLER] == 100
     hw = replay.reprice(recordings[ExecutionMode.HW_SVT], "xeon-paper")
     assert hw.ops[Category.STALL_RESUME] == 200   # 4 per op
-    assert recordings[ExecutionMode.HW_SVT].counts[
-        Category.STALL_RESUME] > 200              # + zero-ns records
 
 
 def test_inexact_division_raises(recordings):

@@ -102,7 +102,8 @@ def test_engine_validates_nested_context():
     from repro.sim.engine import Simulator
     from repro.sim.trace import Tracer
 
-    sim, tracer = Simulator(), Tracer()
+    sim = Simulator()
+    tracer = Tracer(sim)
     core = SmtCore(sim, CostModel(), tracer, n_contexts=3)
     core.load_svt_fields(0, 1, INVALID_CONTEXT)
     engine = BypassSvtEngine(sim, tracer, CostModel(), core)

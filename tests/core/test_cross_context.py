@@ -12,7 +12,8 @@ from repro.sim.trace import Tracer
 
 @pytest.fixture
 def core():
-    core = SmtCore(Simulator(), CostModel(), Tracer(), n_contexts=3)
+    sim = Simulator()
+    core = SmtCore(sim, CostModel(), Tracer(sim), n_contexts=3)
     core.load_svt_fields(0, 1, 2)
     return core
 

@@ -32,8 +32,8 @@ values = st.integers(0, 2**64 - 1)
 
 
 def _core(visor, vm, nested, is_vm):
-    core = SmtCore(Simulator(), CostModel(), Tracer(),
-                   n_contexts=N_CONTEXTS)
+    sim = Simulator()
+    core = SmtCore(sim, CostModel(), Tracer(sim), n_contexts=N_CONTEXTS)
     core.load_svt_fields(visor, vm, nested)
     core.is_vm = is_vm
     return core

@@ -110,5 +110,5 @@ def test_simulation_is_isolated_between_machines():
     a, b = Machine(), Machine()
     a.run_instruction(isa.cpuid())
     assert b.sim.now == 0
-    assert b.tracer.total() == 0
+    assert not b.tracer.totals
     assert b.l2_vm.vcpu.exits == 0

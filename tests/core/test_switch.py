@@ -5,8 +5,8 @@ import pytest
 from repro.core.channel import PairedChannels
 from repro.core.mode import ExecutionMode
 from repro.core.switch import (
-    BaselineEngine,
     HwSvtEngine,
+    SwitchEngine,
     SwSvtEngine,
     make_engine,
 )
@@ -20,7 +20,8 @@ from repro.virt.vcpu import VCpu
 
 
 def build(mode):
-    sim, tracer, costs = Simulator(), Tracer(), CostModel()
+    sim, costs = Simulator(), CostModel()
+    tracer = Tracer(sim)
     core = SmtCore(sim, costs, tracer, n_contexts=3)
     channels = PairedChannels("t.vcpu0")
     engine = make_engine(mode, sim, tracer, costs, core=core,
@@ -29,7 +30,8 @@ def build(mode):
 
 
 def test_factory_validates():
-    sim, tracer, costs = Simulator(), Tracer(), CostModel()
+    sim, costs = Simulator(), CostModel()
+    tracer = Tracer(sim)
     with pytest.raises(ConfigError):
         make_engine("quantum", sim, tracer, costs)
     with pytest.raises(ConfigError):
@@ -39,7 +41,7 @@ def test_factory_validates():
 
 
 def test_factory_types():
-    assert isinstance(build(ExecutionMode.BASELINE)[0], BaselineEngine)
+    assert type(build(ExecutionMode.BASELINE)[0]) is SwitchEngine
     assert isinstance(build(ExecutionMode.SW_SVT)[0], SwSvtEngine)
     assert isinstance(build(ExecutionMode.HW_SVT)[0], HwSvtEngine)
 
@@ -129,8 +131,6 @@ def test_hw_svt_crossing_is_stall_resume():
     vcpu = VCpu("v", 2)
 
     class FakeVmcs:
-        loaded = False
-
         def read(self, name):
             return {"svt_visor": 0, "svt_vm": 1, "svt_nested": 2}[name]
 

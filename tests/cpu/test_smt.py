@@ -12,7 +12,8 @@ from repro.sim.trace import Category, Tracer
 
 
 def make_core(n_contexts=3):
-    return SmtCore(Simulator(), CostModel(), Tracer(), n_contexts=n_contexts)
+    sim = Simulator()
+    return SmtCore(sim, CostModel(), Tracer(sim), n_contexts=n_contexts)
 
 
 def test_context_zero_starts_running():

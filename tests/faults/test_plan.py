@@ -53,13 +53,6 @@ def test_negative_delay_rejected():
         FaultPlan(delay_ns=-1)
 
 
-def test_with_seed_preserves_rates():
-    plan = FaultPlan(seed=1, rate=0.3)
-    reseeded = plan.with_seed(99)
-    assert reseeded.seed == 99
-    assert reseeded.rate == 0.3
-
-
 def test_to_dict_is_json_ready():
     import json
 

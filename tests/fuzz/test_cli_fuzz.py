@@ -73,7 +73,9 @@ def test_save_failures_writes_replayable_cases(tmp_path, capsys):
 
 
 def test_usage_errors_exit_two(capsys):
-    assert repro_main(["fuzz", "--runs", "0"]) == 2
+    with pytest.raises(SystemExit) as exc:
+        repro_main(["fuzz", "--runs", "0"])      # rejected by the parser
+    assert exc.value.code == 2
     assert repro_main(["fuzz", "--corpus", "/nonexistent-dir"]) == 2
     capsys.readouterr()
 

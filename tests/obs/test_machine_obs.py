@@ -41,13 +41,19 @@ def baseline():
     return machine, observer
 
 
-def test_charge_spans_partition_tracer_totals_exactly(baseline):
+@pytest.mark.parametrize("mode", (ExecutionMode.BASELINE,
+                                  ExecutionMode.SW_SVT,
+                                  ExecutionMode.HW_SVT))
+def test_charge_spans_partition_tracer_totals_exactly(baseline, mode):
     """Summing charge spans per category gives the tracer's totals to
     the nanosecond — the property that makes Table-1-from-trace exact."""
-    machine, observer = baseline
-    totals = charge_totals(observer.spans.finished())
-    for category, ns in machine.tracer.totals.items():
-        assert totals.get(category, 0) == ns
+    if mode == ExecutionMode.BASELINE:
+        machine, observer = baseline
+    else:
+        observer = Observer()
+        machine = _run_cpuid(mode, observer)
+    assert charge_totals(observer.spans.finished()) \
+        == dict(machine.tracer.totals)
 
 
 def test_trace_reproduces_table1_within_one_percent(baseline):
@@ -105,7 +111,6 @@ def test_machine_without_observer_has_no_instrumentation():
     machine = _run_cpuid(ExecutionMode.BASELINE)
     assert machine.obs is None
     assert machine.sim.obs is None
-    assert machine.tracer.observer is None
     assert machine.core.obs is None
     assert machine.interrupts.obs is None
 

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from repro.obs.metrics import (
     Histogram,
     MetricsRegistry,
-    flatten_metrics,
     key_string,
     merge_snapshots,
 )
@@ -139,15 +138,3 @@ def test_merge_is_order_independent(cells):
     backward = merge_snapshots(list(reversed(snapshots)))
     assert json.dumps(forward, sort_keys=True) \
         == json.dumps(backward, sort_keys=True)
-
-
-def test_flatten_metrics_pairs():
-    registry = MetricsRegistry()
-    registry.count("exits_total", 4, reason="CPUID")
-    registry.observe("lat_ns", 10)
-    registry.observe("lat_ns", 30)
-    assert flatten_metrics(registry.snapshot()) == [
-        ("exits_total{reason=CPUID}", 4),
-        ("lat_ns!count", 2),
-        ("lat_ns!sum", 40),
-    ]

@@ -114,8 +114,24 @@ def test_all_without_flags_runs_every_experiment_at_its_defaults(
     ["chaos", "--rates=-0.1"],
     ["chaos", "--rates", "abc"],
     ["bench", "--smoke", "--experiments", "nope"],
+    ["all", "--jobs", "0"],
+    ["all", "--jobs", "-2"],
+    ["fig6", "--jobs", "0"],
+    ["chaos", "--smoke", "--jobs", "0"],
+    ["bench", "--smoke", "--experiments", "table1", "--out", "{tmp}",
+     "--repeats", "0"],
+    ["bench", "--smoke", "--experiments", "table1", "--out", "{tmp}",
+     "--repeats", "-5"],
+    ["bench", "--smoke", "--experiments", "table1", "--out", "{tmp}",
+     "--threshold", "-1"],
+    ["fuzz", "--runs", "0"],
+    ["fuzz", "--ops", "0"],
+    ["fuzz", "--jobs", "0"],
 ], ids=" ".join)
-def test_bad_input_exits_2_with_one_error_line(capsys, argv):
+def test_bad_input_exits_2_with_one_error_line(capsys, tmp_path, argv):
+    # "{tmp}" stands for an output file no failure may leave behind.
+    argv = [str(tmp_path / "out.json") if arg == "{tmp}" else arg
+            for arg in argv]
     with pytest.raises(SystemExit) as exit_info:
         main(argv)
     assert exit_info.value.code == 2
@@ -124,6 +140,29 @@ def test_bad_input_exits_2_with_one_error_line(capsys, argv):
     errors = [line for line in captured.err.splitlines()
               if "error:" in line]
     assert len(errors) == 1, captured.err
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("narrowing", [
+    ["--smoke"],
+    ["--full"],
+    ["--experiments", "fig6"],
+], ids=" ".join)
+def test_partial_bench_run_never_replaces_the_baseline(capsys, monkeypatch,
+                                                        tmp_path, narrowing):
+    from repro.exp import bench
+
+    committed = bench.default_bench_path().read_bytes()
+    baseline = tmp_path / "BENCH_sim.json"
+    baseline.write_bytes(committed)
+    monkeypatch.setattr(bench, "default_bench_path", lambda: baseline)
+    with pytest.raises(SystemExit) as exit_info:
+        main(["bench", *narrowing])
+    assert exit_info.value.code == 2
+    errors = [line for line in capsys.readouterr().err.splitlines()
+              if "error:" in line]
+    assert len(errors) == 1
+    assert baseline.read_bytes() == committed
 
 
 def test_run_writes_trace_and_metrics_into_a_new_directory(capsys,

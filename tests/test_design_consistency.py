@@ -5,9 +5,11 @@ DESIGN.md's per-experiment index and EXPERIMENTS.md must name every
 registered experiment and cite only experiments, ``results/`` files
 and claim tests that exist.  Every backticked repo path and
 ``repro.…`` dotted name in the user-facing docs must exist too;
-nothing rots silently.
+nothing rots silently.  One design rule is checked on the source
+itself: only ``repro.sim`` charges the simulator's clock.
 """
 
+import ast
 import glob
 import importlib
 import re
@@ -89,6 +91,34 @@ def test_paper_anchor_numbers_present_in_design():
 def test_design_declares_paper_match():
     assert "matches" in DESIGN.splitlines()[7].lower() or \
         "matches" in DESIGN[:800].lower()
+
+
+def _last_name(node):
+    """``sim`` for ``sim``, ``self.sim`` or ``self.machine.sim``."""
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    return node.id if isinstance(node, ast.Name) else None
+
+
+def test_only_repro_sim_charges_the_clock():
+    # Everything else charges through Tracer.charge, which books the
+    # same nanoseconds to a category: the clock and the ledger cannot
+    # disagree.
+    offenders = []
+    for path in sorted(SRC.rglob("*.py")):
+        relative = path.relative_to(SRC)
+        if relative.parts[0] == "sim":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if (isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr in ("charge", "advance")
+                    and _last_name(node.func.value) == "sim"):
+                offenders.append(f"src/repro/{relative.as_posix()}:"
+                                 f"{node.lineno}")
+    assert not offenders, (
+        "charge time via tracer.charge(ns, category), not the "
+        "simulator: " + ", ".join(offenders))
 
 
 #: Documents whose backticked citations must resolve.  ROADMAP.md is

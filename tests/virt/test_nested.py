@@ -43,10 +43,7 @@ def test_boot_virtualizes_svt_context_indexes(machine):
 def test_cpuid_exit_walks_full_reflection(machine):
     before = machine.tracer.snapshot()
     machine.run_instruction(isa.cpuid(leaf=2))
-    delta = {
-        key: machine.tracer.totals[key] - before.get(key, 0)
-        for key in machine.tracer.totals
-    }
+    delta = machine.tracer.since(before)
     costs = machine.costs
     assert delta[Category.SWITCH_L2_L0] == costs.switch_l2_l0
     assert delta[Category.SWITCH_L0_L1] == costs.switch_l0_l1

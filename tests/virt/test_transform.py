@@ -8,7 +8,6 @@ from repro.virt.ept import EptTable
 from repro.virt.exits import ExitInfo, ExitReason
 from repro.virt.transform import (
     L0Policy,
-    sync_shadow_to_vmcs12,
     transform_02_to_12,
     transform_12_to_02,
 )
@@ -105,34 +104,6 @@ def test_roundtrip_preserves_l1_visible_guest_state(ept01):
     after = {name: vmcs12.read(name)
              for name in ("guest_rip", "guest_cr3", "guest_rsp")}
     assert before == after
-
-
-def test_sync_shadow_copies_dirty_fields():
-    vmcs01p, vmcs12 = Vmcs("vmcs01'"), Vmcs("vmcs12")
-    vmcs01p.write("guest_rip", 7)
-    vmcs01p.write("exception_bitmap", 0xFF)
-    vmcs01p.take_dirty()
-    vmcs01p.write("guest_rip", 9)   # only this one dirty now
-    synced = sync_shadow_to_vmcs12(vmcs01p, vmcs12)
-    assert synced == ["guest_rip"]
-    assert vmcs12.read("guest_rip") == 9
-    assert vmcs12.read("exception_bitmap") == 0
-
-
-def test_sync_shadow_explicit_fields():
-    vmcs01p, vmcs12 = Vmcs("vmcs01'"), Vmcs("vmcs12")
-    vmcs01p.write("exception_bitmap", 0xFF)
-    sync_shadow_to_vmcs12(vmcs01p, vmcs12, fields=["exception_bitmap"])
-    assert vmcs12.read("exception_bitmap") == 0xFF
-
-
-def test_sync_shadow_carries_trap_configuration():
-    vmcs01p, vmcs12 = Vmcs("vmcs01'"), Vmcs("vmcs12")
-    vmcs01p.trapped_msrs.add(0x6E0)
-    vmcs01p.force_tsc_exit = True
-    sync_shadow_to_vmcs12(vmcs01p, vmcs12)
-    assert 0x6E0 in vmcs12.trapped_msrs
-    assert vmcs12.force_tsc_exit
 
 
 class RecordingSanitizer:
@@ -263,8 +234,8 @@ WRITTEN_BEFORE_EPT_POINTER = {
 
 def test_translate_failure_leaves_earlier_fields_written(ept01, recorder):
     # ept_pointer lies outside ept01: every field before it is already
-    # in vmcs02 and dirty; it, the fields after it and host_rip are not,
-    # and the sanitizer saw ept_pointer read but not written.
+    # in vmcs02; it, the fields after it and host_rip are not, and the
+    # sanitizer saw ept_pointer read but not written.
     vmcs12, vmcs02 = make_vmcs12(), Vmcs("vmcs02")
     vmcs12.write("ept_pointer", 0x2000000)
     recorder.accesses.clear()
@@ -275,16 +246,7 @@ def test_translate_failure_leaves_earlier_fields_written(ept01, recorder):
     assert recorder.accesses[-1] == (
         "vmcs:vmcs12", "ept_pointer", "r", "Vmcs.read")
     assert set(vmcs02.snapshot()) == WRITTEN_BEFORE_EPT_POINTER
-    assert vmcs02.dirty_fields == WRITTEN_BEFORE_EPT_POINTER
     assert vmcs02.read("msr_bitmap_addr") == 0x40003000
-
-
-WRITTEN_BEFORE_GPA = {
-    "guest_rip", "guest_rsp", "guest_rflags", "guest_cr0", "guest_cr3",
-    "guest_cr4", "guest_efer", "guest_activity_state",
-    "guest_interruptibility", "exit_reason", "exit_qualification",
-    "guest_linear_address",
-}
 
 
 def test_inverse_failure_leaves_earlier_fields_written(ept01, recorder):
@@ -293,14 +255,12 @@ def test_inverse_failure_leaves_earlier_fields_written(ept01, recorder):
     vmcs02.record_exit(ExitInfo(ExitReason.CPUID, {"leaf": 1},
                                 guest_rip=0x1002))
     vmcs02.write("guest_physical_address", 0x90000000, force=True)
-    vmcs12.take_dirty()
     recorder.accesses.clear()
     with pytest.raises(EptFault):
         transform_02_to_12(vmcs02, vmcs12, ept01)
     assert recorder.accesses == SEQUENCE_02_TO_12[:25]
     assert recorder.accesses[-1] == (
         "vmcs:vmcs02", "guest_physical_address", "r", "Vmcs.read")
-    assert vmcs12.dirty_fields == WRITTEN_BEFORE_GPA
     assert vmcs12.read("guest_rip") == 0x1002
     assert vmcs12.read("exit_reason") == ExitReason.CPUID
     assert "guest_physical_address" not in vmcs12.snapshot()

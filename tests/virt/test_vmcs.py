@@ -62,16 +62,6 @@ def test_guest_access_without_callback_is_silent():
     assert vmcs.read("ept_pointer") == 1
 
 
-def test_dirty_tracking():
-    vmcs = Vmcs("t")
-    vmcs.write("guest_rip", 1)
-    vmcs.write("guest_rsp", 2)
-    assert vmcs.dirty_fields == {"guest_rip", "guest_rsp"}
-    taken = vmcs.take_dirty()
-    assert taken == {"guest_rip", "guest_rsp"}
-    assert vmcs.dirty_fields == frozenset()
-
-
 def test_record_exit_populates_exit_area():
     vmcs = Vmcs("t")
     info = ExitInfo(ExitReason.CPUID, {"leaf": 3}, guest_rip=0x44,
