@@ -7,11 +7,10 @@ export PYTHONPATH := src
 test:
 	$(PYTHON) -m pytest -x -q
 
-# Fast end-to-end pass: every registered experiment with smoke
-# parameters, serial vs parallel, writing results/runtime_smoke.json —
-# then the full parallel run against the cache.
+# Fast end-to-end pass: every registered experiment, fanned out over
+# four processes, served from the result cache when nothing changed
+# (`make bench` times them).
 smoke:
-	$(PYTHON) -m repro smoke
 	$(PYTHON) -m repro all --json --jobs 4 > /dev/null
 
 # Wall-clock perf harness (docs/performance.md): times every registered

@@ -12,11 +12,12 @@ Usage::
 
 from repro import ExecutionMode, Machine
 from repro.analysis.breakdown import exit_reason_profile
-from repro.analysis.report import format_table
+from repro.analysis.report import render_result
 from repro.cpu import isa
+from repro.exp import registry
+from repro.exp.registry import RunContext
 from repro.io.block import BlkRequest, install_block
 from repro.io.net import Packet, install_network
-from repro.workloads import disk, netperf
 
 
 def anatomy_of_one_round_trip():
@@ -41,52 +42,10 @@ def anatomy_of_one_round_trip():
 
 
 def figure7_rows():
-    modes = ExecutionMode.ALL
-    rows = []
-
-    lat = {m: netperf.run_latency(m, operations=12) for m in modes}
-    base = lat[ExecutionMode.BASELINE]
-    rows.append(("Network latency (us)", f"{base:.0f}",
-                 f"{base / lat[ExecutionMode.SW_SVT]:.2f}x",
-                 f"{base / lat[ExecutionMode.HW_SVT]:.2f}x",
-                 "163 / 1.10x / 2.38x"))
-
-    bw = {m: netperf.run_bandwidth(m) for m in modes}
-    base = bw[ExecutionMode.BASELINE]
-    rows.append(("Network bandwidth (Mbps)", f"{base:.0f}",
-                 f"{bw[ExecutionMode.SW_SVT] / base:.2f}x",
-                 f"{bw[ExecutionMode.HW_SVT] / base:.2f}x",
-                 "9387 / 1.00x / 1.12x"))
-
-    for write, label, paper in (
-        (False, "Disk randrd latency (us)", "126 / 1.30x / 2.18x"),
-        (True, "Disk randwr latency (us)", "179 / 1.05x / 2.26x"),
-    ):
-        values = {m: disk.run_latency(m, write=write, operations=10)
-                  for m in modes}
-        base = values[ExecutionMode.BASELINE]
-        rows.append((label, f"{base:.0f}",
-                     f"{base / values[ExecutionMode.SW_SVT]:.2f}x",
-                     f"{base / values[ExecutionMode.HW_SVT]:.2f}x",
-                     paper))
-
-    for write, label, paper in (
-        (False, "Disk randrd bandwidth (KB/s)", "87136 / 1.55x / 2.31x"),
-        (True, "Disk randwr bandwidth (KB/s)", "55769 / 1.18x / 2.60x"),
-    ):
-        values = {m: disk.run_bandwidth(m, write=write) for m in modes}
-        base = values[ExecutionMode.BASELINE]
-        rows.append((label, f"{base:.0f}",
-                     f"{values[ExecutionMode.SW_SVT] / base:.2f}x",
-                     f"{values[ExecutionMode.HW_SVT] / base:.2f}x",
-                     paper))
-
-    print(format_table(
-        ["Metric", "Baseline", "SW SVt", "HW SVt",
-         "Paper (base / SW / HW)"],
-        rows,
-        title="Figure 7: I/O subsystem speedups",
-    ))
+    """The registered Figure-7 experiment, with the paper's row beside
+    each measured one."""
+    fig7 = registry.get("fig7")
+    print(render_result(fig7.run(RunContext.create(fig7.resolve()))))
 
 
 def one_disk_request():

@@ -11,8 +11,10 @@ Usage::
 """
 
 from repro import ExecutionMode, Machine
-from repro.analysis.report import format_table
+from repro.analysis.report import format_table, render_result
 from repro.cpu import isa
+from repro.exp import claims, registry
+from repro.exp.registry import RunContext
 from repro.workloads import cpuid
 
 
@@ -23,21 +25,9 @@ def main():
     print(f"HW SVt nested cpuid: {result.ns_per_instruction / 1000:.2f} us "
           f"({result.exits} exits for {result.instructions} instructions)\n")
 
-    # --- Figure 6 ----------------------------------------------------------
-    bars = cpuid.figure6(iterations=50)
-    print(format_table(
-        ["System", "cpuid (us)", "Speedup vs L2", "Overhead vs L0"],
-        [
-            (label,
-             f"{us:.2f}",
-             f"{bars['L2'] / us:.2f}x" if label in ("SW SVt", "HW SVt")
-             else "",
-             f"{us / bars['L0']:.0f}x")
-            for label, us in bars.items()
-        ],
-        title="Figure 6: cpuid execution time across virtualization "
-              "levels",
-    ))
+    # --- Figure 6: the registered experiment --------------------------
+    fig6 = registry.get("fig6")
+    print(render_result(fig6.run(RunContext.create(fig6.resolve()))))
     print()
 
     # --- Table 1 -----------------------------------------------------------
@@ -45,7 +35,9 @@ def main():
     print(format_table(
         ["Part", "Time (us)", "Perc. (%)"],
         [(label, f"{us:.2f}", f"{pct:.2f}") for label, us, pct in rows],
-        title="Table 1: where a nested cpuid's 10.40 us go (baseline)",
+        title="Table 1: where a nested cpuid's "
+              f"{claims.paper_value('table1', 'total_us'):.2f} us go "
+              "(baseline)",
     ))
     total = sum(us for _, us, _ in rows)
     print(f"Total: {total:.2f} us — {100 * (1 - 2.81 / total):.0f}% is "

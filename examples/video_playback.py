@@ -11,7 +11,10 @@ Usage::
     python examples/video_playback.py
 """
 
+from repro.analysis.report import render_result
 from repro.core.mode import ExecutionMode
+from repro.exp import claims, registry
+from repro.exp.registry import RunContext
 from repro.workloads import video
 
 
@@ -23,21 +26,16 @@ def main():
     print(f"  SW SVt:   {svt_burst:7.0f} us "
           f"({base_burst / svt_burst:.2f}x shorter)\n")
 
-    grid = video.figure10(seed=7)
-    print("Dropped frames over 5 minutes (paper values in parentheses):")
-    print(f"{'rate':>8s} {'baseline':>14s} {'SVt':>14s}")
-    for fps in (24, 60, 120):
-        base = grid[fps][ExecutionMode.BASELINE]
-        svt = grid[fps][ExecutionMode.SW_SVT]
-        paper = video.PAPER[fps]
-        print(f"{fps:>5d}fps {base.dropped:>6d} ({paper['baseline']:>2d})"
-              f"      {svt.dropped:>6d} ({paper['svt']:>2d})")
-
-    base120 = grid[120][ExecutionMode.BASELINE].dropped
-    svt120 = grid[120][ExecutionMode.SW_SVT].dropped
+    fig10 = registry.get("fig10")
+    result = fig10.run(RunContext.create(fig10.resolve()))
+    print(render_result(result))
+    dropped = result.scalars_dict
+    base120 = dropped["dropped_120_baseline"]
+    svt120 = dropped["dropped_120_svt"]
     if base120:
+        ratio = claims.paper_value("fig10", "drop_ratio_120")
         print(f"\nAt 120 FPS SVt cuts drops to {svt120 / base120:.2f}x "
-              "(paper: 0.65x) — the per-frame slack is only "
+              f"(paper: {ratio:.2f}x) — the per-frame slack is only "
               f"{1e6 / 120 * video.VideoConfig().slack_fraction:.0f} us.")
 
 

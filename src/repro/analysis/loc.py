@@ -1,23 +1,17 @@
 """Prototype-footprint audit (paper Table 3).
 
-The paper's Table 3 counts the lines its SW SVt prototype added to QEMU
-(+654/-10), Linux/KVM (+2432/-51) and other kernel code (+227/-2).  The
-equivalent audit here counts the modules of this repository that play
-each codebase's role, for a scale comparison.
+The paper's Table 3 counts the lines its SW SVt prototype added to and
+removed from QEMU, Linux/KVM and other kernel code
+(:mod:`repro.exp.claims` holds the counts).  The equivalent audit here
+counts the modules of this repository that play each codebase's role,
+for a scale comparison.
 """
 
 from pathlib import Path
 
 import repro
 
-#: Paper Table 3: codebase -> (lines added, lines removed).
-PAPER = {
-    "QEMU": (654, 10),
-    "Linux / KVM": (2432, 51),
-    "Linux / other": (227, 2),
-}
-
-#: Our modules playing each codebase's role.
+#: Our modules playing each codebase's role (the paper's rows, in order).
 EQUIVALENTS = {
     # ivshmem command rings + device plumbing lived in QEMU.
     "QEMU": ("core/channel.py", "io/device.py"),

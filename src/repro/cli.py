@@ -13,7 +13,6 @@ set — nothing can be silently dropped.
     python -m repro fig7 --json       # structured result on stdout
     python -m repro all --jobs 4      # everything, fanned out over 4 procs
     python -m repro all --json --jobs 4 --no-cache
-    python -m repro smoke             # runtime baseline -> results/
     python -m repro lint              # svtlint invariant checker
     python -m repro run cpuid --mode baseline --trace out.json
     python -m repro run cpuid --profile        # cProfile a single cell
@@ -34,14 +33,13 @@ from pathlib import Path
 
 from repro.cpu import costmodels
 from repro.exp import registry, runner
-from repro.exp.cache import ResultCache, default_cache_dir
+from repro.exp.cache import ResultCache
 from repro.exp.result import canonical_json
 
 
 def positive_int(text):
-    """argparse type for counts (``--iterations``, ``--depth``,
-    ``--jobs``, ``--repeats``, fuzz's ``--runs``/``--ops``): an
-    int >= 1."""
+    """argparse type for every count flag (``--iterations``,
+    ``--jobs``, ``--requests``, ...): an int >= 1."""
     try:
         value = int(text)
     except ValueError:
@@ -94,11 +92,10 @@ def build_parser():
     )
     parser.add_argument("experiment",
                         choices=registry.names() + ["all", "list",
-                                                    "smoke", "lint"],
+                                                    "lint"],
                         help="which table/figure to regenerate, 'all' "
                              "for every registered experiment, 'list' "
-                             "to enumerate them, 'smoke' for a fast "
-                             "runtime baseline, 'lint' for the svtlint "
+                             "to enumerate them, 'lint' for the svtlint "
                              "invariant checker")
     parser.add_argument("--seed", type=int, default=None,
                         help="workload RNG seed (default: "
@@ -125,9 +122,6 @@ def build_parser():
     parser.add_argument("--cache-dir", type=Path, default=None,
                         help="result cache location (default "
                              "results/cache/)")
-    parser.add_argument("--out", type=Path, default=None,
-                        help="for 'smoke': output path (default "
-                             "results/runtime_smoke.json)")
     parser.add_argument("--metrics", type=Path, default=None,
                         metavar="PATH",
                         help="capture per-cell observability metrics and "
@@ -146,18 +140,6 @@ def _cmd_list():
     ]
     print(format_table(["Name", "Title", "Description"], rows,
                        title="Registered experiments"))
-    return 0
-
-
-def _cmd_smoke(args):
-    doc = runner.runtime_smoke(jobs=args.jobs if args.jobs > 1 else 4)
-    out = args.out or default_cache_dir().parent / "runtime_smoke.json"
-    out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(canonical_json(doc))
-    totals = doc["totals"]
-    print(f"runtime smoke: serial {totals['serial_wall_s']:.2f}s, "
-          f"--jobs {doc['jobs']} {totals['parallel_wall_s']:.2f}s "
-          f"({totals['speedup']:.2f}x) -> {out}")
     return 0
 
 
@@ -205,7 +187,7 @@ def _cmd_run(argv):
                         help="run the cell under cProfile and print the "
                              "top cumulative-time functions (perf PRs "
                              "start from this data)")
-    parser.add_argument("--profile-top", type=int, default=20,
+    parser.add_argument("--profile-top", type=positive_int, default=20,
                         metavar="N",
                         help="rows of the cProfile report (default 20)")
     parser.add_argument("--profile-out", type=Path, default=None,
@@ -526,8 +508,6 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     if args.experiment == "list":
         return _cmd_list()
-    if args.experiment == "smoke":
-        return _cmd_smoke(args)
 
     names = (registry.names() if args.experiment == "all"
              else [args.experiment])

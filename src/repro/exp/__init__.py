@@ -19,7 +19,7 @@ from repro.exp.cache import ResultCache, code_fingerprint, \
 from repro.exp.registry import Experiment, RunContext, get, names, \
     register
 from repro.exp.result import Result, Row, Series, Table
-from repro.exp.runner import RunReport, run_experiments, runtime_smoke
+from repro.exp.runner import RunReport, run_experiments
 
 __all__ = [
     "Experiment",
@@ -36,5 +36,4 @@ __all__ = [
     "names",
     "register",
     "run_experiments",
-    "runtime_smoke",
 ]

@@ -68,18 +68,6 @@ def default_bench_path() -> Path:
     return Path(repro.__file__).resolve().parents[2] / "BENCH_sim.json"
 
 
-def _resolve_params(experiment: registry.Experiment, smoke: bool,
-                    overrides: Optional[Mapping[str, Any]],
-                    ) -> dict[str, Any]:
-    params = experiment.all_defaults()
-    if smoke:
-        params.update(experiment.smoke)
-    for key, value in (overrides or {}).items():
-        if key in params and value is not None:
-            params[key] = value
-    return params
-
-
 def _time_cells(experiment: registry.Experiment,
                 params: Mapping[str, Any], repeats: int,
                 ) -> dict[str, Any]:
@@ -144,7 +132,7 @@ def bench_section(names: Iterable[str], smoke: bool, repeats: int = 3,
     experiments: dict[str, Any] = {}
     for name in sorted(dict.fromkeys(names)):
         experiment = registry.get(name)
-        params = _resolve_params(experiment, smoke, overrides)
+        params = experiment.resolve(overrides, smoke=smoke)
         experiments[name] = _time_cells(experiment, params, repeats)
     total = sum(entry["wall_s"] for entry in experiments.values())
     return {"experiments": experiments,

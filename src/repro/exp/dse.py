@@ -30,6 +30,7 @@ import sys
 from pathlib import Path
 from typing import Any, Mapping, Optional, Sequence
 
+from repro.cli import positive_int
 from repro.core.mode import ExecutionMode
 from repro.cpu import costmodels
 from repro.errors import ConfigError
@@ -295,32 +296,28 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("--smoke", action="store_true",
                         help="tiny grid for CI (two models, axis "
                              "extremes only)")
-    parser.add_argument("--iterations", type=int, default=50,
+    parser.add_argument("--iterations", type=positive_int, default=None,
                         help="recorded cpuid iterations per mode "
                              "(default 50)")
     parser.add_argument("--out", type=Path, default=None,
                         help="artifact path (default "
                              "results/dse_frontier.json; '-' skips "
-                             "writing)")
+                             "writing; required when --smoke, --models "
+                             "or --iterations narrows the run)")
     parser.add_argument("--json", action="store_true",
                         help="print the canonical JSON document to "
                              "stdout instead of the summary")
     args = parser.parse_args(argv)
-
-    if args.smoke:
-        doc = build_document(
-            models=list(args.models or SMOKE["models"]),
-            scale_tenths=SMOKE["scale_tenths"],
-            mwait_wake=SMOKE["mwait_wake"],
-            stall_resume=SMOKE["stall_resume"],
-            placements=SMOKE["placements"],
-            iterations=args.iterations,
-        )
-    else:
-        doc = build_document(
-            models=list(args.models or costmodels.model_names()),
-            iterations=args.iterations,
-        )
+    grid: dict[str, Any] = dict(SMOKE) if args.smoke else {}
+    if args.iterations is not None:
+        grid["iterations"] = args.iterations
+    if (grid or args.models) and args.out is None:
+        # A narrowed sweep must never replace the committed frontier.
+        parser.error("a narrowed run (--smoke, --models or --iterations) "
+                     "needs --out")
+    grid["models"] = list(args.models or grid.get("models")
+                          or costmodels.model_names())
+    doc = build_document(**grid)
     validate_document(doc)
 
     out = default_out_path() if args.out is None else args.out

@@ -18,6 +18,7 @@ from repro.core.system import Machine
 from repro.cpu import isa
 from repro.cpu.costmodels import default_model
 from repro.cpu.costs import CostModel
+from repro.exp import claims
 from repro.exp.registry import Experiment, register
 from repro.exp.result import Result, Row, Table
 from repro.sim.trace import Category
@@ -25,7 +26,8 @@ from repro.sim.trace import Category
 # -- shared drivers -------------------------------------------------------
 
 #: Table-1 parts 3/5 totals (ns): the pool the lazy share is carved from.
-_PART3_NS, _PART5_NS = 4890, 1960
+_PART3_NS, _PART5_NS = (round(claims.paper_value("table1", key) * 1000)
+                        for key in ("l0_handler_us", "l1_handler_us"))
 
 
 def with_lazy_fraction(fraction: float) -> CostModel:
@@ -171,12 +173,14 @@ class AblationLazySplit(Experiment):
 
     def merge(self, params: dict[str, Any],
               payloads: dict[str, Any]) -> Result:
+        paper = claims.paper(self.name)
         return Result.create(
             experiment=self.name,
             params=params,
             tables=[Table(
-                title="Ablation A: HW SVt speedup vs lazy share "
-                      "(paper 1.94x pins the calibrated 0.423)",
+                title="Ablation A: HW SVt speedup vs lazy share (paper "
+                      f"{paper['hw_speedup_at_0.423']:.2f}x pins the "
+                      "calibrated 0.423)",
                 columns=("lazy share of parts 3+5", "baseline (us)",
                          "HW SVt speedup"),
                 rows=[
@@ -190,7 +194,7 @@ class AblationLazySplit(Experiment):
                 f"hw_speedup_at_{cell}": payloads[cell]["hw_speedup"]
                 for cell in self.cells(params)
             },
-            paper={"hw_speedup_at_0.423": 1.94},
+            paper=paper,
         )
 
 
@@ -282,7 +286,7 @@ class AblationWait(Experiment):
                 cell.replace(":", "_") + "_us": payloads[cell]
                 for cell in self.cells(params)
             },
-            paper={"smt_mwait_us": 8.46},
+            paper=claims.paper(self.name),
         )
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 from typing import Any
 
 from repro.core.mode import ExecutionMode
+from repro.exp import claims
 from repro.exp.registry import Experiment, register
 from repro.exp.result import Result, Row, Series, Table
 
@@ -41,14 +42,8 @@ class Fig6Cpuid(Experiment):
     def run_cell(self, cell: str, params: dict[str, Any]) -> Any:
         from repro.workloads import cpuid
 
-        spec = dict(self.BARS)[cell]
-        if "level" in spec:
-            result = cpuid.run(level=spec["level"],
-                               iterations=params["iterations"])
-        else:
-            result = cpuid.run(spec["mode"],
-                               iterations=params["iterations"])
-        return result.us_per_op
+        return cpuid.run(iterations=params["iterations"],
+                         **dict(self.BARS)[cell]).us_per_op
 
     def merge(self, params: dict[str, Any],
               payloads: dict[str, Any]) -> Result:
@@ -63,51 +58,37 @@ class Fig6Cpuid(Experiment):
             "hw_speedup": l2 / payloads["HW SVt"],
             "nested_overhead_vs_l0": l2 / payloads["L0"],
         }
+        paper = claims.paper(self.name)
         return Result.create(
             experiment=self.name,
             params=params,
             tables=[Table(
-                title="Figure 6: cpuid execution time "
-                      "(paper: SW 1.23x, HW 1.94x)",
+                title="Figure 6: cpuid execution time (paper: SW "
+                      f"{paper['sw_speedup']:.2f}x, HW "
+                      f"{paper['hw_speedup']:.2f}x)",
                 columns=("System", "Time (us)"),
-                rows=[Row(label, (round(payloads[label], 2),))
-                      for label, _ in self.BARS],
+                rows=[Row(label, (round(us, 2),))
+                      for label, us in payloads.items()],
                 kind="bars",
                 unit=" us",
             )],
             scalars=scalars,
-            paper={"l2_us": 10.40, "sw_speedup": 1.23,
-                   "hw_speedup": 1.94, "l0_us": 0.05},
+            paper=paper,
         )
 
 
-#: Figure 7 metric table: key -> (label, runner kwargs, higher-is-better,
-#: paper (base, sw, hw)).
+#: Figure 7 metric table: key -> (label, runner kwargs, higher-is-better).
 FIG7_METRICS = {
-    "net_latency": (
-        "Network latency (us)", "net_latency", False,
-        (163.0, 1.10, 2.38),
-    ),
-    "net_bandwidth": (
-        "Network bandwidth (Mbps)", "net_bandwidth", True,
-        (9387.0, 1.00, 1.12),
-    ),
+    "net_latency": ("Network latency (us)", "net_latency", False),
+    "net_bandwidth": ("Network bandwidth (Mbps)", "net_bandwidth", True),
     "disk_randrd_latency": (
-        "Disk randrd latency (us)", "disk_rd_latency", False,
-        (126.0, 1.30, 2.18),
-    ),
+        "Disk randrd latency (us)", "disk_rd_latency", False),
     "disk_randwr_latency": (
-        "Disk randwr latency (us)", "disk_wr_latency", False,
-        (179.0, 1.05, 2.26),
-    ),
+        "Disk randwr latency (us)", "disk_wr_latency", False),
     "disk_randrd_bandwidth": (
-        "Disk randrd bandwidth (KB/s)", "disk_rd_bandwidth", True,
-        (87_136.0, 1.55, 2.31),
-    ),
+        "Disk randrd bandwidth (KB/s)", "disk_rd_bandwidth", True),
     "disk_randwr_bandwidth": (
-        "Disk randwr bandwidth (KB/s)", "disk_wr_bandwidth", True,
-        (55_769.0, 1.18, 2.60),
-    ),
+        "Disk randwr bandwidth (KB/s)", "disk_wr_bandwidth", True),
 }
 
 
@@ -152,9 +133,8 @@ class Fig7Subsystems(Experiment):
               payloads: dict[str, Any]) -> Result:
         rows: list[Row] = []
         scalars: dict[str, Any] = {}
-        paper: dict[str, Any] = {}
-        for metric, (label, _kind, higher,
-                     paper_vals) in FIG7_METRICS.items():
+        paper = claims.paper(self.name)
+        for metric, (label, _kind, higher) in FIG7_METRICS.items():
             base = payloads[f"{metric}:{ExecutionMode.BASELINE}"]
             sw_value = payloads[f"{metric}:{ExecutionMode.SW_SVT}"]
             hw_value = payloads[f"{metric}:{ExecutionMode.HW_SVT}"]
@@ -162,18 +142,16 @@ class Fig7Subsystems(Experiment):
                 sw, hw = sw_value / base, hw_value / base
             else:
                 sw, hw = base / sw_value, base / hw_value
-            paper_base, paper_sw, paper_hw = paper_vals
             rows.append(Row(
                 label,
                 (f"{base:.0f}", f"{sw:.2f}x", f"{hw:.2f}x"),
-                paper=f"{paper_base:g} / {paper_sw:.2f} / {paper_hw:.2f}",
+                paper=f"{paper[f'{metric}_base']:g} / "
+                      f"{paper[f'{metric}_sw_speedup']:.2f} / "
+                      f"{paper[f'{metric}_hw_speedup']:.2f}",
             ))
             scalars[f"{metric}_base"] = base
             scalars[f"{metric}_sw_speedup"] = sw
             scalars[f"{metric}_hw_speedup"] = hw
-            paper[f"{metric}_base"] = paper_base
-            paper[f"{metric}_sw_speedup"] = paper_sw
-            paper[f"{metric}_hw_speedup"] = paper_hw
         return Result.create(
             experiment=self.name,
             params=params,
@@ -197,8 +175,6 @@ class Fig8Memcached(Experiment):
     defaults = {"seed": 7, "requests": 30_000}
     smoke = {"requests": 5_000}
 
-    SLA_US = 500.0
-
     def cells(self, params: dict[str, Any]) -> tuple[str, ...]:
         return _SVT_MODES
 
@@ -216,28 +192,19 @@ class Fig8Memcached(Experiment):
 
     def merge(self, params: dict[str, Any],
               payloads: dict[str, Any]) -> Result:
+        from repro.workloads import memcached
+
         base = payloads[ExecutionMode.BASELINE]
         svt = payloads[ExecutionMode.SW_SVT]
-        p99_ratios = [
-            bp[2] / sp[2]
-            for bp, sp in zip(base["points"], svt["points"])
-            if bp[2] <= self.SLA_US
-        ]
-        p99 = max(p99_ratios) if p99_ratios else 0.0
-        avg = (base["points"][0][1] / svt["points"][0][1]
-               if base["points"] and svt["points"] else 0.0)
-
-        def max_in_sla(points: list[Any]) -> float:
-            ok = [kqps for kqps, _avg, p99_us in points
-                  if p99_us <= self.SLA_US]
-            return max(ok) if ok else 0.0
-
+        p99, avg = memcached.headline_improvements(base["points"],
+                                                   svt["points"])
+        paper = claims.paper(self.name)
         return Result.create(
             experiment=self.name,
             params=params,
             tables=[Table(
                 title="Figure 8: memcached latency (us) vs load, "
-                      "SLA 500 us",
+                      f"SLA {memcached.SLA_US:.0f} us",
                 columns=("kQPS", "base avg", "base p99", "SVt avg",
                          "SVt p99"),
                 rows=[
@@ -256,16 +223,18 @@ class Fig8Memcached(Experiment):
             scalars={
                 "p99_improvement": p99,
                 "avg_improvement": avg,
-                "base_max_kqps_in_sla": max_in_sla(base["points"]),
-                "svt_max_kqps_in_sla": max_in_sla(svt["points"]),
+                "base_max_kqps_in_sla":
+                    memcached.max_load_within_sla(base["points"]),
+                "svt_max_kqps_in_sla":
+                    memcached.max_load_within_sla(svt["points"]),
                 "base_service_get_us": base["service_get_us"],
                 "svt_service_get_us": svt["service_get_us"],
             },
-            paper={"p99_improvement": 2.20, "avg_improvement": 1.43,
-                   "sla_us": self.SLA_US},
+            paper=paper,
             notes=(
-                f"p99 within SLA: {p99:.2f}x (paper 2.20x); "
-                f"avg: {avg:.2f}x (paper 1.43x)",
+                f"p99 within SLA: {p99:.2f}x (paper "
+                f"{paper['p99_improvement']:.2f}x); avg: {avg:.2f}x "
+                f"(paper {paper['avg_improvement']:.2f}x)",
             ),
             meta={
                 "plot_title": "p99 latency vs offered load "
@@ -300,11 +269,14 @@ class Fig9Tpcc(Experiment):
               payloads: dict[str, Any]) -> Result:
         base = payloads[ExecutionMode.BASELINE]["ktpm"]
         svt = payloads[ExecutionMode.SW_SVT]["ktpm"]
+        paper = claims.paper(self.name)
         return Result.create(
             experiment=self.name,
             params=params,
             tables=[Table(
-                title="Figure 9: TPC-C (paper: 6.37 ktpm, 1.18x)",
+                title=f"Figure 9: TPC-C (paper: "
+                      f"{paper['baseline_ktpm']:.2f} ktpm, "
+                      f"{paper['speedup']:.2f}x)",
                 columns=("System", "ktpm", "Speedup"),
                 rows=[
                     Row("Baseline", (f"{base:.2f}", "1.00x")),
@@ -313,7 +285,7 @@ class Fig9Tpcc(Experiment):
             )],
             scalars={"baseline_ktpm": base, "svt_ktpm": svt,
                      "speedup": svt / base},
-            paper={"baseline_ktpm": 6.37, "speedup": 1.18},
+            paper=paper,
         )
 
 
@@ -342,18 +314,17 @@ class Fig10Video(Experiment):
 
     def merge(self, params: dict[str, Any],
               payloads: dict[str, Any]) -> Result:
-        from repro.workloads import video
-
         rows: list[Row] = []
         scalars: dict[str, Any] = {}
+        paper = claims.paper(self.name)
         for fps in self.FPS:
             base = payloads[f"{fps}:{ExecutionMode.BASELINE}"]
             svt = payloads[f"{fps}:{ExecutionMode.SW_SVT}"]
             rows.append(Row(
                 f"{fps} FPS",
                 (str(base["dropped"]), str(svt["dropped"])),
-                paper=f"{video.PAPER[fps]['baseline']}"
-                      f"/{video.PAPER[fps]['svt']}",
+                paper=f"{paper[f'dropped_{fps}_baseline']}"
+                      f"/{paper[f'dropped_{fps}_svt']}",
             ))
             scalars[f"dropped_{fps}_baseline"] = base["dropped"]
             scalars[f"dropped_{fps}_svt"] = svt["dropped"]
@@ -366,9 +337,5 @@ class Fig10Video(Experiment):
                 rows=rows,
             )],
             scalars=scalars,
-            paper={
-                f"dropped_{fps}_{system}": video.PAPER[fps][system]
-                for fps in self.FPS
-                for system in ("baseline", "svt")
-            },
+            paper=paper,
         )

@@ -10,6 +10,7 @@ from __future__ import annotations
 from typing import Any
 
 from repro.core.mode import ExecutionMode
+from repro.exp import claims
 from repro.exp.registry import Experiment, register
 from repro.exp.result import Result, Row, Table
 
@@ -70,7 +71,7 @@ class Sec61Channels(Experiment):
                 ),
             ],
             scalars=scalars,
-            paper={"mwait_speedup": 1.23},
+            paper=claims.paper(self.name),
         )
 
 
@@ -109,6 +110,7 @@ class Sec62VmcsShare(Experiment):
     def merge(self, params: dict[str, Any],
               payloads: dict[str, Any]) -> Result:
         share = payloads["all"]
+        paper = claims.paper(self.name)
         return Result.create(
             experiment=self.name,
             params=params,
@@ -117,10 +119,11 @@ class Sec62VmcsShare(Experiment):
                       f"{self.ROUND_TRIPS} netperf round trips",
                 columns=("Quantity", "Measured"),
                 rows=[Row("L0 time in L1-VMCS-access handlers",
-                          (f"{share * 100:.1f}%",), paper="~4%")],
+                          (f"{share * 100:.1f}%",),
+                          paper=f"~{paper['vmcs_access_share']:.0%}")],
             )],
             scalars={"vmcs_access_share": share},
-            paper={"vmcs_access_share": 0.04},
+            paper=paper,
         )
 
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from typing import Any
 
+from repro.exp import claims
 from repro.exp.registry import Experiment, register
 from repro.exp.result import Result, Row, Table
 
@@ -33,18 +34,19 @@ class Table1Breakdown(Experiment):
                 .replace("<->", "_").replace("/", "_")
             scalars[f"{key}_us"] = round(us, 4)
         scalars["total_us"] = round(sum(us for _, us, _ in rows), 4)
+        paper = claims.paper(self.name)
         return Result.create(
             experiment=self.name,
             params=params,
             tables=[Table(
                 title="Table 1: nested cpuid breakdown (baseline, "
-                      "paper total 10.40 us)",
+                      f"paper total {paper['total_us']:.2f} us)",
                 columns=("Part", "Time (us)", "Perc. (%)"),
                 rows=[Row(label, (f"{us:.2f}", f"{pct:.2f}"))
                       for label, us, pct in rows],
             )],
             scalars=scalars,
-            paper={"total_us": 10.40},
+            paper=paper,
         )
 
 
@@ -57,36 +59,29 @@ class Table3Footprint(Experiment):
     description = "paper prototype LoC vs this repo's equivalents"
 
     def run_cell(self, cell: str, params: dict[str, Any]) -> Any:
-        from repro.analysis.loc import PAPER, audit
+        from repro.analysis.loc import audit
 
-        ours = audit()
-        return [
-            [role, added, removed, ours[role]]
-            for role, (added, removed) in PAPER.items()
-        ]
+        return list(audit().items())
 
     def merge(self, params: dict[str, Any],
               payloads: dict[str, Any]) -> Result:
-        rows = payloads["all"]
+        rows = [
+            (role, role.lower().replace(" / ", "_").replace(" ", "_"), loc)
+            for role, loc in payloads["all"]
+        ]
         return Result.create(
             experiment=self.name,
             params=params,
             tables=[Table(
                 title="Table 3: prototype footprint",
                 columns=("Codebase", "Paper", "This repo"),
-                rows=[Row(role, (f"+{added}/-{removed}", f"{loc} LoC"))
-                      for role, added, removed, loc in rows],
+                rows=[Row(role, (
+                    f"+{claims.paper_value(self.name, f'{key}_added')}"
+                    f"/-{claims.paper_value(self.name, f'{key}_removed')}",
+                    f"{loc} LoC")) for role, key, loc in rows],
             )],
-            scalars={
-                f"{role.lower().replace(' / ', '_').replace(' ', '_')}"
-                "_loc": loc
-                for role, _a, _r, loc in rows
-            },
-            paper={
-                f"{role.lower().replace(' / ', '_').replace(' ', '_')}"
-                "_added": added
-                for role, added, _r, _l in rows
-            },
+            scalars={f"{key}_loc": loc for _role, key, loc in rows},
+            paper=claims.paper(self.name),
         )
 
 

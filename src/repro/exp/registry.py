@@ -4,7 +4,7 @@ Every paper artifact (tables, figures, section studies, ablations) is an
 :class:`Experiment` subclass registered with :func:`register`.  The CLI,
 the parallel runner, the cache and the benchmarks all look experiments up
 here, so an experiment added once is automatically part of
-``python -m repro all``, ``list``, the JSON output and the smoke run —
+``python -m repro all``, ``list``, the JSON output and ``repro bench`` —
 nothing can be silently dropped from ``all`` again.
 
 An experiment declares:
@@ -86,14 +86,17 @@ class Experiment:
         return {**UNIVERSAL_DEFAULTS, **self.defaults}
 
     def resolve(self, overrides: Optional[Mapping[str, Any]] = None,
-                strict: bool = False) -> dict[str, Any]:
-        """Defaults (universal and declared) merged with ``overrides``.
+                strict: bool = False, smoke: bool = False) -> dict[str, Any]:
+        """Defaults (universal and declared), then :attr:`smoke` when
+        ``smoke``, then every override that is not ``None``.
 
         Unknown override keys are ignored unless ``strict`` (the CLI
         passes one shared namespace to every experiment; tests pass
         ``strict=True`` to catch typos).
         """
         params = self.all_defaults()
+        if smoke:
+            params.update(self.smoke)
         for key, value in (overrides or {}).items():
             if key in params:
                 if value is not None:

@@ -9,14 +9,12 @@ state crosses a cell boundary — so they fan out over a
 Determinism: payloads are merged strictly in ``cells()`` order and
 experiments are assembled in sorted-name order, so the output document is
 byte-identical whether cells ran serially, in any interleaving, or on any
-number of workers.  Wall-clock timings are collected alongside but kept
-*out* of the result document (they go to ``results/runtime_smoke.json``
-via :func:`runtime_smoke`).
+number of workers.  The runner reads no clock; ``repro bench``
+(:mod:`repro.exp.bench`) times experiments.
 """
 
 from __future__ import annotations
 
-import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Mapping, Optional
@@ -42,7 +40,6 @@ class ExperimentRun:
     name: str
     result: Result
     cached: bool
-    seconds: float          # summed cell compute time (0.0 when cached)
     #: Merged per-cell metrics snapshot (``collect_metrics`` runs only;
     #: ``None`` otherwise).  Deliberately NOT part of the canonical
     #: result document — see :meth:`RunReport.metrics_document`.
@@ -58,7 +55,6 @@ class RunReport:
     cache_dir: str = ""
     cache_enabled: bool = False
     cache_keys: dict[str, str] = field(default_factory=dict)
-    wall_seconds: float = 0.0
     #: Rendered runtime-sanitizer reports (``REPRO_SIM_SANITIZE=1``
     #: runs only; empty otherwise).  Deliberately NOT part of the
     #: canonical result document — the flag must not change a byte of
@@ -126,8 +122,7 @@ class RunReport:
 
 def _execute_cell(name: str, cell: str, params: dict[str, Any],
                   collect_metrics: bool = False) \
-        -> tuple[str, str, Any, float, Optional[dict[str, Any]],
-                 list[str]]:
+        -> tuple[str, str, Any, Optional[dict[str, Any]], list[str]]:
     """Worker entry point: one cell in a fresh simulator.
 
     Module-level so it pickles; re-resolves the experiment through the
@@ -144,9 +139,6 @@ def _execute_cell(name: str, cell: str, params: dict[str, Any],
     process-global log between cells sharing a worker.
     """
     experiment = registry.get(name)
-    # Wall-clock here is diagnostic only (ExperimentRun.seconds feeds
-    # results/runtime_smoke.json) and never enters a result document.
-    started = time.perf_counter()  # svtlint: disable=SVT001
     snapshot: Optional[dict[str, Any]] = None
     with costmodels.use_default(params.get("cost_model")):
         if collect_metrics:
@@ -155,10 +147,9 @@ def _execute_cell(name: str, cell: str, params: dict[str, Any],
             snapshot = observer.metrics_snapshot()
         else:
             payload = experiment.run_cell(cell, params)
-    took = time.perf_counter() - started  # svtlint: disable=SVT001
     violations = ([report.render() for report in sanitizer.drain()]
                   if sanitizer.enabled() else [])
-    return name, cell, payload, took, snapshot, violations
+    return name, cell, payload, snapshot, violations
 
 
 def run_experiments(names: Iterable[str],
@@ -177,9 +168,6 @@ def run_experiments(names: Iterable[str],
     (cached results carry no metrics, so the CLI disables the cache
     when asked for them).
     """
-    # Diagnostic wall-clock (RunReport.wall_seconds stays out of the
-    # canonical result document; see to_document's docstring).
-    started = time.perf_counter()  # svtlint: disable=SVT001
     names = sorted(dict.fromkeys(names))
     report = RunReport(
         jobs=max(1, int(jobs)),
@@ -192,17 +180,12 @@ def run_experiments(names: Iterable[str],
     finished: dict[str, ExperimentRun] = {}
     for name in names:
         experiment = registry.get(name)
-        params = experiment.all_defaults()
-        if smoke:
-            params.update(experiment.smoke)
-        for key, value in (overrides or {}).items():
-            if key in params and value is not None:
-                params[key] = value
+        params = experiment.resolve(overrides, smoke=smoke)
         if cache is not None:
             report.cache_keys[name] = cache.key(name, params)
             hit = cache.load(name, params)
             if hit is not None:
-                finished[name] = ExperimentRun(name, hit, True, 0.0)
+                finished[name] = ExperimentRun(name, hit, True)
                 continue
         plans.append((name, experiment, params))
 
@@ -213,7 +196,6 @@ def run_experiments(names: Iterable[str],
     ]
 
     payloads: dict[tuple[str, str], Any] = {}
-    seconds: dict[str, float] = {}
     snapshots: dict[str, list[dict[str, Any]]] = {}
     if report.jobs > 1 and len(cells) > 1:
         with ProcessPoolExecutor(max_workers=report.jobs) as pool:
@@ -224,21 +206,18 @@ def run_experiments(names: Iterable[str],
                 [c[2] for c in cells],
                 [collect_metrics] * len(cells),
             )
-            for name, cell, payload, took, snapshot, violations \
-                    in outcomes:
+            for name, cell, payload, snapshot, violations in outcomes:
                 payloads[(name, cell)] = payload
-                seconds[name] = seconds.get(name, 0.0) + took
                 if snapshot is not None:
                     snapshots.setdefault(name, []).append(snapshot)
                 report.sanitizer_reports.extend(
                     f"{name}/{cell}: {line}" for line in violations)
     else:
         for name, cell, params in cells:
-            _, _, payload, took, snapshot, violations = _execute_cell(
+            _, _, payload, snapshot, violations = _execute_cell(
                 name, cell, params, collect_metrics
             )
             payloads[(name, cell)] = payload
-            seconds[name] = seconds.get(name, 0.0) + took
             if snapshot is not None:
                 snapshots.setdefault(name, []).append(snapshot)
             report.sanitizer_reports.extend(
@@ -251,62 +230,15 @@ def run_experiments(names: Iterable[str],
         }
         result = experiment.merge(params, ordered)
         if cache is not None:
-            # svtlint: disable=SVT008 — approximation margin: the
-            # wall-clock taint rides _execute_cell's return *tuple*
-            # (took), never the payload element merged into the
-            # Result; cached bytes are proven schedule-independent by
-            # tests/exp/test_runner.py's determinism differentials.
             cache.store(name, params, result)
         metrics = None
         if collect_metrics:
             # merge_snapshots is order-independent, so the merged
             # snapshot is identical at any --jobs setting.
             metrics = merge_snapshots(snapshots.get(name, []))
-        finished[name] = ExperimentRun(name, result,
-                                       False, seconds.get(name, 0.0),
+        finished[name] = ExperimentRun(name, result, False,
                                        metrics=metrics)
 
     report.runs = [finished[name] for name in names]
-    report.wall_seconds = \
-        time.perf_counter() - started  # svtlint: disable=SVT001
     return report
 
-
-def runtime_smoke(names: Optional[Iterable[str]] = None, jobs: int = 4,
-                  overrides: Optional[Mapping[str, Any]] = None) \
-        -> dict[str, Any]:
-    """Wall-clock baseline: every experiment serial vs parallel.
-
-    Runs the whole registry twice with smoke parameters and no cache —
-    once with ``--jobs 1`` and once with ``--jobs N`` — and returns a
-    JSON-ready document recording per-experiment compute time and the
-    serial/parallel wall-clock, seeding the perf trajectory
-    (``results/runtime_smoke.json``).
-    """
-    names = sorted(names or registry.names())
-    serial = run_experiments(names, overrides=overrides, jobs=1,
-                             cache=None, smoke=True)
-    parallel = run_experiments(names, overrides=overrides, jobs=jobs,
-                               cache=None, smoke=True)
-    parallel_seconds = {run.name: run.seconds for run in parallel.runs}
-    per_experiment: dict[str, Any] = {}
-    for run in serial.runs:
-        experiment = registry.get(run.name)
-        smoke_params = {**experiment.all_defaults(), **experiment.smoke}
-        per_experiment[run.name] = {
-            "serial_s": round(run.seconds, 4),
-            "parallel_cell_s": round(parallel_seconds[run.name], 4),
-            "cells": len(experiment.cells(smoke_params)),
-        }
-    return {
-        "schema": "repro-runtime-smoke/1",
-        "jobs": parallel.jobs,
-        "experiments": per_experiment,
-        "totals": {
-            "serial_wall_s": round(serial.wall_seconds, 4),
-            "parallel_wall_s": round(parallel.wall_seconds, 4),
-            "speedup": round(
-                serial.wall_seconds / parallel.wall_seconds, 2
-            ) if parallel.wall_seconds else 0.0,
-        },
-    }

@@ -44,7 +44,7 @@ def build_parser():
                              "(default: 25)")
     parser.add_argument("--ops", type=positive_int, default=40,
                         help="ops per generated case (default: 40)")
-    parser.add_argument("--budget", type=int,
+    parser.add_argument("--budget", type=positive_int,
                         default=shrink.DEFAULT_BUDGET,
                         help="max differential evaluations per shrink "
                              f"(default: {shrink.DEFAULT_BUDGET})")

@@ -9,6 +9,7 @@ import sys
 from pathlib import Path
 from typing import List, Optional
 
+from repro.cli import positive_int
 from repro.errors import ReproError
 from repro.exp.cache import ResultCache
 from repro.exp.result import canonical_json
@@ -71,9 +72,9 @@ def _loadtest_parser() -> argparse.ArgumentParser:
         description="Deterministic serve-tier load test + regression "
                     "gate (see docs/serving.md)")
     parser.add_argument("--seed", type=int, default=2019)
-    parser.add_argument("--requests", type=int, default=60)
+    parser.add_argument("--requests", type=positive_int, default=60)
     parser.add_argument("--jobs", type=int, default=2)
-    parser.add_argument("--concurrency", type=int, default=8,
+    parser.add_argument("--concurrency", type=positive_int, default=8,
                         help="clients per wave (default 8)")
     parser.add_argument("--capacity", type=int, default=None,
                         help="admission capacity (default: "

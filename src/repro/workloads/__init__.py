@@ -11,9 +11,9 @@ One module per benchmark family:
 * `repro.workloads.channels` — wait-mechanism microbenchmarks (§6.1)
 
 Each module exposes the measurements its figure needs (for example
-``run_latency``/``run_bandwidth``) and a ``PAPER`` constant with the
-numbers the paper reports.  The registered experiments in
-`repro.exp.experiments` call them.
+``run_latency``/``run_bandwidth``).  The registered experiments in
+`repro.exp.experiments` call them; the numbers the paper reports are
+rows of `repro.exp.claims`.
 """
 
 from repro.workloads import (

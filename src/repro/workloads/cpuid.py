@@ -13,15 +13,6 @@ from repro.core.system import Machine
 from repro.cpu import isa
 from repro.obs.export import TABLE1_FOLD
 
-#: Figure 6 numbers from the paper.
-PAPER = {
-    "baseline_us": 10.40,
-    "sw_svt_speedup": 1.23,
-    "hw_svt_speedup": 1.94,
-    "l0_us": 0.05,
-}
-
-
 @dataclass(frozen=True)
 class CpuidResult:
     mode: str
@@ -53,23 +44,6 @@ def run(mode=ExecutionMode.BASELINE, level=2, iterations=50,
         ns_per_op=result.ns_per_instruction * len(body),
         iterations=iterations,
     )
-
-
-def figure6(costs=None, iterations=50):
-    """All five bars of Figure 6: L0, L1, L2 (baseline), SW SVt, HW SVt.
-
-    Returns ``{label: us}``.
-    """
-    bars = {}
-    bars["L0"] = run(level=0, iterations=iterations, costs=costs).us_per_op
-    bars["L1"] = run(level=1, iterations=iterations, costs=costs).us_per_op
-    bars["L2"] = run(ExecutionMode.BASELINE, iterations=iterations,
-                     costs=costs).us_per_op
-    bars["SW SVt"] = run(ExecutionMode.SW_SVT, iterations=iterations,
-                         costs=costs).us_per_op
-    bars["HW SVt"] = run(ExecutionMode.HW_SVT, iterations=iterations,
-                         costs=costs).us_per_op
-    return bars
 
 
 def table1_breakdown(costs=None, iterations=50):

@@ -9,12 +9,11 @@ Path shapes (calibrated to the paper's baseline absolutes):
 
 * *Reads* are notification-heavy: the guest sleeps per request, so every
   submit/complete pays interrupt, EOI and wakeup traffic — lots of
-  reflected exits, which is why SW SVt helps reads most (1.30x/1.55x).
+  reflected exits, which is why SW SVt helps reads most.
 * *Writes* keep L1's QEMU I/O thread busy (journaling, dirty tracking,
   sync flags): fewer guest notifications but many more L1 privileged
-  operations that trap to L0 (aux exits) — SW SVt barely helps
-  (1.05x/1.18x) while HW SVt, which also elides those, gains most
-  (2.26x/2.60x).
+  operations that trap to L0 (aux exits) — SW SVt barely helps while
+  HW SVt, which also elides those, gains most.
 """
 
 from dataclasses import dataclass
@@ -26,19 +25,6 @@ from repro.io.block import BlkRequest, install_block
 from repro.io.fabric import DeviceTimings
 from repro.virt.exits import ExitInfo, ExitReason
 from repro.virt.hypervisor import MSR_APIC_EOI
-
-#: Paper Figure 7 (disk groups).
-PAPER = {
-    "randrd_latency_us": 126.0,
-    "randrd_latency_speedup": (1.30, 2.18),     # (SW, HW)
-    "randrd_bandwidth_kbs": 87_136.0,
-    "randrd_bandwidth_speedup": (1.55, 2.31),
-    "randwr_latency_us": 179.0,
-    "randwr_latency_speedup": (1.05, 2.26),
-    "randwr_bandwidth_kbs": 55_769.0,
-    "randwr_bandwidth_speedup": (1.18, 2.60),
-}
-
 
 @dataclass(frozen=True)
 class IopingConfig:

@@ -2,7 +2,7 @@
 
 The paper drives a memcached server in L2 with the mutilate load
 generator from a separate machine, sweeping offered load and reporting
-average and 99th-percentile latency against a 500 µs SLA.
+average and 99th-percentile latency against a p99 SLA (:data:`SLA_US`).
 
 Reproduction in two stages:
 
@@ -22,23 +22,20 @@ import math
 from dataclasses import dataclass, field
 from functools import reduce
 from operator import add
+from typing import NamedTuple
 
 from repro.core.mode import ExecutionMode
 from repro.core.system import Machine
 from repro.cpu import isa
+from repro.exp.claims import paper_value
 from repro.io.net import Packet, TXQ, install_network
 from repro.sim.rng import DeterministicRng
 from repro.sim.stats import percentile
 from repro.virt.exits import ExitInfo, ExitReason
 from repro.virt.hypervisor import MSR_APIC_EOI, MSR_TSC_DEADLINE
 
-#: Paper Figure 8.
-PAPER = {
-    "sla_us": 500.0,
-    "p99_improvement": 2.20,
-    "avg_improvement": 1.43,
-    "load_range_kqps": (5.0, 22.5),
-}
+#: The paper's p99 latency SLA (µs) for Figure 8.
+SLA_US = paper_value("fig8", "sla_us")
 
 
 #: The offered loads (kQPS) of one Figure-8 sweep.
@@ -63,14 +60,10 @@ class EtcConfig:
     servers: int = 2                    # usable L2 vCPUs (Table 4)
 
 
-@dataclass
-class LoadPoint:
+class LoadPoint(NamedTuple):
     offered_kqps: float
     avg_us: float
     p99_us: float
-
-    def within_sla(self, sla_us=500.0):
-        return self.p99_us <= sla_us
 
 
 @dataclass
@@ -79,10 +72,6 @@ class MemcachedResult:
     service_get_us: float
     service_set_us: float
     points: list = field(default_factory=list)
-
-    def max_load_within_sla(self, sla_us=500.0):
-        ok = [p.offered_kqps for p in self.points if p.within_sla(sla_us)]
-        return max(ok) if ok else 0.0
 
 
 def _serve_one(machine, net, cfg, is_get, op_index):
@@ -307,8 +296,17 @@ def run(mode=ExecutionMode.BASELINE, config=None, loads_kqps=None, seed=42,
     return result
 
 
-def headline_improvements(baseline, svt, sla_us=500.0):
-    """The paper's headline numbers (the 2.20x / 1.43x arrows of Fig. 8).
+def max_load_within_sla(points):
+    """The highest offered load (kQPS) whose p99 meets :data:`SLA_US`
+    (0.0 if none); ``points`` are ``(kqps, avg_us, p99_us)`` triples
+    such as :class:`LoadPoint`."""
+    ok = [kqps for kqps, _avg, p99 in points if p99 <= SLA_US]
+    return max(ok) if ok else 0.0
+
+
+def headline_improvements(baseline, svt):
+    """Fig. 8's headline ``(p99, avg)`` improvements of ``svt`` over
+    ``baseline``, two load sweeps of ``(kqps, avg_us, p99_us)`` triples.
 
     * p99: the largest improvement over loads where the baseline still
       meets the SLA (the paper's "within SLA" qualifier).
@@ -316,10 +314,8 @@ def headline_improvements(baseline, svt, sla_us=500.0):
       latency reflects the service path rather than queueing.
     """
     p99_ratios = [
-        base_point.p99_us / svt_point.p99_us
-        for base_point, svt_point in zip(baseline.points, svt.points)
-        if base_point.within_sla(sla_us)
+        base[2] / other[2] for base, other in zip(baseline, svt)
+        if base[2] <= SLA_US
     ]
-    avg_ratio = (baseline.points[0].avg_us / svt.points[0].avg_us
-                 if baseline.points and svt.points else 0.0)
+    avg_ratio = (baseline[0][1] / svt[0][1] if baseline and svt else 0.0)
     return (max(p99_ratios) if p99_ratios else 0.0, avg_ratio)

@@ -25,17 +25,6 @@ from repro.io.net import Packet, TXQ, install_network
 from repro.virt.exits import ExitInfo, ExitReason
 from repro.virt.hypervisor import MSR_APIC_EOI, MSR_TSC_DEADLINE
 
-#: Paper Figure 7 (network group).
-PAPER = {
-    "latency_us": 163.0,
-    "latency_speedup_sw": 1.10,
-    "latency_speedup_hw": 2.38,
-    "bandwidth_mbps": 9387.0,
-    "bandwidth_speedup_sw": 1.00,
-    "bandwidth_speedup_hw": 1.12,
-}
-
-
 @dataclass(frozen=True)
 class RrConfig:
     """TCP_RR shape knobs (calibrated against the paper's baseline)."""

@@ -17,13 +17,6 @@ from repro.io.net import Packet, TXQ, install_network
 from repro.virt.exits import ExitInfo, ExitReason
 from repro.virt.hypervisor import MSR_APIC_EOI
 
-#: Paper Figure 9.
-PAPER = {
-    "baseline_ktpm": 6.37,
-    "speedup_sw": 1.18,
-}
-
-
 @dataclass(frozen=True)
 class TpccConfig:
     """Transaction shape (sysbench TPC-C defaults, scaled to the paper's

@@ -28,15 +28,6 @@ from repro.io.block import BlkRequest, install_block
 from repro.sim.rng import DeterministicRng
 from repro.virt.hypervisor import MSR_APIC_EOI
 
-#: Paper Figure 10: dropped frames per (fps, system).
-PAPER = {
-    24: {"baseline": 0, "svt": 0},
-    60: {"baseline": 3, "svt": 0},
-    120: {"baseline": 40, "svt": 26},
-    "duration_s": 300,
-}
-
-
 @dataclass(frozen=True)
 class VideoConfig:
     duration_s: int = 300            # "the first 5 min" of the movie
@@ -108,13 +99,3 @@ def run(mode=ExecutionMode.BASELINE, fps=120, config=None, seed=7,
             t += period_us
     return VideoResult(mode=mode, fps=fps, frames=frames, dropped=dropped,
                        burst_us=burst_us)
-
-
-def figure10(modes=(ExecutionMode.BASELINE, ExecutionMode.SW_SVT),
-             fps_list=(24, 60, 120), seed=7, costs=None):
-    """The full Figure 10 grid: ``{fps: {mode: VideoResult}}``."""
-    return {
-        fps: {mode: run(mode, fps=fps, seed=seed, costs=costs)
-              for mode in modes}
-        for fps in fps_list
-    }

@@ -11,6 +11,7 @@ import pytest
 from repro.core.mode import ExecutionMode
 from repro.core.system import Machine
 from repro.cpu import isa
+from repro.exp import claims
 from repro.obs import (
     Observer,
     capture_metrics,
@@ -22,8 +23,8 @@ ITERATIONS = 50
 
 #: Table 1 per-op parts (us): 0 L2, 1 switch, 2 transform, 3 L0
 #: handler, 4 switch, 5 L1 handler.
-PAPER_PARTS_US = (0.05, 0.81, 1.29, 4.89, 1.40, 1.96)
-PAPER_TOTAL_US = 10.40
+PAPER_PARTS_US = tuple(us for _label, _key, us, *_ in claims.TABLE1_PARTS)
+PAPER_TOTAL_US = claims.paper_value("table1", "total_us")
 
 
 def _run_cpuid(mode, observer=None):

@@ -127,6 +127,17 @@ def test_all_without_flags_runs_every_experiment_at_its_defaults(
     ["fuzz", "--runs", "0"],
     ["fuzz", "--ops", "0"],
     ["fuzz", "--jobs", "0"],
+    ["fuzz", "--budget", "0"],
+    ["fuzz", "--budget", "-1"],
+    ["dse", "--out", "{tmp}", "--iterations", "0"],
+    ["dse", "--out", "{tmp}", "--iterations", "-3"],
+    ["run", "cpuid", "--profile", "--profile-top", "0"],
+    ["run", "cpuid", "--profile", "--profile-top", "-1"],
+    ["loadtest", "--requests", "0"],
+    ["loadtest", "--requests", "-2"],
+    ["loadtest", "--concurrency", "0"],
+    ["smoke"],
+    ["all", "--out", "{tmp}"],
 ], ids=" ".join)
 def test_bad_input_exits_2_with_one_error_line(capsys, tmp_path, argv):
     # "{tmp}" stands for an output file no failure may leave behind.
@@ -163,6 +174,28 @@ def test_partial_bench_run_never_replaces_the_baseline(capsys, monkeypatch,
               if "error:" in line]
     assert len(errors) == 1
     assert baseline.read_bytes() == committed
+
+
+@pytest.mark.parametrize("narrowing", [
+    ["--smoke"],
+    ["--models", "arm-flavour"],
+    ["--iterations", "5"],
+], ids=" ".join)
+def test_narrowed_dse_run_never_replaces_the_frontier(capsys, monkeypatch,
+                                                       tmp_path, narrowing):
+    from repro.exp import dse
+
+    committed = dse.default_out_path().read_bytes()
+    frontier = tmp_path / "dse_frontier.json"
+    frontier.write_bytes(committed)
+    monkeypatch.setattr(dse, "default_out_path", lambda: frontier)
+    with pytest.raises(SystemExit) as exit_info:
+        main(["dse", *narrowing])
+    assert exit_info.value.code == 2
+    errors = [line for line in capsys.readouterr().err.splitlines()
+              if "error:" in line]
+    assert len(errors) == 1
+    assert frontier.read_bytes() == committed
 
 
 def test_run_writes_trace_and_metrics_into_a_new_directory(capsys,

@@ -18,7 +18,7 @@ from pathlib import Path
 import pytest
 
 import repro
-from repro.exp import registry
+from repro.exp import claims, registry
 
 REPO_ROOT = Path(repro.__file__).resolve().parent.parent.parent
 DESIGN = (REPO_ROOT / "DESIGN.md").read_text()
@@ -83,9 +83,79 @@ def test_readme_examples_exist():
 
 
 def test_paper_anchor_numbers_present_in_design():
-    # The calibration anchors must be stated (and therefore auditable).
-    for anchor in ("10.40", "1.23", "1.94", "2070", "840"):
+    # The lazy-switch cost anchors must be stated (and therefore
+    # auditable); the paper numbers they derive from are checked against
+    # their claims below.
+    for anchor in ("2070", "840"):
         assert anchor in DESIGN
+
+
+#: Where the docs restate a paper number outside EXPERIMENTS.md: (file,
+#: pattern whose one group is the number, its claim, the doc's unit as a
+#: multiple of the claim's).  Every pattern must match at least once.
+DOC_NUMBERS = (
+    ("README.md", r"# ([\d.]+) — the paper's Table 1 total",
+     ("table1", "total_us"), 1000),
+    ("README.md", r"the paper's ([\d.]+)x speedup",
+     ("fig6", "hw_speedup"), 1),
+    ("README.md", r"exactly\*\* \(([\d.]+) µs baseline",
+     ("table1", "total_us"), 1),
+    ("README.md", r"([\d.]+)× SW, [\d.]+× HW", ("fig6", "sw_speedup"), 1),
+    ("README.md", r"[\d.]+× SW, ([\d.]+)× HW", ("fig6", "hw_speedup"), 1),
+    ("DESIGN.md", r"Table 1, total ([\d.]+) µs", ("table1", "total_us"), 1),
+    ("DESIGN.md", r"\(([\d.]+) µs nested `cpuid`", ("table1", "total_us"),
+     1),
+    ("DESIGN.md", r"nested `cpuid` = ([\d.]+) µs \(Table 1\)",
+     ("table1", "total_us"), 1),
+    ("DESIGN.md", r"paper Fig\. 6: ([\d.]+)×", ("fig6", "hw_speedup"), 1),
+    ("DESIGN.md", r"\(or ([\d.]+)×\)", ("sec61", "mwait_speedup"), 1),
+    ("docs/calibration.md", r"\*\*HW SVt = ([\d.]+)×\*\*",
+     ("fig6", "hw_speedup"), 1),
+    ("docs/calibration.md", r"\*\*SW SVt = ([\d.]+)×\*\*",
+     ("fig6", "sw_speedup"), 1),
+)
+
+
+def _table1_anchor_rows(text):
+    """``[(claim key, paper µs)]`` from a markdown table whose rows name
+    a Table-1 part by its circled digit (or the total in bold)."""
+    keys = dict(zip("⓪①②③④⑤",
+                    [key for _label, key, *_ in claims.TABLE1_PARTS]))
+    rows = []
+    for line in text.splitlines():
+        cells = [cell.strip() for cell in line.strip().strip("|").split("|")]
+        if len(cells) < 2 or not line.startswith("|"):
+            continue
+        numbers = [re.fullmatch(r"\**([\d.]+) µs\**", cell)
+                   for cell in cells]
+        numbers = [match[1] for match in numbers if match]
+        if not numbers:
+            continue
+        if cells[0][:1] in keys:
+            rows.append((keys[cells[0][:1]], float(numbers[0])))
+        elif any(cell.strip("*") == "total" for cell in cells):
+            rows.append(("total_us", float(numbers[0])))
+    return rows
+
+
+@pytest.mark.parametrize("doc", ["DESIGN.md", "docs/calibration.md"])
+def test_table1_calibration_tables_state_the_claims(doc):
+    rows = _table1_anchor_rows((REPO_ROOT / doc).read_text())
+    parts = [key for _label, key, *_ in claims.TABLE1_PARTS]
+    assert sorted(key for key, _ in rows if key != "total_us") \
+        == sorted(parts)
+    for key, us in rows:
+        assert us == claims.paper_value("table1", key), (doc, key)
+
+
+def test_docs_restate_paper_numbers_as_their_claims():
+    for doc, pattern, (experiment, key), unit in DOC_NUMBERS:
+        found = re.findall(pattern, (REPO_ROOT / doc).read_text())
+        assert found, (doc, pattern)
+        for number in found:
+            assert float(number) == pytest.approx(
+                claims.paper_value(experiment, key) * unit, abs=1e-9), \
+                (doc, number, f"{experiment}:{key}")
 
 
 def test_design_declares_paper_match():

@@ -1,66 +1,47 @@
 """The paper's claims, asserted on the golden Result documents.
 
-Every claim about a table, a figure, a section study or an ablation is
-checked here, on the live documents that ``tests/golden/experiments.json``
-pins (the session ``documents`` fixture), so a change that keeps the
-golden file but breaks a claim cannot exist: regenerating the golden
-still fails here.  Each tolerance is the one the claim has always had.
+Every number the paper reports is a row of :mod:`repro.exp.claims`, with
+its check; ``test_claim`` asserts each row on the live documents that
+``tests/golden/experiments.json`` pins (the session ``documents``
+fixture), so a change that keeps the golden file but breaks a claim
+cannot exist: regenerating the golden still fails here.
 
-A few quantities are in no document; for those the test makes the one
-library call that computes them (the fleet policy, the 3-context deep
-rows, depth-2 traps, the broad related-work exit mix, Fig. 9's HW SVt
-throughput, the lazy split's exact ns totals, the cost model's L0<->L1
-switch constants, Table 4's thread counts and Table 3's line counts).
+The hand-written tests below check what a row cannot: orderings,
+monotonicity, derived quantities and library calls.  They take every
+paper number from the rows.  A few quantities are in no document; for
+those the test makes the one library call that computes them (the fleet
+policy, the 3-context deep rows, depth-2 traps, the broad related-work
+exit mix, Fig. 9's HW SVt throughput, the lazy split's exact ns totals,
+the cost model's L0<->L1 switch constants and Table 4's thread counts).
 """
 
 import pytest
 
-from repro.analysis.loc import audit
 from repro.config import paper_machine
 from repro.core.coexist import CoexistConfig, DynamicPolicy
 from repro.core.mode import ExecutionMode
 from repro.core.related_work import IoOpShape, evaluate
 from repro.core.system import Machine
 from repro.cpu import costmodels, isa
+from repro.exp import claims, registry
 from repro.exp.experiments.ablations import (
     AblationLazySplit,
     AblationWait,
     with_lazy_fraction,
 )
+from repro.exp.experiments.figures import FIG7_METRICS
+from repro.exp.registry import RunContext
 from repro.virt.deep import DeepNestingModel
 from repro.virt.hypervisor import MSR_TSC_DEADLINE
-from repro.workloads import cpuid, tpcc
+from repro.workloads import tpcc
 
-#: Table 1 parts: label -> (scalar key, paper µs, paper %).
-TABLE1_PAPER = {
-    "0 L2": ("l2_us", 0.05, 0.47),
-    "1 Switch L2<->L0": ("switch_l2_l0_us", 0.81, 7.75),
-    "2 Transform vmcs02/vmcs12": ("transform_vmcs02_vmcs12_us", 1.29, 12.45),
-    "3 L0 handler": ("l0_handler_us", 4.89, 47.02),
-    "4 Switch L0<->L1": ("switch_l0_l1_us", 1.40, 13.43),
-    "5 L1 handler": ("l1_handler_us", 1.96, 18.87),
-}
-TABLE1_REL_TOL = 0.01       # each part within 1% of Table 1
-SPEEDUP_REL_TOL = 0.02      # Fig. 6 speedups within 2%
 
-#: Fig. 7 metric -> ((baseline, rel tol), (SW speedup, abs tol),
-#: (HW speedup, abs tol)); randrd bandwidth has range claims instead.
-FIG7_PAPER = {
-    "net_latency": ((163, 0.06), (1.10, 0.06), (2.38, 0.12)),
-    "net_bandwidth": ((9387, 0.03), (1.00, 0.05), (1.12, 0.05)),
-    "disk_randrd_latency": ((126, 0.06), (1.30, 0.08), (2.18, 0.25)),
-    "disk_randwr_latency": ((179, 0.06), (1.05, 0.05), (2.26, 0.15)),
-    "disk_randwr_bandwidth": ((55_769, 0.05), (1.18, 0.06), (2.60, 0.15)),
-}
-
-TABLE4_PAPER = {
-    "L0": "2xIntel E5-2630v3 (2.4GHz, 8 cores, 2-SMT), "
-          "2x64GB RAM, Intel X540-AT2 (10Gb)",
-    "L1": "6 vCPUs (1 reserved), 50GB RAM, "
-          "virtio-net-pci+vhost, virtio disk @ ramfs",
-    "L2": "3 vCPUs (1 reserved), 35GB RAM, "
-          "virtio-net-pci+vhost, virtio disk @ ramfs",
-}
+@pytest.fixture(scope="module")
+def table3():
+    """The live Table 3 document (it counts this repository's lines, so
+    the golden file does not pin it)."""
+    experiment = registry.get("table3")
+    return experiment.run(RunContext.create(experiment.resolve())).to_dict()
 
 
 def _rows(document):
@@ -69,48 +50,119 @@ def _rows(document):
             for row in document["tables"][0]["rows"]}
 
 
+def locate(document, at):
+    """The value at a claim's location: a scalar, or the cell in the
+    ``(row label, column)`` of one of the document's tables.  Raises
+    ``KeyError`` when the document has no such place."""
+    if isinstance(at, str):
+        return document["scalars"][at]
+    label, column = at
+    for table in document["tables"]:
+        if column in table["columns"][1:]:
+            for row in table["rows"]:
+                if row["label"] == label:
+                    return row["values"][table["columns"].index(column) - 1]
+    raise KeyError(at)
+
+
+def holds(check, measured, expected):
+    """Whether ``measured`` passes a claim's ``check``."""
+    kind, *args = check
+    if kind == "eq":
+        return measured == expected
+    if isinstance(measured, str):
+        measured = float(measured)
+    if kind == "rel":
+        return measured == pytest.approx(expected, rel=args[0])
+    if kind == "abs":
+        return measured == pytest.approx(expected, abs=args[0])
+    if kind == "abs<":
+        return abs(measured - expected) < args[0]
+    low, high = args
+    if kind == "closed":
+        return ((low is None or low <= measured)
+                and (high is None or measured <= high))
+    assert kind == "open", check
+    return ((low is None or low < measured)
+            and (high is None or measured < high))
+
+
+def label(claim):
+    """``experiment:location``, a claim's test id."""
+    at = "/".join(claim.at) if isinstance(claim.at, tuple) else claim.at
+    return f"{claim.experiment}:{at}"
+
+
+@pytest.mark.parametrize("claim", claims.CLAIMS, ids=label)
+def test_claim(documents, claim):
+    kind, *args = claim.check
+    if kind == "test":
+        # Checked by the named test below, from the row's paper value.
+        assert args[0].startswith("test_") and callable(globals()[args[0]])
+        return
+    measured = locate(documents[claim.experiment], claim.at)
+    expected = claim.paper if claim.target is None else claim.target
+    assert holds(claim.check, measured, expected), (
+        f"{label(claim)}: measured {measured!r}, paper {claim.paper!r}, "
+        f"check {claim.check}")
+
+
+def test_claims_cover_every_paper_value(documents, table3):
+    """Every key of every ``paper`` mapping has exactly one row, every
+    row's location exists in its document, and labels are unique."""
+    live = {**documents, "table3": table3}
+    labels = [label(claim) for claim in claims.CLAIMS]
+    assert len(labels) == len(set(labels))
+    assert {claim.experiment for claim in claims.CLAIMS} <= set(live)
+    for name, document in sorted(live.items()):
+        locations = [claim.at for claim in claims.rows(name)]
+        for key in document["paper"]:
+            assert locations.count(key) == 1, f"{name}:{key}"
+        for claim in claims.rows(name):
+            if claim.check[0] != "test":
+                locate(document, claim.at)
+
+
 # -- tables ----------------------------------------------------------------
 
 
 def test_table1_breakdown(documents):
-    table1 = documents["table1"]
-    scalars = table1["scalars"]
-    rows = _rows(table1)
-    assert sorted(rows) == sorted(TABLE1_PAPER)
-    assert scalars["total_us"] == pytest.approx(10.40, abs=0.02)
-    for label, (key, paper_us, paper_pct) in TABLE1_PAPER.items():
-        assert scalars[key] == pytest.approx(paper_us, abs=0.02), label
-        assert float(rows[label][1]) == pytest.approx(paper_pct,
-                                                      abs=0.2), label
+    # The table has exactly the paper's six parts.
+    parts = [label for label, *_ in claims.TABLE1_PARTS]
+    assert sorted(_rows(documents["table1"])) == sorted(parts)
 
 
 def test_table1_breakdown_matches_paper(documents):
     scalars = documents["table1"]["scalars"]
-    for label, (key, paper_us, _pct) in TABLE1_PAPER.items():
-        assert scalars[key] == pytest.approx(paper_us,
-                                             rel=TABLE1_REL_TOL), label
-    total = sum(scalars[key] for key, _us, _pct in TABLE1_PAPER.values())
-    assert total == pytest.approx(cpuid.PAPER["baseline_us"],
-                                  rel=TABLE1_REL_TOL)
+    total = sum(scalars[key] for _label, key, *_ in claims.TABLE1_PARTS)
+    assert total == pytest.approx(
+        claims.paper_value("table1", "total_us"), rel=0.01)
 
 
-def test_table3_prototype_footprint():
-    # Same order of magnitude, same ranking: the KVM-side work dominates.
-    ours = audit()
-    assert ours["Linux / KVM"] > ours["QEMU"]
-    assert ours["Linux / KVM"] > ours["Linux / other"]
+def test_table3_prototype_footprint(table3):
+    # Same order of magnitude, same ranking: the role the paper's
+    # prototype touched most (KVM) dominates ours too.
+    ours = {key[:-len("_loc")]: loc
+            for key, loc in table3["scalars"].items()}
+    paper = {role: claims.paper_value("table3", f"{role}_added")
+             - claims.paper_value("table3", f"{role}_removed")
+             for role in ours}
+    top = max(paper, key=paper.get)
+    assert all(ours[top] > loc for role, loc in ours.items() if role != top)
     for loc in ours.values():
         assert 50 <= loc <= 5000
 
 
 def test_table4_machine_parameters(documents):
-    rows = _rows(documents["table4"])
-    assert {level: values[0] for level, values in rows.items()} \
-        == TABLE4_PAPER
+    levels = [claim.at[0] for claim in claims.rows("table4")
+              if isinstance(claim.at, tuple)]
+    assert sorted(_rows(documents["table4"])) == sorted(levels)
     machine = paper_machine()
-    assert machine.host.total_hw_threads == 32
+    assert machine.host.total_hw_threads \
+        == claims.paper_value("table4", "host_hw_threads")
     # "experiments run in two virtual CPUs in L2"
-    assert machine.vm(2).usable_vcpus == 2
+    assert machine.vm(2).usable_vcpus \
+        == claims.paper_value("table4", "l2_usable_vcpus")
 
 
 # -- figures ---------------------------------------------------------------
@@ -118,25 +170,14 @@ def test_table4_machine_parameters(documents):
 
 def test_fig6_cpuid_bars(documents):
     scalars = documents["fig6"]["scalars"]
-    assert scalars["l2_us"] == pytest.approx(10.40, abs=0.02)
-    assert scalars["sw_speedup"] == pytest.approx(1.23, abs=0.01)
-    assert scalars["hw_speedup"] == pytest.approx(1.94, abs=0.01)
-    # Fig. 6 right axis: ~200x overhead of nested vs native.
-    assert scalars["nested_overhead_vs_l0"] == pytest.approx(208,
-                                                             rel=0.02)
     assert scalars["l0_us"] < scalars["l1_us"] < scalars["hw_svt_us"]
 
 
 def test_fig6_speedups_match_paper(documents):
+    # The speedup rows are the ratios of the bars.
     bars = documents["fig6"]["scalars"]
-    hw = bars["l2_us"] / bars["hw_svt_us"]
-    sw = bars["l2_us"] / bars["sw_svt_us"]
-    assert hw == pytest.approx(cpuid.PAPER["hw_svt_speedup"],
-                               rel=SPEEDUP_REL_TOL)
-    assert sw == pytest.approx(cpuid.PAPER["sw_svt_speedup"],
-                               rel=SPEEDUP_REL_TOL)
-    assert bars["l0_us"] == pytest.approx(cpuid.PAPER["l0_us"],
-                                          rel=TABLE1_REL_TOL)
+    assert bars["hw_speedup"] == bars["l2_us"] / bars["hw_svt_us"]
+    assert bars["sw_speedup"] == bars["l2_us"] / bars["sw_svt_us"]
 
 
 def test_fig6_bars_are_ordered_like_the_paper(documents):
@@ -147,60 +188,56 @@ def test_fig6_bars_are_ordered_like_the_paper(documents):
     assert bars["hw_svt_us"] < bars["sw_svt_us"] < bars["l2_us"]
 
 
-@pytest.mark.parametrize("metric", sorted(FIG7_PAPER))
+@pytest.mark.parametrize("metric", sorted(FIG7_METRICS))
 def test_fig7_subsystem(documents, metric):
+    # HW SVt gains more than SW SVt on the metric iff it does in the
+    # paper.
     scalars = documents["fig7"]["scalars"]
-    (base, base_rel), (sw, sw_abs), (hw, hw_abs) = FIG7_PAPER[metric]
-    assert scalars[f"{metric}_base"] == pytest.approx(base, rel=base_rel)
-    assert scalars[f"{metric}_sw_speedup"] == pytest.approx(sw, abs=sw_abs)
-    assert scalars[f"{metric}_hw_speedup"] == pytest.approx(hw, abs=hw_abs)
+    paper = claims.paper("fig7")
+    hw, sw = f"{metric}_hw_speedup", f"{metric}_sw_speedup"
+    assert (scalars[hw] > scalars[sw]) == (paper[hw] > paper[sw])
 
 
 def test_fig7_disk_randrd_bandwidth(documents):
+    # The deliberate deviation keeps the paper's read/write asymmetry:
+    # reads gain more from SW SVt than writes.
     scalars = documents["fig7"]["scalars"]
-    assert scalars["disk_randrd_bandwidth_base"] == pytest.approx(
-        87_136, rel=0.10)
-    assert 1.2 <= scalars["disk_randrd_bandwidth_sw_speedup"] <= 1.6
-    assert 2.0 <= scalars["disk_randrd_bandwidth_hw_speedup"] <= 2.6
+    paper = claims.paper("fig7")
+    read = "disk_randrd_bandwidth_sw_speedup"
+    write = "disk_randwr_bandwidth_sw_speedup"
+    assert (scalars[read] > scalars[write]) == (paper[read] > paper[write])
 
 
 def test_fig8_paper_claims(documents):
-    """Paper Fig. 8 (§6.3.1): the 2.20x p99 / 1.43x average headline,
-    more load within the SLA under SVt, and latency curves that rise
-    with load."""
+    """Paper Fig. 8 (§6.3.1): more load within the SLA under SVt,
+    in-SLA maxima measured against the paper's SLA, and latency curves
+    that rise with load."""
     fig8 = documents["fig8"]
     scalars = fig8["scalars"]
-    assert scalars["p99_improvement"] == pytest.approx(2.20, abs=0.35)
-    assert scalars["avg_improvement"] == pytest.approx(1.43, abs=0.25)
     assert (scalars["svt_max_kqps_in_sla"]
             > scalars["base_max_kqps_in_sla"])
-    for series in fig8["series"]:
+    sla_us = claims.paper_value("fig8", "sla_us")
+    for series, system in zip(fig8["series"], ("base", "svt")):
+        meeting = [load for load, p99 in series["points"] if p99 <= sla_us]
+        assert scalars[f"{system}_max_kqps_in_sla"] == max(meeting)
         p99s = [y for _x, y in series["points"]]
         assert p99s == sorted(p99s), series["name"]
 
 
 def test_fig9_tpcc_throughput(documents):
     fig9 = documents["fig9"]
-    scalars = fig9["scalars"]
-    assert scalars["baseline_ktpm"] == pytest.approx(6.37, rel=0.03)
-    assert scalars["speedup"] == pytest.approx(1.18, abs=0.05)
     hw = tpcc.run(ExecutionMode.HW_SVT,
                   transactions=fig9["params"]["transactions"])
-    assert hw.ktpm > scalars["svt_ktpm"]
+    assert hw.ktpm > fig9["scalars"]["svt_ktpm"]
 
 
 def test_fig10_dropped_frames(documents):
     scalars = documents["fig10"]["scalars"]
-    base120 = scalars["dropped_120_baseline"]
-    svt120 = scalars["dropped_120_svt"]
-    assert scalars["dropped_24_baseline"] == 0
-    assert scalars["dropped_24_svt"] == 0
-    assert scalars["dropped_60_baseline"] <= 8
     assert scalars["dropped_60_svt"] <= scalars["dropped_60_baseline"]
-    assert base120 == pytest.approx(40, abs=10)
-    assert svt120 == pytest.approx(26, abs=8)
-    # Paper: "SVt brings frame drops down to 0.65x at 120 FPS".
-    assert svt120 / base120 == pytest.approx(0.65, abs=0.18)
+    # Paper: SVt brings frame drops down by the row's ratio at 120 FPS.
+    ratio = scalars["dropped_120_svt"] / scalars["dropped_120_baseline"]
+    assert ratio == pytest.approx(
+        claims.paper_value("fig10", "drop_ratio_120"), abs=0.18)
 
 
 # -- section studies -------------------------------------------------------
@@ -220,21 +257,18 @@ def test_sec61_channel_observations(documents):
     scalars = documents["sec61"]["scalars"]
     observations = {key: holds for key, holds in scalars.items()
                     if key.startswith("observation_")}
-    assert len(observations) == 5
+    assert len(observations) == claims.paper_value("sec61", "observations")
     assert all(observations.values())
 
 
 def test_sec61_mechanisms_on_nested_cpuid(documents):
+    # The mwait implementation offers the paper's reduction; polling
+    # offers very little acceleration.
     scalars = documents["sec61"]["scalars"]
-    assert abs((scalars["baseline_us"] - scalars["mwait_us"]) - 2.0) < 0.2
-    assert abs(scalars["mwait_speedup"] - 1.23) < 0.02
+    saving = claims.paper_value("sec61", "mwait_saving_us")
+    assert abs((scalars["baseline_us"] - scalars["mwait_us"]) - saving) \
+        < 0.2
     assert scalars["polling_speedup"] < 1.05
-
-
-def test_sec62_vmcs_access_share(documents):
-    # Small single-digit share: paravirtualizing VMCS accesses would
-    # barely move the needle, exactly the paper's point.
-    assert 0.01 < documents["sec62"]["scalars"]["vmcs_access_share"] < 0.10
 
 
 # -- ablations -------------------------------------------------------------
@@ -243,16 +277,16 @@ def test_sec62_vmcs_access_share(documents):
 def test_ablation_lazy_split(documents):
     scalars = documents["ablation_lazy_split"]["scalars"]
     # Baseline total is invariant (the split moves cost between rows).
+    total_ns = round(claims.paper_value("table1", "total_us") * 1000)
     for fraction in AblationLazySplit.FRACTIONS:
-        assert with_lazy_fraction(fraction).table1_total() == 10_400
+        assert with_lazy_fraction(fraction).table1_total() == total_ns
     # Monotonic: more lazy share -> more HW SVt benefit.
     ordered = [scalars[f"hw_speedup_at_{fraction:.3f}"]
                for fraction in AblationLazySplit.FRACTIONS]
     assert ordered == sorted(ordered)
-    # No lazy share cannot explain the paper's 1.94x...
+    # No lazy share cannot explain the paper's HW speedup (a row checks
+    # that our calibrated share reproduces it).
     assert scalars["hw_speedup_at_0.000"] < 1.5
-    # ...our calibrated share reproduces it.
-    assert scalars["hw_speedup_at_0.423"] == pytest.approx(1.94, abs=0.02)
 
 
 def test_ablation_hw_model_cross_check(documents):
@@ -271,8 +305,6 @@ def test_ablation_wait_mechanism_and_placement(documents):
                 > scalars[f"smt_{mechanism}_us"]), mechanism
     # On SMT, mwait beats mutex (blocking wake is costly per trap).
     assert scalars["smt_mwait_us"] < scalars["smt_mutex_us"]
-    # The calibrated configuration is the paper's choice.
-    assert scalars["smt_mwait_us"] == pytest.approx(8.46, abs=0.05)
 
 
 def test_ablation_context_multiplexing(documents):
@@ -307,7 +339,9 @@ def test_ablation_level_bypass(documents):
 def test_ablation_deep_nesting(documents):
     model = DeepNestingModel()
     base, svt = model.sanity_check_against_simulation()
-    assert base == 10_400 and svt == pytest.approx(5360, abs=20)
+    assert base == round(claims.paper_value("table1", "total_us") * 1000)
+    assert svt == pytest.approx(
+        claims.paper_value("deep", "l2_svt_us") * 1000, abs=20)
     deep = documents["deep"]
     rows = _rows(deep)
     baseline_us = {label: float(values[0])

@@ -3,7 +3,10 @@
 import pytest
 
 from repro.core.mode import ExecutionMode
+from repro.exp import claims
 from repro.workloads import disk
+
+PAPER = claims.paper("fig7")
 
 
 @pytest.fixture(scope="module")
@@ -27,12 +30,12 @@ def bw():
 
 def test_randrd_latency_near_paper(lat):
     assert lat[(ExecutionMode.BASELINE, False)] == pytest.approx(
-        disk.PAPER["randrd_latency_us"], rel=0.06)
+        PAPER["disk_randrd_latency_base"], rel=0.06)
 
 
 def test_randwr_latency_near_paper(lat):
     assert lat[(ExecutionMode.BASELINE, True)] == pytest.approx(
-        disk.PAPER["randwr_latency_us"], rel=0.06)
+        PAPER["disk_randwr_latency_base"], rel=0.06)
 
 
 def test_writes_slower_than_reads(lat):
@@ -47,20 +50,24 @@ def test_latency_speedup_shape(lat):
     sw_wr = base_wr / lat[(ExecutionMode.SW_SVT, True)]
     hw_rd = base_rd / lat[(ExecutionMode.HW_SVT, False)]
     hw_wr = base_wr / lat[(ExecutionMode.HW_SVT, True)]
-    # Paper: reads gain much more from SW SVt than writes (1.30 vs 1.05);
-    # HW SVt gains big on both (2.18 / 2.26).
-    assert sw_rd == pytest.approx(1.30, abs=0.08)
-    assert sw_wr == pytest.approx(1.05, abs=0.05)
+    # Paper: reads gain much more from SW SVt than writes; HW SVt gains
+    # big on both.
+    assert sw_rd == pytest.approx(
+        PAPER["disk_randrd_latency_sw_speedup"], abs=0.08)
+    assert sw_wr == pytest.approx(
+        PAPER["disk_randwr_latency_sw_speedup"], abs=0.05)
     assert sw_rd > sw_wr
-    assert hw_rd == pytest.approx(2.18, abs=0.25)
-    assert hw_wr == pytest.approx(2.26, abs=0.15)
+    assert hw_rd == pytest.approx(
+        PAPER["disk_randrd_latency_hw_speedup"], abs=0.25)
+    assert hw_wr == pytest.approx(
+        PAPER["disk_randwr_latency_hw_speedup"], abs=0.15)
 
 
 def test_bandwidth_baselines_near_paper(bw):
     assert bw[(ExecutionMode.BASELINE, False)] == pytest.approx(
-        disk.PAPER["randrd_bandwidth_kbs"], rel=0.10)
+        PAPER["disk_randrd_bandwidth_base"], rel=0.10)
     assert bw[(ExecutionMode.BASELINE, True)] == pytest.approx(
-        disk.PAPER["randwr_bandwidth_kbs"], rel=0.05)
+        PAPER["disk_randwr_bandwidth_base"], rel=0.05)
 
 
 def test_bandwidth_speedup_shape(bw):
@@ -70,12 +77,14 @@ def test_bandwidth_speedup_shape(bw):
     sw_wr = bw[(ExecutionMode.SW_SVT, True)] / base_wr
     hw_rd = bw[(ExecutionMode.HW_SVT, False)] / base_rd
     hw_wr = bw[(ExecutionMode.HW_SVT, True)] / base_wr
-    # Paper: 1.55/1.18 (SW), 2.31/2.60 (HW).  Bandwidth gains exceed the
-    # corresponding latency gains, and every mode ordering holds.
+    # Bandwidth gains exceed the corresponding latency gains, and every
+    # mode ordering holds.
     assert 1.2 <= sw_rd <= 1.6
-    assert sw_wr == pytest.approx(1.18, abs=0.06)
+    assert sw_wr == pytest.approx(
+        PAPER["disk_randwr_bandwidth_sw_speedup"], abs=0.06)
     assert 2.0 <= hw_rd <= 2.6
-    assert hw_wr == pytest.approx(2.60, abs=0.15)
+    assert hw_wr == pytest.approx(
+        PAPER["disk_randwr_bandwidth_hw_speedup"], abs=0.15)
     assert hw_rd > sw_rd
     assert hw_wr > sw_wr
 

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.mode import ExecutionMode
+from repro.exp import claims
 from repro.workloads import memcached
 
 LOADS = [5.0, 10.0, 15.0, 17.5]
@@ -32,17 +33,18 @@ def test_latency_rises_with_load(results):
 def test_svt_sustains_more_load_within_sla(results):
     base = results[ExecutionMode.BASELINE]
     svt = results[ExecutionMode.SW_SVT]
-    assert svt.max_load_within_sla() > base.max_load_within_sla()
+    assert memcached.max_load_within_sla(svt.points) \
+        > memcached.max_load_within_sla(base.points)
 
 
 def test_headline_improvements_near_paper(results):
     p99_ratio, avg_ratio = memcached.headline_improvements(
-        results[ExecutionMode.BASELINE], results[ExecutionMode.SW_SVT]
+        results[ExecutionMode.BASELINE].points,
+        results[ExecutionMode.SW_SVT].points,
     )
-    assert p99_ratio == pytest.approx(memcached.PAPER["p99_improvement"],
-                                      abs=0.35)
-    assert avg_ratio == pytest.approx(memcached.PAPER["avg_improvement"],
-                                      abs=0.25)
+    paper = claims.paper("fig8")
+    assert p99_ratio == pytest.approx(paper["p99_improvement"], abs=0.35)
+    assert avg_ratio == pytest.approx(paper["avg_improvement"], abs=0.25)
 
 
 def test_p99_dominates_average(results):

@@ -3,7 +3,10 @@
 import pytest
 
 from repro.core.mode import ExecutionMode
+from repro.exp import claims
 from repro.workloads import netperf
+
+PAPER = claims.paper("fig7")
 
 
 @pytest.fixture(scope="module")
@@ -21,7 +24,7 @@ def bandwidths():
 
 def test_baseline_latency_near_paper(latencies):
     assert latencies[ExecutionMode.BASELINE] == pytest.approx(
-        netperf.PAPER["latency_us"], rel=0.06)
+        PAPER["net_latency_base"], rel=0.06)
 
 
 def test_latency_ordering(latencies):
@@ -34,15 +37,13 @@ def test_latency_speedups_near_paper(latencies):
     base = latencies[ExecutionMode.BASELINE]
     sw = base / latencies[ExecutionMode.SW_SVT]
     hw = base / latencies[ExecutionMode.HW_SVT]
-    assert sw == pytest.approx(netperf.PAPER["latency_speedup_sw"],
-                               abs=0.06)
-    assert hw == pytest.approx(netperf.PAPER["latency_speedup_hw"],
-                               abs=0.12)
+    assert sw == pytest.approx(PAPER["net_latency_sw_speedup"], abs=0.06)
+    assert hw == pytest.approx(PAPER["net_latency_hw_speedup"], abs=0.12)
 
 
 def test_baseline_bandwidth_near_paper(bandwidths):
     assert bandwidths[ExecutionMode.BASELINE] == pytest.approx(
-        netperf.PAPER["bandwidth_mbps"], rel=0.03)
+        PAPER["net_bandwidth_base"], rel=0.03)
 
 
 def test_bandwidth_near_line_rate(bandwidths):
@@ -54,8 +55,6 @@ def test_bandwidth_speedups_shape(bandwidths):
     base = bandwidths[ExecutionMode.BASELINE]
     sw = bandwidths[ExecutionMode.SW_SVT] / base
     hw = bandwidths[ExecutionMode.HW_SVT] / base
-    assert sw == pytest.approx(netperf.PAPER["bandwidth_speedup_sw"],
-                               abs=0.05)
-    assert hw == pytest.approx(netperf.PAPER["bandwidth_speedup_hw"],
-                               abs=0.05)
+    assert sw == pytest.approx(PAPER["net_bandwidth_sw_speedup"], abs=0.05)
+    assert hw == pytest.approx(PAPER["net_bandwidth_hw_speedup"], abs=0.05)
     assert hw >= sw

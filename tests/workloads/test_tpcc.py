@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.mode import ExecutionMode
+from repro.exp import claims
 from repro.workloads import tpcc
 
 
@@ -16,13 +17,14 @@ def results():
 
 def test_baseline_throughput_near_paper(results):
     assert results[ExecutionMode.BASELINE].ktpm == pytest.approx(
-        tpcc.PAPER["baseline_ktpm"], rel=0.03)
+        claims.paper_value("fig9", "baseline_ktpm"), rel=0.03)
 
 
 def test_sw_svt_speedup_near_paper(results):
     speedup = (results[ExecutionMode.SW_SVT].ktpm
                / results[ExecutionMode.BASELINE].ktpm)
-    assert speedup == pytest.approx(tpcc.PAPER["speedup_sw"], abs=0.05)
+    assert speedup == pytest.approx(claims.paper_value("fig9", "speedup"),
+                                    abs=0.05)
 
 
 def test_hw_beats_sw(results):
