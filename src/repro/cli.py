@@ -260,6 +260,25 @@ def _cmd_run(argv):
     return 0
 
 
+def _sanitizer_verdict(report):
+    """Print the runtime sanitizer's verdict on stderr and return the
+    exit code it calls for (``REPRO_SIM_SANITIZE=1`` runs only; 0
+    otherwise).  The reports flip the exit code, never the result
+    document: byte-identity with the flag off is the contract."""
+    from repro.sim import sanitizer as sim_sanitizer
+
+    if not sim_sanitizer.enabled():
+        return 0
+    for line in report.sanitizer_reports:
+        print(line, file=sys.stderr)
+    if report.sanitizer_reports:
+        print(f"sanitizer: {len(report.sanitizer_reports)} "
+              "conflicting unordered access(es)", file=sys.stderr)
+        return 1
+    print("sanitizer: no conflicting unordered accesses", file=sys.stderr)
+    return 0
+
+
 def _cmd_chaos(argv):
     """``repro chaos``: the fault-injection resilience matrix.
 
@@ -308,9 +327,10 @@ def _cmd_chaos(argv):
         args.out.parent.mkdir(parents=True, exist_ok=True)
         args.out.write_text(run.result.to_json())
         print(f"resilience matrix -> {args.out}", file=sys.stderr)
+    exit_code = _sanitizer_verdict(report)
     if args.json:
         sys.stdout.write(report.to_json())
-        return 0
+        return exit_code
 
     from repro.analysis.report import render_result
 
@@ -320,7 +340,7 @@ def _cmd_chaos(argv):
         print(f"chaos: {unresolved} injected fault(s) neither recovered "
               "nor accounted as degraded/deadlocked", file=sys.stderr)
         return 1
-    return 0
+    return exit_code
 
 
 def _cmd_bench(argv):
@@ -530,22 +550,7 @@ def main(argv=None):
         print(f"cache: served {len(report.served)}, "
               f"computed {len(report.computed)} "
               f"({cache.root})", file=sys.stderr)
-    # Runtime-sanitizer verdict (REPRO_SIM_SANITIZE=1 runs only): the
-    # reports ride on stderr and flip the exit code, never the result
-    # document — byte-identity with the flag off is the contract.
-    exit_code = 0
-    from repro.sim import sanitizer as sim_sanitizer
-
-    if sim_sanitizer.enabled():
-        for line in report.sanitizer_reports:
-            print(line, file=sys.stderr)
-        if report.sanitizer_reports:
-            print(f"sanitizer: {len(report.sanitizer_reports)} "
-                  "conflicting unordered access(es)", file=sys.stderr)
-            exit_code = 1
-        else:
-            print("sanitizer: no conflicting unordered accesses",
-                  file=sys.stderr)
+    exit_code = _sanitizer_verdict(report)
     if args.json:
         sys.stdout.write(report.to_json())
         return exit_code

@@ -22,8 +22,17 @@ Extensions the paper discusses but does not build:
 """
 
 from repro.core.bypass import BypassSvtEngine, install_bypass
-from repro.core.channel import Command, CommandKind, CommandRing, PairedChannels
-from repro.core.coexist import CoexistConfig, DynamicPolicy, crossover_trap_rate
+from repro.core.channel import (
+    Command,
+    CommandKind,
+    CommandRing,
+    PairedChannels,
+)
+from repro.core.coexist import (
+    CoexistConfig,
+    DynamicPolicy,
+    crossover_trap_rate,
+)
 from repro.core.cross_context import ctxt_read, ctxt_write, resolve_target
 from repro.core.mode import ExecutionMode
 from repro.core.security import CoResidencyAuditor, audit_machine_run

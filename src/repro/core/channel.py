@@ -22,14 +22,14 @@ Robustness (see ``docs/robustness.md``):
 * **Fault injection**: a ring built with a
   :class:`~repro.faults.injector.FaultInjector` may drop, duplicate,
   delay (head-of-line, ``visible_at``) or corrupt a pushed command, or
-  lose the consumer's wakeup.  Commands are *sealed* with a payload
-  checksum at push time so receivers detect corruption, and carry an
+  lose the consumer's wakeup.  Commands are *sealed* at push time: the
+  seal is a private deep snapshot of the payload, and the receiver's
+  :meth:`Command.verify` requires the payload to still equal it, so any
+  change to any value at any depth is detected.  Commands also carry an
   exchange id (``xid``) so retransmissions and duplicates deduplicate.
 """
 
 import itertools
-import json
-import zlib
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -46,10 +46,27 @@ class CommandKind:
     ALL = (VM_TRAP, VM_RESUME, BLOCKED)
 
 
-def _payload_checksum(payload):
-    """Deterministic payload digest (order-independent encoding)."""
-    encoded = json.dumps(payload, sort_keys=True, default=repr)
-    return zlib.crc32(encoded.encode("utf-8"))
+#: Immutable value types a snapshot shares with the payload.
+_SCALARS = frozenset({bool, int, float, complex, str, bytes, type(None)})
+
+
+def _snapshot(value):
+    """A copy of ``value`` that shares no mutable container with it.
+
+    Dicts, lists, tuples and sets are copied at every depth.  Scalars
+    and any other object are shared, so such an object compares by its
+    own ``==`` (identity, unless its class defines equality).
+    """
+    if isinstance(value, dict):
+        return {key: item if type(item) in _SCALARS else _snapshot(item)
+                for key, item in value.items()}
+    if isinstance(value, list):
+        return [_snapshot(item) for item in value]
+    if isinstance(value, tuple):
+        return tuple(_snapshot(item) for item in value)
+    if isinstance(value, (set, frozenset)):
+        return frozenset(value)
+    return value
 
 
 @dataclass
@@ -63,23 +80,23 @@ class Command:
     #: Exchange id: retransmissions of one logical command share it, so
     #: receivers can discard duplicates.  -1 = unassigned.
     xid: int = -1
-    #: Payload checksum taken at push time (0 = unsealed).
-    checksum: int = 0
     #: Sim time before which the command is invisible (delay faults).
     visible_at: int = 0
+    #: Deep snapshot of the payload taken at push time (None = unsealed).
+    _sealed: object = field(default=None, init=False, repr=False,
+                            compare=False)
 
     def __post_init__(self):
         if self.kind not in CommandKind.ALL:
             raise ChannelError(f"unknown command kind {self.kind!r}")
 
     def seal(self):
-        """Stamp the payload checksum (the producer's end-to-end seal)."""
-        self.checksum = _payload_checksum(self.payload)
-        return self.checksum
+        """Snapshot the payload (the producer's end-to-end seal)."""
+        self._sealed = _snapshot(self.payload)
 
     def verify(self):
-        """True when the payload still matches its seal."""
-        return self.checksum == _payload_checksum(self.payload)
+        """True when the payload still equals its seal at every depth."""
+        return self.payload == self._sealed
 
 
 class CommandRing:

@@ -8,9 +8,10 @@ software prototype, hardware-context stall/resume plus cross-context
 register stores for HW SVt.
 
 Cost anchors (see `repro.cpu.costs`): one full baseline nested-trap cycle
-sums to Table 1's 10.40 µs; SW SVt replaces the two L0<->L1 crossings and
-L1's lazy save/restore with two command hops (8.46 µs, 1.23×); HW SVt
-replaces every crossing with thread stall/resume (5.36 µs, 1.94×).
+sums to Table 1's total; SW SVt replaces the two L0<->L1 crossings and
+L1's lazy save/restore with two command hops; HW SVt replaces every
+crossing with thread stall/resume.  The paper's numbers for the three
+(Table 1's total and Fig. 6's speedups) are rows of `repro.exp.claims`.
 """
 
 from repro.cpu.registers import RegNames
@@ -96,7 +97,7 @@ class SwitchEngine:
     def load_vmcs(self, vmcs):
         """VMPTRLD: baseline folds the cost into the handler figures."""
 
-    # -- register writers -------------------------------------------------------
+    # -- register writers ---------------------------------------------------
 
     def l1_writer(self, l2_vcpu):
         """How L1's handler updates L2's registers."""

@@ -59,7 +59,8 @@ class RunResult:
 
     @property
     def ns_per_instruction(self):
-        return self.elapsed_ns / self.instructions if self.instructions else 0.0
+        return (self.elapsed_ns / self.instructions
+                if self.instructions else 0.0)
 
 
 class Machine:

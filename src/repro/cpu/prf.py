@@ -85,7 +85,7 @@ class RenameMap:
 
     def read(self, name):
         """Latest architectural value (0 for never-written registers)."""
-        if name not in RegNames.ALL:
+        if name not in RegNames.KNOWN:
             raise VirtualizationError(f"unknown register {name!r}")
         idx = self._map.get(name)
         return self._prf.read(idx) if idx is not None else 0
@@ -93,7 +93,7 @@ class RenameMap:
     def write(self, name, value):
         """Rename-and-write: allocate a fresh physical register, retire
         the old mapping."""
-        if name not in RegNames.ALL:
+        if name not in RegNames.KNOWN:
             raise VirtualizationError(f"unknown register {name!r}")
         idx = self._prf.alloc()
         self._prf.write(idx, value)

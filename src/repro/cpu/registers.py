@@ -37,6 +37,8 @@ class RegNames:
     )
 
     ALL = GPRS + (RIP, RFLAGS) + CONTROL + SEGMENT_BASES + MSRS
+    #: ``ALL`` as a set, for the name check on every access.
+    KNOWN = frozenset(ALL)
 
 
 class ArchRegisters:
@@ -55,12 +57,12 @@ class ArchRegisters:
                 self.write(name, value)
 
     def read(self, name):
-        if name not in RegNames.ALL:
+        if name not in RegNames.KNOWN:
             raise VirtualizationError(f"unknown register {name!r}")
         return self._values.get(name, 0)
 
     def write(self, name, value):
-        if name not in RegNames.ALL:
+        if name not in RegNames.KNOWN:
             raise VirtualizationError(f"unknown register {name!r}")
         if not isinstance(value, int):
             raise VirtualizationError(

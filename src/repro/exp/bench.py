@@ -104,7 +104,8 @@ def _time_cells(experiment: registry.Experiment,
                     # nondeterminism: it never reaches a Result.
                     started = time.perf_counter()  # svtlint: disable=SVT001
                     experiment.run_cell(cell, dict(params))
-                    took = time.perf_counter() - started  # svtlint: disable=SVT001
+                    # svtlint: disable=SVT001
+                    took = time.perf_counter() - started
                     total += took
                     cell_walls[cell] = min(cell_walls[cell], took)
             wall = min(wall, total)

@@ -149,9 +149,10 @@ class FaultInjector:
     def corrupt_payload(self, payload, ring_name):
         """Deterministically scramble one payload entry in place.
 
-        Returns the corrupted key.  The command's seal (checksum) was
-        computed before this mutation, so receivers detect the damage
-        via :meth:`repro.core.channel.Command.verify`.
+        Returns the corrupted key.  The command's seal, a deep snapshot
+        of the payload, was taken before this mutation, so receivers
+        detect any unequal value via
+        :meth:`repro.core.channel.Command.verify`.
         """
         rng = self.stream(f"corrupt:{ring_name}")
         if payload:

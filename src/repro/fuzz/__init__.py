@@ -1,7 +1,8 @@
 """Deterministic fuzz-harness VMs (docs/fuzzing.md).
 
 NecoFuzz-style generated guest programs driven differentially across
-the three execution modes, with an oracle suite over the outcomes.  Everything derives from one seed through
+the three execution modes, with an oracle suite over the outcomes.
+Everything derives from one seed through
 :func:`repro.fuzz.gen.derive_stream`, so every campaign, case and
 shrink replays bit-for-bit at any ``--jobs`` count.
 

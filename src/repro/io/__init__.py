@@ -11,8 +11,18 @@ devices, emulated by L0), so one L2 I/O touches every layer of Figure 1.
 from repro.io.fabric import DeviceTimings, serialization_ns
 from repro.io.virtio import VirtQueue, VirtioDescriptor
 from repro.io.device import MmioDevice, PortDevice
-from repro.io.net import NetworkFabric, VhostNetBackend, VirtioNetDevice, install_network
-from repro.io.block import BlkRequest, RamDiskBackend, VirtioBlkDevice, install_block
+from repro.io.net import (
+    NetworkFabric,
+    VhostNetBackend,
+    VirtioNetDevice,
+    install_network,
+)
+from repro.io.block import (
+    BlkRequest,
+    RamDiskBackend,
+    VirtioBlkDevice,
+    install_block,
+)
 
 __all__ = [
     "BlkRequest",

@@ -110,7 +110,7 @@ class VirtQueue:
         if self.obs is not None:
             self.obs.count("virtqueue_completions_total", queue=self.name)
 
-    # -- introspection -----------------------------------------------------------
+    # -- introspection ------------------------------------------------------
 
     @property
     def in_flight(self):

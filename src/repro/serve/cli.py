@@ -26,9 +26,9 @@ def _serve_parser() -> argparse.ArgumentParser:
                     "docs/serving.md)")
     parser.add_argument("--host", default="127.0.0.1")
     parser.add_argument("--port", type=int, default=8749)
-    parser.add_argument("--jobs", type=int, default=2, metavar="N",
-                        help="worker processes (default 2)")
-    parser.add_argument("--capacity", type=int, default=8,
+    parser.add_argument("--jobs", type=positive_int, default=2,
+                        metavar="N", help="worker processes (default 2)")
+    parser.add_argument("--capacity", type=positive_int, default=8,
                         help="admission queue capacity (default 8)")
     parser.add_argument("--deadline", type=float, default=30.0,
                         metavar="S",
@@ -73,10 +73,10 @@ def _loadtest_parser() -> argparse.ArgumentParser:
                     "gate (see docs/serving.md)")
     parser.add_argument("--seed", type=int, default=2019)
     parser.add_argument("--requests", type=positive_int, default=60)
-    parser.add_argument("--jobs", type=int, default=2)
+    parser.add_argument("--jobs", type=positive_int, default=2)
     parser.add_argument("--concurrency", type=positive_int, default=8,
                         help="clients per wave (default 8)")
-    parser.add_argument("--capacity", type=int, default=None,
+    parser.add_argument("--capacity", type=positive_int, default=None,
                         help="admission capacity (default: "
                              "concurrency)")
     parser.add_argument("--deadline", type=float, default=30.0)

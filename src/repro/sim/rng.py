@@ -72,7 +72,8 @@ class DeterministicRng:
     def exponential(self, mean_value):
         """Exponential inter-arrival draw with the given mean."""
         if mean_value <= 0:
-            raise ValueError(f"exponential mean must be positive: {mean_value}")
+            raise ValueError(
+                f"exponential mean must be positive: {mean_value}")
         return self._random.expovariate(1.0 / mean_value)
 
     def lognormal_around(self, mean_value, rel_sigma):

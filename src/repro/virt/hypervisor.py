@@ -273,7 +273,7 @@ class Hypervisor:
             self.flush_ept(vm)
         self._advance_rip(exit_info, vcpu, writer, vmcs)
 
-    # -- hypercalls --------------------------------------------------------------
+    # -- hypercalls ---------------------------------------------------------
 
     def _handle_vmcall(self, exit_info, vm, vcpu, writer, vmcs):
         number = exit_info.qual("number", 0)
@@ -286,7 +286,7 @@ class Hypervisor:
                    is not None else 0)
         self._advance_rip(exit_info, vcpu, writer, vmcs)
 
-    # -- idle / events -------------------------------------------------------------
+    # -- idle / events ------------------------------------------------------
 
     def _handle_hlt(self, exit_info, vm, vcpu, writer, vmcs):
         vcpu.halted = True

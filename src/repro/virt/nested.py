@@ -5,8 +5,9 @@ vmcs01 (L0 runs L1 on it), vmcs01'/vmcs12 (L1's descriptor for L2 and
 L0's shadow of it), vmcs02 (what L2 really runs on) — and walks the exact
 control flow of Algorithm 1 for every nested VM trap.  Every boundary
 crossing is delegated to a :class:`~repro.core.switch.SwitchEngine`, so
-the same control flow prices out as 10.40 µs (baseline), 8.46 µs (SW SVt)
-or 5.36 µs (HW SVt) for a cpuid trap.
+the same control flow prices a cpuid trap at the paper's time for each
+mode: Table 1's total for the baseline and the times Fig. 6's speedups
+imply for SW and HW SVt (their rows are in :mod:`repro.exp.claims`).
 
 Shadowing note: with hardware VMCS shadowing (which the paper's baseline
 includes), L1's accesses to shadowed vmcs01' fields are served directly
@@ -298,20 +299,25 @@ class NestedStack:
         """L1 touched a non-shadowed vmcs01' field: trap to L0, emulate,
         resume L1."""
         if self._shadowing:
-            self._aux_trap(kind, f"aux_exit:vmcs:{field_name}")
+            self._aux_trap(kind, field_name)
 
     def l1_aux_op(self, kind):
         """A privileged non-VMCS op by L1 during handling (INVEPT, timer
         reprogramming, control-register writes) — same trap pattern."""
-        self._aux_trap(kind, f"aux_exit:{kind}")
+        self._aux_trap(kind)
 
-    def _aux_trap(self, kind, span_name):
-        """Shared aux-trap body: L0 captures the trap, emulates, resumes."""
+    def _aux_trap(self, kind, field_name=None):
+        """Shared aux-trap body: L0 captures the trap, emulates, resumes.
+        ``field_name`` names the vmcs01' field of a VMCS access."""
         started = self.sim.now
         obs = self.obs
         engine = self.engine
-        with (obs.span(span_name, level=0, kind=kind)
-              if obs is not None else _NO_SPAN):
+        if obs is None:
+            span = _NO_SPAN
+        else:
+            what = kind if field_name is None else f"vmcs:{field_name}"
+            span = obs.span(f"aux_exit:{what}", level=0, kind=kind)
+        with span:
             previous = _enter_ctx("L0")
             engine.aux_exit_begin()
             self.tracer.charge(self.costs.l0_pure(kind), Category.L0_HANDLER)

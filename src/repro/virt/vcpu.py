@@ -50,7 +50,7 @@ class VCpu:
     def is_pinned(self):
         return self._context is not None
 
-    # -- register access -------------------------------------------------------
+    # -- register access ----------------------------------------------------
 
     def read(self, register):
         if self._context is not None:
@@ -67,7 +67,7 @@ class VCpu:
     def rip(self):
         return self.read(RegNames.RIP)
 
-    # -- MSR store ---------------------------------------------------------------
+    # -- MSR store ----------------------------------------------------------
 
     def read_msr(self, msr):
         return self.msrs.get(msr, 0)

@@ -112,6 +112,18 @@ class FieldRegistry:
         return out
 
 
+#: Names software may write without ``force``, and the names whose
+#: access by a shadowing guest traps (no unknown name is in any of them).
+_WRITABLE = frozenset(
+    name for name, fld in FieldRegistry.FIELDS.items() if fld.writable)
+_READ_TRAPS = frozenset(
+    name for name, fld in FieldRegistry.FIELDS.items()
+    if not fld.shadow_read)
+_WRITE_TRAPS = frozenset(
+    name for name, fld in FieldRegistry.FIELDS.items()
+    if not fld.shadow_write)
+
+
 class Vmcs:
     """One VM state descriptor.
 
@@ -144,16 +156,23 @@ class Vmcs:
     # -- raw access (no shadow semantics; used by the owning hypervisor) --
 
     def read(self, field_name):
-        FieldRegistry.get(field_name)
+        values = self._values
+        if field_name not in values:
+            # Every stored name is registered (write and restore admit
+            # no other, copy_fields copies registered ones), so only a
+            # miss can be an unknown name.
+            FieldRegistry.get(field_name)
         if _san.ACTIVE is not None:
             _san.ACTIVE.record(f"vmcs:{self.name}", field_name, "r",
                                "Vmcs.read")
-        return self._values.get(field_name, 0)
+        return values.get(field_name, 0)
 
     def write(self, field_name, value, force=False):
-        fld = FieldRegistry.get(field_name)
-        if not fld.writable and not force:
-            raise VmcsError(f"field {field_name} is read-only to software")
+        if field_name not in _WRITABLE:
+            FieldRegistry.get(field_name)        # an unknown name raises
+            if not force:
+                raise VmcsError(
+                    f"field {field_name} is read-only to software")
         if _san.ACTIVE is not None:
             _san.ACTIVE.record(f"vmcs:{self.name}", field_name, "w",
                                "Vmcs.write")
@@ -164,18 +183,19 @@ class Vmcs:
     def guest_read(self, field_name):
         """Read as a *virtualized* hypervisor: shadow-readable fields are
         served from the shadow copy; others trap to the supervising
-        hypervisor first (cost and bookkeeping via the callback)."""
-        fld = FieldRegistry.get(field_name)
-        if not fld.shadow_read and self._trap_callback is not None:
+        hypervisor first (cost and bookkeeping via the callback).  An
+        unknown name raises before any trap."""
+        if field_name in _READ_TRAPS and self._trap_callback is not None:
             self._trap_callback("VMREAD", field_name)
         return self.read(field_name)
 
     def guest_write(self, field_name, value):
-        """Write as a virtualized hypervisor (see :meth:`guest_read`)."""
-        fld = FieldRegistry.get(field_name)
-        if not fld.shadow_write and self._trap_callback is not None:
+        """Write as a virtualized hypervisor (see :meth:`guest_read`).
+        The write is forced, so it lands in read-only exit-information
+        fields too."""
+        if field_name in _WRITE_TRAPS and self._trap_callback is not None:
             self._trap_callback("VMWRITE", field_name)
-        self.write(field_name, value, force=not fld.writable)
+        self.write(field_name, value, force=True)
 
     # -- exit info plumbing -------------------------------------------------
 
@@ -203,7 +223,11 @@ class Vmcs:
     def restore(self, values):
         """Reset the value store to a snapshot (the repair path after
         detected corruption); returns the names of the fields that
-        changed."""
+        changed.  An unknown name in ``values`` raises, which keeps
+        every stored name registered."""
+        unknown = values.keys() - FieldRegistry.FIELDS.keys()
+        if unknown:
+            FieldRegistry.get(min(unknown))      # raises VmcsError
         changed = self.diff(values)
         if _san.ACTIVE is not None:
             _san.ACTIVE.record(f"vmcs:{self.name}", "*", "w",

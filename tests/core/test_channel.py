@@ -1,7 +1,7 @@
 """SW SVt command rings: FIFO, bounds, trap/resume protocol."""
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from repro.core.channel import (
     Command,
@@ -9,7 +9,9 @@ from repro.core.channel import (
     CommandRing,
     PairedChannels,
 )
+from repro.cpu.registers import RegNames
 from repro.errors import ChannelError
+from repro.virt.exits import ExitReason
 
 
 def test_unknown_command_kind_rejected():
@@ -308,4 +310,38 @@ def test_sealed_command_verifies_until_mutated():
     command.seal()
     assert command.verify()
     command.payload["a"] = 2
+    assert not command.verify()
+
+
+_WORDS = st.integers(0, 2 ** 64 - 1)
+_VALUES = (_WORDS | st.booleans() | st.none() | st.text(max_size=6)
+           | st.lists(_WORDS, max_size=3)
+           | st.dictionaries(st.text(max_size=4), _WORDS, max_size=3))
+
+#: Trap payloads shaped like ``SwSvtEngine.enter_l1``'s.
+_TRAP_PAYLOADS = st.fixed_dictionaries({
+    "exit_reason": st.sampled_from(sorted(ExitReason.REFLECTABLE)),
+    "qualification": st.dictionaries(
+        st.sampled_from(["leaf", "msr", "value", "port", "gpa", "write",
+                         "vector", "payload"]),
+        _VALUES, max_size=4),
+    "regs": st.fixed_dictionaries(
+        {name: _WORDS for name in RegNames.GPRS}),
+    "rip": _WORDS,
+})
+
+
+@given(payload=_TRAP_PAYLOADS, data=st.data())
+def test_seal_detects_any_one_field_changed(payload, data):
+    command = Command(CommandKind.VM_TRAP, payload)
+    command.seal()
+    assert command.verify()
+    places = ([(payload, key) for key in payload]
+              + [(payload["regs"], name) for name in payload["regs"]]
+              + [(payload["qualification"], key)
+                 for key in payload["qualification"]])
+    container, key = data.draw(st.sampled_from(places))
+    value = data.draw(_VALUES)
+    assume(value != container[key])
+    container[key] = value
     assert not command.verify()

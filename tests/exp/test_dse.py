@@ -6,7 +6,7 @@ import pytest
 
 from repro.core.mode import ExecutionMode
 from repro.errors import ConfigError
-from repro.exp import dse
+from repro.exp import claims, dse
 
 
 @pytest.fixture(scope="module")
@@ -41,8 +41,12 @@ def test_paper_point_reproduces_figure6(smoke_doc):
         and p["svt_stall_resume"] == 20
         and p["placement"] == "smt"
     ]
-    assert point["ns_per_op"][ExecutionMode.BASELINE] == 10400
-    assert point["ns_per_op"][ExecutionMode.SW_SVT] == 8460
+    baseline_us = claims.paper_value("table1", "total_us")
+    sw_svt_us = claims.paper_value("ablation_wait", "smt_mwait_us")
+    assert point["ns_per_op"][ExecutionMode.BASELINE] == round(
+        baseline_us * 1000)
+    assert point["ns_per_op"][ExecutionMode.SW_SVT] == round(
+        sw_svt_us * 1000)
     assert point["sw_speedup"] == 1.2293
     assert point["winner"] == ExecutionMode.HW_SVT
 

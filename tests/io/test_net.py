@@ -51,8 +51,9 @@ def test_round_trip_delivers_reply(machine, net):
 def test_rx_chain_interrupts_both_levels(machine, net):
     ping(machine, net)
     # RX: one interrupt into L1 (vhost) and one injected into L2.
-    assert machine.stack.exit_counts["L1:" + ExitReason.EXTERNAL_INTERRUPT] >= 1
-    assert machine.stack.exit_counts[ExitReason.EXTERNAL_INTERRUPT] >= 1
+    exit_counts = machine.stack.exit_counts
+    assert exit_counts["L1:" + ExitReason.EXTERNAL_INTERRUPT] >= 1
+    assert exit_counts[ExitReason.EXTERNAL_INTERRUPT] >= 1
 
 
 def test_tx_completion_interrupt_toggleable(machine, net):

@@ -11,5 +11,5 @@ def take(ring):
 
 
 def poll(flag):
-    while not flag.is_set():  # svtlint: disable=SVT005 — bounded: the flag setter runs first
+    while not flag.is_set():  # svtlint: disable=SVT005 — bounded: set first
         pass

@@ -136,6 +136,10 @@ def test_all_without_flags_runs_every_experiment_at_its_defaults(
     ["loadtest", "--requests", "0"],
     ["loadtest", "--requests", "-2"],
     ["loadtest", "--concurrency", "0"],
+    ["loadtest", "--jobs", "0"],
+    ["loadtest", "--capacity", "0"],
+    ["serve", "--jobs", "0"],
+    ["serve", "--capacity", "0"],
     ["smoke"],
     ["all", "--out", "{tmp}"],
 ], ids=" ".join)
@@ -207,3 +211,31 @@ def test_run_writes_trace_and_metrics_into_a_new_directory(capsys,
     assert json.loads((out / "t.json").read_text())["traceEvents"]
     metrics = json.loads((out / "m.json").read_text())
     assert metrics["schema"] == "repro-metrics/1"
+
+
+@pytest.mark.parametrize("reports, code", [
+    ([], 0),
+    (["unordered access: vmcs:vmcs12.guest_rip"], 1),
+], ids=["clean", "report"])
+def test_sanitized_chaos_prints_the_verdict(capsys, monkeypatch, reports,
+                                            code):
+    from repro.sim import sanitizer
+
+    monkeypatch.setenv(sanitizer.ENV_FLAG, "1")
+    run_experiments = runner.run_experiments
+
+    def with_reports(*args, **kwargs):
+        report = run_experiments(*args, **kwargs)
+        report.sanitizer_reports.extend(reports)
+        return report
+
+    monkeypatch.setattr(runner, "run_experiments", with_reports)
+    assert main(["chaos", "--smoke", "--json"]) == code
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["experiments"]["chaos"]
+    verdict = captured.err.splitlines()[-1]
+    if reports:
+        assert reports[0] in captured.err
+        assert verdict == "sanitizer: 1 conflicting unordered access(es)"
+    else:
+        assert verdict == "sanitizer: no conflicting unordered accesses"

@@ -1,5 +1,8 @@
 """Algorithm-1 orchestration: reflection, aux traps, direct handling."""
 
+import json
+import zlib
+
 import pytest
 
 from repro import ExecutionMode, Machine
@@ -9,6 +12,7 @@ from repro.errors import VirtualizationError
 from repro.sim.trace import Category
 from repro.virt.exits import ExitInfo, ExitReason
 from repro.virt.hypervisor import MSR_TSC_DEADLINE
+from repro.virt.vmcs import FieldRegistry
 
 
 @pytest.fixture
@@ -118,3 +122,37 @@ def test_vcpu_exit_counter(machine):
     machine.run_instruction(isa.cpuid())
     machine.run_instruction(isa.cpuid())
     assert machine.l2_vm.vcpu.exits == 2
+
+
+#: Host work of one steady-state nested ``cpuid`` exit, the same in
+#: every mode.  Only the forced writes of the three read-only exit
+#: fields (``record_exit`` on vmcs02 and on vmcs12) consult the field
+#: registry; a SW SVt ring exchange encodes and checksums nothing.
+EXIT_WORK = {"FieldRegistry.get": 6, "json.dumps": 0, "zlib.crc32": 0}
+
+
+@pytest.mark.parametrize("mode", ExecutionMode.ALL)
+def test_nested_cpuid_exit_host_work_is_pinned(monkeypatch, mode):
+    machine = Machine(mode=mode)
+    machine.run_instruction(isa.cpuid())        # reach steady state
+    counts = dict.fromkeys(EXIT_WORK, 0)
+
+    def counted(name, function):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return function(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(FieldRegistry, "get", staticmethod(
+        counted("FieldRegistry.get", FieldRegistry.get)))
+    monkeypatch.setattr(json, "dumps", counted("json.dumps", json.dumps))
+    monkeypatch.setattr(zlib, "crc32", counted("zlib.crc32", zlib.crc32))
+    channels = machine.channels             # SW SVt only
+    round_trips = channels.round_trips if channels is not None else 0
+    machine.run_instruction(isa.cpuid())
+    if channels is not None:
+        assert channels.round_trips == round_trips + 1
+    drift = [f"{name}: {counts[name]} calls, pinned {pinned}"
+             for name, pinned in EXIT_WORK.items()
+             if counts[name] != pinned]
+    assert not drift, f"one nested cpuid exit ({mode}): " + "; ".join(drift)

@@ -20,6 +20,25 @@ def test_unknown_field_rejected():
         Vmcs("x").read("nonsense")
 
 
+@pytest.mark.parametrize("access", [
+    lambda vmcs: vmcs.read("nonsense"),
+    lambda vmcs: vmcs.write("nonsense", 1),
+    lambda vmcs: vmcs.write("nonsense", 1, force=True),
+    lambda vmcs: vmcs.guest_read("nonsense"),
+    lambda vmcs: vmcs.guest_write("nonsense", 1),
+    lambda vmcs: vmcs.restore({"guest_rip": 2, "nonsense": 1}),
+], ids=["read", "write", "forced write", "guest_read", "guest_write",
+        "restore"])
+def test_unknown_field_rejected_on_every_path(access):
+    traps = []
+    vmcs = Vmcs("t", exit_on_write_callback=lambda k, f: traps.append((k, f)))
+    vmcs.write("guest_rip", 1)
+    with pytest.raises(VmcsError, match="unknown VMCS field 'nonsense'"):
+        access(vmcs)
+    assert traps == []                      # nothing trapped first
+    assert vmcs.snapshot() == {"guest_rip": 1}
+
+
 def test_address_bearing_fields_listed():
     addressy = FieldRegistry.names(address_bearing=True)
     assert "ept_pointer" in addressy
