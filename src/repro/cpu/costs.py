@@ -32,7 +32,10 @@ single number here so ablations can sweep them.
 """
 
 import dataclasses
+import hashlib
+import json
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from repro.errors import ConfigError
 
@@ -202,9 +205,9 @@ class CostModel:
     # Stable name of the model these constants calibrate.  The default
     # instance *is* the paper's Xeon (Table 1), so a bare ``CostModel()``
     # and the registered ``xeon-paper`` model compare equal.  The id
-    # rides along in ``dataclasses.asdict`` and therefore in the segment
-    # cost fingerprints and the result-cache keys; the registry
-    # (:mod:`repro.cpu.costmodels`) validates and resolves it.
+    # rides along in ``dataclasses.asdict`` and therefore in
+    # :attr:`digest`; the registry (:mod:`repro.cpu.costmodels`)
+    # validates and resolves it.
     model_id: str = "xeon-paper"
 
     def __post_init__(self):
@@ -219,6 +222,20 @@ class CostModel:
             raise ConfigError("poll_smt_interference must be in [0, 1)")
         if not self.model_id or not isinstance(self.model_id, str):
             raise ConfigError("model_id must be a non-empty string")
+
+    @cached_property
+    def digest(self):
+        """sha256 hex of every field (``asdict`` as sorted-key JSON).
+
+        The one identity of a model's contents: the result-cache keys,
+        the segment compile memo and memcached's service memo all key
+        on it.  Computed on first use and kept in the instance
+        ``__dict__``, so it is not a field and leaves ``__eq__`` and
+        ``asdict`` alone; ``dataclasses.replace`` builds a new instance
+        that digests afresh.
+        """
+        doc = json.dumps(dataclasses.asdict(self), sort_keys=True)
+        return hashlib.sha256(doc.encode()).hexdigest()
 
     # -- per-crossing halves ------------------------------------------------
 
@@ -301,10 +318,9 @@ class CostModel:
 
         ``model_id`` passes through unchanged unless overridden — the
         copy is still "the xeon-paper model, perturbed".  Cache and
-        segment-memo identity come from the fingerprint over *all*
-        fields, never from the id alone, so two different perturbations
-        sharing an id can never alias.  Use :meth:`derived` to mint a
-        named variant.
+        memo identity come from :attr:`digest` over *all* fields, never
+        from the id alone, so two different perturbations sharing an id
+        can never alias.  Use :meth:`derived` to mint a named variant.
         """
         return dataclasses.replace(self, **overrides)
 

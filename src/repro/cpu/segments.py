@@ -28,13 +28,10 @@ trajectory as the legacy path.
 
 Plans are structural — they depend only on the instruction kinds and
 work costs, never on operand values — and are memoized per
-``(structure, repeat, mode, level, cost-model fingerprint)`` so
+``(structure, repeat, mode, level, CostModel.digest)`` so
 BASELINE/SW/HW cells of the same workload share compilations without
 ever crossing modes.
 """
-
-import weakref
-from dataclasses import asdict
 
 from repro.cpu.isa import Op
 
@@ -153,49 +150,6 @@ class CompiledProgram:
                 f"count={self.count}, single={self.single is not None})")
 
 
-def _freeze(value):
-    """Hashable deep-freeze of a cost-model field tree."""
-    if isinstance(value, dict):
-        return tuple(sorted((key, _freeze(item))
-                            for key, item in value.items()))
-    if isinstance(value, (list, tuple)):
-        return tuple(_freeze(item) for item in value)
-    return value
-
-
-_cost_fp_cache = {}
-
-
-def _cost_fingerprint(costs):
-    """``_freeze(asdict(costs))``, cached per CostModel instance.
-
-    ``asdict`` walks the entire (immutable) cost model and dominated
-    every ``compile_program`` call for workloads that run many tiny
-    programs; a CostModel never changes after construction, so the
-    fingerprint is keyed by identity with a weakref guard against id
-    reuse after collection.
-    """
-    key = id(costs)
-    entry = _cost_fp_cache.get(key)
-    if entry is not None and entry[0]() is costs:
-        return entry[1]
-    fingerprint = _freeze(asdict(costs))
-    if len(_cost_fp_cache) >= _MEMO_MAX:
-        _cost_fp_cache.clear()
-    _cost_fp_cache[key] = (weakref.ref(costs), fingerprint)
-    return fingerprint
-
-
-def cost_fingerprint(costs):
-    """Public, hashable fingerprint of a cost model's full contents.
-
-    Other memo layers (e.g. the service-time memo in
-    ``repro.workloads.memcached``) key on this so "same cost model" has
-    one definition across the codebase — and they inherit the identity
-    cache above instead of re-walking the dataclass."""
-    return _cost_fingerprint(costs)
-
-
 def _compile(instructions):
     nodes = []
     index = 0
@@ -220,9 +174,10 @@ def compile_program(program, mode, level, costs):
 
     Memoized: the structural key covers every input the plan could
     depend on (kinds and work costs per instruction, the repeat count,
-    the execution mode and level, and the full cost-model contents) —
-    deliberately *not* operand values, which only matter to stepped
-    instructions and are read from the live program at replay time.
+    the execution mode and level, and ``costs.digest`` over the full
+    cost-model contents) — deliberately *not* operand values, which
+    only matter to stepped instructions and are read from the live
+    program at replay time.
     """
     global _memo_hits, _memo_misses, _memo_wipes
     key = (
@@ -230,7 +185,7 @@ def compile_program(program, mode, level, costs):
         program.repeat,
         str(mode),
         level,
-        _cost_fingerprint(costs),
+        costs.digest,
     )
     plan = _memo.get(key)
     if plan is None:

@@ -31,7 +31,6 @@ them — can **never** serve one as a Result; only the explicit
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
 from functools import lru_cache
@@ -56,11 +55,11 @@ def default_cache_dir() -> Path:
 
 def cost_model_fingerprint(model: Optional[CostModel] = None) -> str:
     """Digest of every timing constant of ``model`` (the registry's
-    default when omitted).  ``model_id`` is a field, so two models with
-    identical constants but different names fingerprint apart."""
-    doc = dataclasses.asdict(costmodels.resolve(model))
-    payload = json.dumps(doc, sort_keys=True).encode()
-    return hashlib.sha256(payload).hexdigest()[:16]
+    default when omitted): the first 16 hex characters of
+    :attr:`CostModel.digest`, which each model computes once.
+    ``model_id`` is a field, so two models with identical constants
+    but different names fingerprint apart."""
+    return costmodels.resolve(model).digest[:16]
 
 
 @lru_cache(maxsize=1)
@@ -106,21 +105,38 @@ class ResultCache:
         ).encode()
         return hashlib.sha256(material).hexdigest()[:24]
 
-    def path_for(self, name: str, params: Mapping[str, Any]) -> Path:
-        return self.root / f"{name}-{self.key(name, params)}.json"
-
     # -- access ----------------------------------------------------------
+
+    def _read(self, name: str, params: Mapping[str, Any],
+              schema: str) -> Optional[dict[str, Any]]:
+        """The entry for this key under ``schema``, or ``None``."""
+        key = self.key(name, params)
+        try:
+            doc = json.loads(
+                (self.root / f"{name}-{key}.json").read_text())
+        except (OSError, ValueError):
+            return None
+        if not isinstance(doc, dict) or doc.get("schema") != schema \
+                or doc.get("key") != key:
+            return None
+        return doc
+
+    def _write(self, name: str, params: Mapping[str, Any],
+               schema: str, **fields: Any) -> Path:
+        """Write one entry under ``schema``; returns its path."""
+        self.root.mkdir(parents=True, exist_ok=True)
+        key = self.key(name, params)
+        path = self.root / f"{name}-{key}.json"
+        doc = {"schema": schema, "experiment": name, "key": key,
+               "params": dict(params), **fields}
+        path.write_text(canonical_json(doc))
+        return path
 
     def load(self, name: str,
              params: Mapping[str, Any]) -> Optional[Result]:
         """Cached :class:`Result` for this key, or ``None`` on a miss."""
-        path = self.path_for(name, params)
-        try:
-            doc = json.loads(path.read_text())
-        except (OSError, ValueError):
-            return None
-        if doc.get("schema") != SCHEMA or doc.get("key") != self.key(
-                name, params):
+        doc = self._read(name, params, SCHEMA)
+        if doc is None:
             return None
         try:
             return Result.from_dict(doc["result"])
@@ -130,21 +146,13 @@ class ResultCache:
     def store(self, name: str, params: Mapping[str, Any],
               result: Result) -> Path:
         """Write one entry; returns its path."""
-        self.root.mkdir(parents=True, exist_ok=True)
-        path = self.path_for(name, params)
-        doc = {
-            "schema": SCHEMA,
-            "experiment": name,
-            "key": self.key(name, params),
-            "params": dict(params),
-            "cost_model_id":
-                costmodels.resolve(params.get("cost_model")).model_id,
-            "cost_model_fingerprint": self._cost_fp,
-            "code_fingerprint": self._code_fp,
-            "result": result.to_dict(),
-        }
-        path.write_text(canonical_json(doc))
-        return path
+        return self._write(
+            name, params, SCHEMA,
+            cost_model_id=costmodels.resolve(
+                params.get("cost_model")).model_id,
+            cost_model_fingerprint=self._cost_fp,
+            code_fingerprint=self._code_fp,
+            result=result.to_dict())
 
     # -- negative entries -------------------------------------------------
 
@@ -156,30 +164,13 @@ class ResultCache:
         distinct :data:`ERROR_SCHEMA`, so :meth:`load` reads it as a
         miss (schema mismatch) and can never serve it as a Result.
         """
-        self.root.mkdir(parents=True, exist_ok=True)
-        path = self.path_for(name, params)
-        doc = {
-            "schema": ERROR_SCHEMA,
-            "experiment": name,
-            "key": self.key(name, params),
-            "params": dict(params),
-            "error": error,
-        }
-        path.write_text(canonical_json(doc))
-        return path
+        return self._write(name, params, ERROR_SCHEMA, error=error)
 
     def load_error(self, name: str,
                    params: Mapping[str, Any]) -> Optional[str]:
         """The remembered error message for this key, or ``None``."""
-        path = self.path_for(name, params)
-        try:
-            doc = json.loads(path.read_text())
-        except (OSError, ValueError):
-            return None
-        if doc.get("schema") != ERROR_SCHEMA or doc.get("key") != self.key(
-                name, params):
-            return None
-        error = doc.get("error")
+        doc = self._read(name, params, ERROR_SCHEMA)
+        error = doc.get("error") if doc is not None else None
         return error if isinstance(error, str) else None
 
     def clear(self, name: Optional[str] = None) -> int:

@@ -102,8 +102,8 @@ def _serve_one(machine, net, cfg, is_get, op_index):
 #: Service-time memo (the "compile once per sweep" stage for this
 #: workload): ``measure_service`` is a pure function of its inputs —
 #: it builds a private Machine, drives a fixed request script through
-#: it, and returns two means — so one measurement per
-#: (mode, config, samples, cost model) serves a whole sweep.  Bypassed
+#: it, and returns two means — so one measurement per (mode, config,
+#: samples, ``CostModel.digest``) serves a whole sweep.  Bypassed
 #: whenever an observer is ambient or the ordering sanitizer is armed:
 #: those want the *events*, not just the result.  Bounded with a full
 #: wipe, like the segment memo.
@@ -120,7 +120,7 @@ def reset_service_memo():
 def measure_service(mode=ExecutionMode.BASELINE, config=None, samples=18,
                     costs=None):
     """Mean service time (ns) for GET and SET in a mode."""
-    from repro.cpu import costmodels, segments
+    from repro.cpu import costmodels
     from repro.obs.observer import ambient as obs_ambient
     from repro.sim import sanitizer
 
@@ -128,8 +128,7 @@ def measure_service(mode=ExecutionMode.BASELINE, config=None, samples=18,
     memoizable = obs_ambient() is None and not sanitizer.enabled()
     key = None
     if memoizable:
-        key = (str(mode), cfg, samples,
-               segments.cost_fingerprint(costmodels.resolve(costs)))
+        key = (str(mode), cfg, samples, costmodels.resolve(costs).digest)
         cached = _service_memo.get(key)
         if cached is not None:
             return cached

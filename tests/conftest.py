@@ -1,5 +1,6 @@
 """Shared fixtures for the test suite."""
 
+import collections
 import json
 import signal
 from pathlib import Path
@@ -138,6 +139,47 @@ def sim():
 @pytest.fixture
 def costs():
     return CostModel()
+
+
+class HostWork(collections.Counter):
+    """Calls per named counter, checked against pinned counts."""
+
+    def drift(self, pinned):
+        """One line per counter off its pin; a counter not pinned is
+        pinned at 0."""
+        return [f"{name}: {self[name]} calls, pinned {pinned.get(name, 0)}"
+                for name in sorted(set(self) | set(pinned))
+                if self[name] != pinned.get(name, 0)]
+
+
+@pytest.fixture
+def cache_host_work(monkeypatch):
+    """Counts ``ResultCache.key`` calls and ``CostModel.digest``
+    computations (``CostModel.digest[<model_id>]``) from here on.
+
+    Every registered model starts with no digest kept, so a count
+    reads the same whichever tests ran before in the process.
+    """
+    from repro.cpu import costmodels
+    from repro.exp.cache import ResultCache
+
+    counts = HostWork()
+    key, digest = ResultCache.key, CostModel.digest.func
+
+    def counted_key(cache, name, params):
+        counts["ResultCache.key"] += 1
+        return key(cache, name, params)
+
+    def counted_digest(model):
+        counts[f"CostModel.digest[{model.model_id}]"] += 1
+        return digest(model)
+
+    monkeypatch.setattr(ResultCache, "key", counted_key)
+    monkeypatch.setattr(CostModel.digest, "func", counted_digest)
+    for name in costmodels.model_names():
+        monkeypatch.delitem(vars(costmodels.get_model(name)), "digest",
+                            raising=False)
+    return counts
 
 
 @pytest.fixture(scope="session")

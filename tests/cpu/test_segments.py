@@ -91,6 +91,13 @@ def test_memo_distinguishes_mode_level_and_costs():
     assert base is not other_mode
     assert base is not other_level
     assert base is not expensive
+    # An equal model built separately hits; one constant apart misses.
+    rebuilt = segments.compile_program(
+        program, ExecutionMode.BASELINE, 2, CostModel())
+    nudged = segments.compile_program(
+        program, ExecutionMode.BASELINE, 2, CostModel(memory_touch=5))
+    assert rebuilt is base
+    assert nudged is not base
 
 
 def test_memo_keys_on_instruction_stream_not_program_identity():

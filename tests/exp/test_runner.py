@@ -37,6 +37,17 @@ def test_cache_round_trip(tmp_path):
     assert warm.runs[0].result == cold.runs[0].result
 
 
+def test_cold_run_cache_host_work_is_pinned(tmp_path, cache_host_work):
+    """A cold cached run keys each experiment three times (runner,
+    load, store) and digests its one model once per process."""
+    names = ["fig6", "table1"]
+    report = run_experiments(names, cache=ResultCache(tmp_path))
+    assert report.computed == names
+    drift = cache_host_work.drift({"ResultCache.key": 3 * len(names),
+                                   "CostModel.digest[xeon-paper]": 1})
+    assert not drift, "cold fig6 + table1: " + "; ".join(drift)
+
+
 def test_document_covers_every_requested_experiment(tmp_path):
     report = run_experiments(["fig6", "table1"],
                              overrides={"iterations": 10},

@@ -242,3 +242,22 @@ def test_cached_reads_survive_the_critical_level(tmp_path):
         assert cached.body == warm.body
 
     with_service(tmp_path, scenario, jobs=1)
+
+
+def test_served_cache_hit_host_work_is_pinned(tmp_path, cache_host_work):
+    """A served cache hit keys its request twice (fingerprint, load)
+    and digests no model: the computed request before it kept the
+    digest."""
+    async def scenario(service):
+        computed = await service.submit(request_for("table1",
+                                                    "xeon-paper"))
+        cache_host_work.clear()
+        served = await service.submit(request_for("table1",
+                                                  "xeon-paper"))
+        return computed, served
+
+    computed, served = with_service(tmp_path, scenario, jobs=1)
+    assert header(served, "X-Repro-Source") == "cache"
+    assert served.body == computed.body
+    drift = cache_host_work.drift({"ResultCache.key": 2})
+    assert not drift, "one served cache hit: " + "; ".join(drift)

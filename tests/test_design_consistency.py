@@ -113,6 +113,10 @@ DOC_NUMBERS = (
      ("fig6", "hw_speedup"), 1),
     ("docs/calibration.md", r"\*\*SW SVt = ([\d.]+)×\*\*",
      ("fig6", "sw_speedup"), 1),
+    ("docs/observability.md", r"breaks a ([\d.]+) µs nested `cpuid`",
+     ("table1", "total_us"), 1),
+    ("docs/observability.md", r"match Table 1's ([\d.]+) µs exactly",
+     ("table1", "total_us"), 1),
 )
 
 

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.mode import ExecutionMode
+from repro.cpu.costs import CostModel
 from repro.exp import claims
 from repro.workloads import memcached
 
@@ -170,6 +171,14 @@ def test_service_memo_reuses_measurements_and_stays_exact():
     second = memcached.measure_service(ExecutionMode.BASELINE)
     assert second == first
     assert len(memcached._service_memo) == 1
+    # An equal model built separately hits; one constant apart misses.
+    rebuilt = memcached.measure_service(ExecutionMode.BASELINE,
+                                        costs=CostModel())
+    assert rebuilt == first
+    assert len(memcached._service_memo) == 1
+    memcached.measure_service(ExecutionMode.BASELINE,
+                              costs=CostModel(memory_touch=5))
+    assert len(memcached._service_memo) == 2
     memcached.reset_service_memo()
     remeasured = memcached.measure_service(ExecutionMode.BASELINE)
     assert remeasured == first
