@@ -1,32 +1,19 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test smoke bench bench-smoke perfbench-smoke dse fuzz \
-	fuzz-smoke serve loadtest loadtest-smoke lint clean
+.PHONY: test smoke perfbench-smoke dse fuzz fuzz-smoke serve loadtest \
+	loadtest-smoke lint clean
 
 test:
 	$(PYTHON) -m pytest -x -q
 
 # Fast end-to-end pass: every registered experiment, fanned out over
-# four processes, served from the result cache when nothing changed
-# (`make bench` times them).
+# four processes, served from the result cache when nothing changed.
+# Tier-1 pins each experiment's host work as exact call counts
+# (tests/test_host_work.py); `make perfbench-smoke` runs the benchmark
+# that times them (docs/performance.md).
 smoke:
 	$(PYTHON) -m repro all --json --jobs 4 > /dev/null
-
-# Wall-clock perf harness (docs/performance.md): times every registered
-# experiment at smoke AND full parameters and rewrites the committed
-# BENCH_sim.json baseline.
-bench:
-	$(PYTHON) -m repro bench --repeats 3
-
-# CI's perf gate: smoke parameters only, compared against the committed
-# baseline; exits 1 on a >25% wall-clock regression or on fig8 missing
-# a native queue-loop replay, and 2 when the baseline is missing,
-# unreadable or of another schema.
-bench-smoke:
-	$(PYTHON) -m repro bench --smoke --repeats 3 \
-		--cost-model xeon-paper \
-		--baseline BENCH_sim.json --out BENCH_smoke.json --check
 
 # The external benchmark (perfbench/, BENCHMARK.json) against this tree:
 # its own tests, then a 1 s run of each workload, untraced and traced.
@@ -91,9 +78,9 @@ serve:
 # ephemeral port, drives it with a seeded request schedule, asserts
 # the serving invariants in-process, and rewrites the committed
 # BENCH_serve.json baseline.  `loadtest-smoke` is CI's gate — the same
-# seeded campaign compared against the committed baseline (exact on
-# the deterministic counters, noise-floored on wall clock), plus a
-# worker-kill storm that must still complete every request.
+# seeded campaign, whose deterministic counters must equal the
+# committed baseline's exactly (it reads no clock), plus a worker-kill
+# storm that must still complete every request.
 loadtest:
 	$(PYTHON) -m repro loadtest --seed 2019 --requests 60 --jobs 2 \
 		--out BENCH_serve.json

@@ -17,7 +17,6 @@ set — nothing can be silently dropped.
     python -m repro run cpuid --mode baseline --trace out.json
     python -m repro run cpuid --profile        # cProfile a single cell
     python -m repro table1 --metrics metrics.json
-    python -m repro bench             # perf harness -> BENCH_sim.json
     python -m repro table1 --cost-model arm-flavour
     python -m repro dse --smoke       # replay-based design-space sweep
 
@@ -69,18 +68,6 @@ def fault_rates(text):
             raise argparse.ArgumentTypeError(
                 f"rate {rate:g} is outside [0, 1]")
     return text
-
-
-def experiment_names(text):
-    """argparse type for ``bench --experiments``: registered names."""
-    names = [name for name in text.split(",") if name]
-    known = registry.names()
-    unknown = [name for name in names if name not in known]
-    if unknown:
-        raise argparse.ArgumentTypeError(
-            f"unknown experiment(s) {', '.join(unknown)}; choose from "
-            f"{', '.join(known)}")
-    return names
 
 
 def build_parser():
@@ -343,144 +330,6 @@ def _cmd_chaos(argv):
     return exit_code
 
 
-def _cmd_bench(argv):
-    """``repro bench``: the wall-clock perf-regression harness.
-
-    Times registered experiments (min-of-N wall clock, events/sec,
-    instructions/sec, memo traffic and native queue-loop calls), writes
-    the ``repro-bench/3`` document to ``BENCH_sim.json`` at the repo
-    root, and compares against a committed baseline; ``--check`` turns
-    a regression beyond ``--threshold`` — or fig8 missing a native
-    replay in either the fresh document or the baseline — into exit 1
-    (the CI bench-smoke gate), and a baseline it cannot compare against
-    into exit 2.
-    """
-    from repro.exp import bench
-
-    parser = argparse.ArgumentParser(
-        prog="repro bench",
-        description="Time registered experiments and track the perf "
-                    "trajectory in BENCH_sim.json",
-    )
-    parser.add_argument("--smoke", action="store_true",
-                        help="smoke parameters only (CI bench-smoke "
-                             "job; default: smoke and full sections)")
-    parser.add_argument("--full", action="store_true",
-                        help="full parameters only")
-    parser.add_argument("--experiments", type=experiment_names,
-                        default=None, metavar="A,B,C",
-                        help="comma-separated subset (default: all "
-                             "registered experiments)")
-    parser.add_argument("--repeats", type=positive_int, default=3,
-                        metavar="N",
-                        help="timed repetitions per experiment; the "
-                             "minimum is reported (default 3)")
-    parser.add_argument("--cost-model", default=None, metavar="NAME",
-                        choices=costmodels.model_names(),
-                        help="time the experiments under a registered "
-                             "cost model (default xeon-paper; also "
-                             "exercises model-id cache keys in CI)")
-    parser.add_argument("--out", type=Path, default=None, metavar="PATH",
-                        help="output document (default BENCH_sim.json "
-                             "at the repo root; required when --smoke, "
-                             "--full or --experiments narrows the run)")
-    parser.add_argument("--baseline", type=Path, default=None,
-                        metavar="PATH",
-                        help="baseline to compare against (default: "
-                             "the committed BENCH_sim.json)")
-    parser.add_argument("--threshold", type=float,
-                        default=bench.DEFAULT_THRESHOLD,
-                        help="regression threshold as a fraction "
-                             "(default 0.25 = 25%%)")
-    parser.add_argument("--check", action="store_true",
-                        help="exit 1 when any experiment regresses "
-                             "beyond the threshold, 2 when the "
-                             "baseline cannot be compared against")
-    parser.add_argument("--json", action="store_true",
-                        help="emit the document on stdout")
-    args = parser.parse_args(argv)
-    if args.threshold < 0:
-        parser.error(f"--threshold must be >= 0, got {args.threshold:g}")
-
-    if args.smoke and args.full:
-        sections = ("smoke", "full")
-    elif args.smoke:
-        sections = ("smoke",)
-    elif args.full:
-        sections = ("full",)
-    else:
-        sections = ("smoke", "full")
-    names = args.experiments or None
-    if args.out is None and (names or sections != ("smoke", "full")):
-        # A partial document must never replace the committed baseline.
-        parser.error("a partial run (--smoke, --full or --experiments) "
-                     "needs --out")
-
-    baseline_path = args.baseline or bench.default_bench_path()
-    out = args.out or bench.default_bench_path()
-    if args.check and out.resolve() == baseline_path.resolve():
-        print(f"bench --check: --out {out} is the baseline it checks; "
-              "pass another --out", file=sys.stderr)
-        return 2
-    baseline, reason = bench.load_baseline(baseline_path)
-    if baseline is None:
-        if args.check:
-            print(f"bench --check: baseline {baseline_path}: {reason}",
-                  file=sys.stderr)
-            return 2
-        print(f"bench: baseline {baseline_path}: {reason}; nothing to "
-              "compare", file=sys.stderr)
-
-    doc = bench.bench_document(names=names, sections=sections,
-                               repeats=args.repeats,
-                               overrides={
-                                   "cost_model": args.cost_model,
-                               })
-
-    out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(canonical_json(doc))
-
-    if args.json:
-        sys.stdout.write(canonical_json(doc))
-    else:
-        print(bench.render(doc))
-        print(f"bench -> {out}")
-
-    failed = False
-    # The native count gate: enforced on the fresh document and on the
-    # baseline (the full-parameter section lives in the baseline for
-    # CI smoke runs that only re-time the smoke section).
-    gated = [("current", doc)]
-    if baseline is not None:
-        gated.append(("baseline", baseline))
-    for origin, gated_doc in gated:
-        for miss in bench.check_native_counts(gated_doc):
-            failed = True
-            print(f"NATIVE [{miss['section']}] {miss['experiment']} "
-                  f"({origin}): {miss['calls']} native call(s), want "
-                  f"{miss['expected_calls']}; {miss['fallbacks']} "
-                  f"fallback(s); tier status: {miss['status']}",
-                  file=sys.stderr)
-
-    if baseline is not None:
-        regressions = bench.compare(doc, baseline,
-                                    threshold=args.threshold)
-        for reg in regressions:
-            print(f"REGRESSION [{reg['section']}] {reg['experiment']}: "
-                  f"{reg['wall_s']:.4f}s vs baseline "
-                  f"{reg['baseline_wall_s']:.4f}s "
-                  f"({reg['ratio']:.2f}x, threshold "
-                  f"{1 + args.threshold:.2f}x)", file=sys.stderr)
-        if regressions:
-            failed = True
-        else:
-            print(f"no regressions vs {baseline_path} "
-                  f"(threshold {args.threshold:.0%})", file=sys.stderr)
-    if failed and args.check:
-        return 1
-    return 0
-
-
 def main(argv=None):
     argv = list(sys.argv[1:] if argv is None else argv)
     if argv[:1] == ["lint"]:
@@ -498,9 +347,6 @@ def main(argv=None):
         # Same pattern: chaos adds --rates/--out on top of the
         # registered experiment.
         return _cmd_chaos(argv[1:])
-    if argv[:1] == ["bench"]:
-        # Same pattern: the perf harness has its own flag namespace.
-        return _cmd_bench(argv[1:])
     if argv[:1] == ["fuzz"]:
         # Same pattern: the differential fuzz campaign has its own
         # flag namespace (--seed/--runs/--shrink/--corpus/...).

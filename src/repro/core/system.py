@@ -85,8 +85,8 @@ class Machine:
         :class:`~repro.errors.DeadlockError` with a structured report),
         and a :class:`~repro.faults.Watchdog` instance is used as-is."""
         self.mode = ExecutionMode.validate(mode)
-        #: Instructions executed (stepped or segment-replayed) — the
-        #: bench harness's instructions/sec numerator.
+        #: Instructions executed (stepped or segment-replayed), summed
+        #: by :func:`repro.sim.kernel.collect_stats`.
         self.instructions_retired = 0
         self.costs = costmodels.resolve(costs)
         self.config = config or paper_machine()

@@ -45,7 +45,7 @@ BATCHABLE = frozenset({Op.ALU, Op.PAUSE})
 #: (:func:`batchable_dynamic`) worth compiling.  The original gate
 #: counted every instruction and sat at 64, which routed the 63-ALU
 #: ablation_hw_model program through the legacy loop and showed up as a
-#: 0.93x "speedup" in BENCH_sim.json.  Measured sweep (same program,
+#: 0.93x "speedup" in a wall-clock bench.  Measured sweep (same program,
 #: forced compile vs legacy loop, min-of-400, this module's memo warm):
 #:
 #:   pure-ALU  dyn=4 0.90x | dyn=8 1.83x | dyn=63 5.94x | dyn=256 24x
@@ -66,27 +66,20 @@ _memo = {}
 
 #: Memo traffic counters: a silent full wipe mid-sweep otherwise reads
 #: as an unexplained slowdown.  Plain module counters — the replay hot path
-#: never branches on them — surfaced by ``repro bench`` via
-#: :func:`memo_stats`.
+#: never branches on them — read through :func:`memo_stats`.
 _memo_hits = 0
 _memo_misses = 0
 _memo_wipes = 0
 
 
 def memo_stats():
-    """Compile-memo traffic since process start or the last reset."""
+    """Compile-memo traffic since process start."""
     return {
         "hits": _memo_hits,
         "misses": _memo_misses,
         "wipes": _memo_wipes,
         "entries": len(_memo),
     }
-
-
-def reset_memo_stats():
-    """Zero the memo counters (bench sections reset between kernels)."""
-    global _memo_hits, _memo_misses, _memo_wipes
-    _memo_hits = _memo_misses = _memo_wipes = 0
 
 
 def batchable_dynamic(program):

@@ -2,10 +2,11 @@
 
 Every paper artifact (tables, figures, section studies, ablations) is an
 :class:`Experiment` subclass registered with :func:`register`.  The CLI,
-the parallel runner, the cache and the benchmarks all look experiments up
-here, so an experiment added once is automatically part of
-``python -m repro all``, ``list``, the JSON output and ``repro bench`` —
-nothing can be silently dropped from ``all`` again.
+the parallel runner, the cache and the tier-1 tests all look experiments
+up here, so an experiment added once is automatically part of
+``python -m repro all``, ``list``, the JSON output, the golden documents
+and the host-work counts — nothing can be silently dropped from ``all``
+again.
 
 An experiment declares:
 
@@ -37,11 +38,10 @@ _REGISTRY: dict[str, "Experiment"] = {}
 _LOADED = False
 
 #: Parameters *every* experiment accepts without declaring them.  The
-#: runner, the serial reference path and the bench harness install
-#: ``cost_model`` as the ambient default
-#: (:func:`repro.cpu.costmodels.use_default`) around each cell, so any
-#: machine a cell builds without an explicit ``costs=`` prices under
-#: the selected model.
+#: runner and the serial reference path install ``cost_model`` as the
+#: ambient default (:func:`repro.cpu.costmodels.use_default`) around
+#: each cell, so any machine a cell builds without an explicit
+#: ``costs=`` prices under the selected model.
 UNIVERSAL_DEFAULTS: dict[str, Any] = {
     "cost_model": costmodels.DEFAULT_MODEL,
 }

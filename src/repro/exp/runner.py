@@ -9,8 +9,9 @@ state crosses a cell boundary — so they fan out over a
 Determinism: payloads are merged strictly in ``cells()`` order and
 experiments are assembled in sorted-name order, so the output document is
 byte-identical whether cells ran serially, in any interleaving, or on any
-number of workers.  The runner reads no clock; ``repro bench``
-(:mod:`repro.exp.bench`) times experiments.
+number of workers.  The runner reads no clock: tier-1 pins each
+experiment's host work as exact call counts (``tests/test_host_work.py``)
+and the external benchmark (``perfbench/``) times it.
 """
 
 from __future__ import annotations

@@ -1,8 +1,8 @@
 """SVT008 — determinism taint: entropy must not reach artifacts.
 
 The runtime's byte-identity promise (docs/static-analysis.md) is a
-*dataflow* property: it does not matter that ``time.perf_counter()``
-exists in the tree (the bench harness measures wall clock on
+*dataflow* property: it does not matter that wall-clock reads exist
+in the tree (the serve tier times deadlines and request latency on
 purpose) — it matters whether such a value can *flow into* anything
 the runtime treats as reproducible output.  SVT001 flags the sources
 per file; this rule follows the values through the whole program
@@ -12,7 +12,7 @@ per file; this rule follows the values through the whole program
 * **cache fingerprints** — arguments of any ``*fingerprint*`` call
   and of ``store``/``key``/``put`` methods on cache-named receivers;
 * **serialized artifacts** — arguments of ``canonical_json`` (every
-  BENCH/DSE/chaos artifact funnels through it).
+  BENCH_serve/DSE/chaos artifact funnels through it).
 
 Tainted: ``os.urandom``, ``time.*`` wall-clock reads, ``id()``,
 environment reads, module-level ``random.*``, ``uuid``/``secrets``,

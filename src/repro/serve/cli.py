@@ -5,6 +5,8 @@ from __future__ import annotations
 import argparse
 import asyncio
 import json
+import math
+import signal
 import sys
 from pathlib import Path
 from typing import List, Optional
@@ -19,19 +21,46 @@ from repro.serve.pool import WorkerPool
 from repro.serve.service import ExperimentService
 
 
+def port_number(text: str) -> int:
+    """argparse type for ``--port``: an int in 0–65535 (0 picks a free
+    port)."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid int value: {text!r}") from None
+    if not 0 <= value <= 65535:
+        raise argparse.ArgumentTypeError(
+            f"must be in 0-65535, got {value}")
+    return value
+
+
+def positive_seconds(text: str) -> float:
+    """argparse type for ``--deadline``: a finite number > 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid number: {text!r}") from None
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(
+            f"must be a positive number of seconds, got {text}")
+    return value
+
+
 def _serve_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro serve",
         description="Long-lived experiment service (see "
                     "docs/serving.md)")
     parser.add_argument("--host", default="127.0.0.1")
-    parser.add_argument("--port", type=int, default=8749)
+    parser.add_argument("--port", type=port_number, default=8749)
     parser.add_argument("--jobs", type=positive_int, default=2,
                         metavar="N", help="worker processes (default 2)")
     parser.add_argument("--capacity", type=positive_int, default=8,
                         help="admission queue capacity (default 8)")
-    parser.add_argument("--deadline", type=float, default=30.0,
-                        metavar="S",
+    parser.add_argument("--deadline", type=positive_seconds,
+                        default=30.0, metavar="S",
                         help="per-request deadline, seconds")
     parser.add_argument("--cache-dir", type=Path, default=None,
                         help="result cache root (default "
@@ -40,18 +69,24 @@ def _serve_parser() -> argparse.ArgumentParser:
 
 
 async def _serve_forever(args: argparse.Namespace) -> None:
+    """Serve until SIGINT or SIGTERM, then stop the server and the
+    pool."""
     pool = WorkerPool(jobs=args.jobs)
     service = ExperimentService(
         ResultCache(root=args.cache_dir), pool,
         capacity=args.capacity, deadline_s=args.deadline)
     server = ServeHttp(service, host=args.host, port=args.port)
+    stopping = asyncio.Event()
+    loop = asyncio.get_running_loop()
+    for signum in (signal.SIGINT, signal.SIGTERM):
+        loop.add_signal_handler(signum, stopping.set)
     pool.start()
     try:
         host, port = await server.start()
         print(f"repro serve on http://{host}:{port} "
               f"(jobs={args.jobs}, capacity={args.capacity})",
               file=sys.stderr)
-        await asyncio.Event().wait()
+        await stopping.wait()
     finally:
         await server.stop()
         pool.stop()
@@ -69,8 +104,8 @@ def main_serve(argv: Optional[List[str]] = None) -> int:
 def _loadtest_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro loadtest",
-        description="Deterministic serve-tier load test + regression "
-                    "gate (see docs/serving.md)")
+        description="Deterministic serve-tier load test, checked "
+                    "exactly against a baseline (see docs/serving.md)")
     parser.add_argument("--seed", type=int, default=2019)
     parser.add_argument("--requests", type=positive_int, default=60)
     parser.add_argument("--jobs", type=positive_int, default=2)
@@ -79,7 +114,9 @@ def _loadtest_parser() -> argparse.ArgumentParser:
     parser.add_argument("--capacity", type=positive_int, default=None,
                         help="admission capacity (default: "
                              "concurrency)")
-    parser.add_argument("--deadline", type=float, default=30.0)
+    parser.add_argument("--deadline", type=positive_seconds,
+                        default=30.0, metavar="S",
+                        help="per-request deadline, seconds")
     parser.add_argument("--no-coalesce", action="store_true",
                         help="disable coalescing (differential mode)")
     parser.add_argument("--storm", action="store_true",
@@ -92,10 +129,8 @@ def _loadtest_parser() -> argparse.ArgumentParser:
     parser.add_argument("--baseline", type=Path, default=None,
                         help="compare against this document")
     parser.add_argument("--check", action="store_true",
-                        help="exit 1 when the baseline regresses")
-    parser.add_argument("--threshold", type=float, default=0.5,
-                        help="relative wall-clock threshold "
-                             "(default 0.5)")
+                        help="exit 1 when a deterministic counter "
+                             "differs from the baseline's")
     parser.add_argument("--json", action="store_true",
                         help="print the document instead of the "
                              "summary")
@@ -125,12 +160,10 @@ def main_loadtest(argv: Optional[List[str]] = None) -> int:
         except (OSError, ValueError) as error:
             print(f"cannot read baseline: {error}", file=sys.stderr)
             return 2
-        regressions = loadtest_mod.compare(doc, baseline,
-                                           args.threshold)
+        regressions = loadtest_mod.compare(doc, baseline)
         for entry in regressions:
-            print(f"REGRESSION [{entry['kind']}] {entry['field']}: "
-                  f"{entry['current']} vs baseline "
-                  f"{entry['baseline']}", file=sys.stderr)
+            print(f"REGRESSION {entry['field']}: {entry['current']} vs "
+                  f"baseline {entry['baseline']}", file=sys.stderr)
         if regressions and args.check:
             return 1
     return 0

@@ -1,4 +1,4 @@
-"""``repro loadtest`` — deterministic client storm + regression gate.
+"""``repro loadtest`` — deterministic client storm + exact gate.
 
 Boots a real service (worker pool, HTTP listener on an ephemeral
 loopback port) and drives it with a **seeded client schedule**: the
@@ -10,16 +10,15 @@ waves of ``concurrency`` (asyncio gather), which is what makes
 coalescing observable: duplicates inside a wave share the leader's
 computation, duplicates across waves hit the result cache.
 
-The emitted ``repro-serve-bench/1`` document splits cleanly:
-
-* ``deterministic`` — counters that must reproduce exactly at a given
-  seed (request count, distinct fingerprints, computations, retries,
-  rejections, sheds).  The campaign itself asserts the two core
-  invariants: **one computation per distinct fingerprint** (when
-  coalescing is on) and **byte-identical bodies per fingerprint**.
-* ``wall`` — wall-clock throughput and latency percentiles, gated
-  against the committed ``BENCH_serve.json`` with generous noise
-  floors (hosted runners are noisy; see :func:`compare`).
+The emitted ``repro-serve-bench/1`` document holds the campaign's
+``config`` and its ``deterministic`` counters, which must reproduce
+exactly at a given seed (request count, distinct fingerprints,
+computations, retries, rejections, sheds); :func:`compare` checks them
+against the committed ``BENCH_serve.json``.  The campaign itself
+asserts the two core invariants: **one computation per distinct
+fingerprint** (when coalescing is on) and **byte-identical bodies per
+fingerprint**.  It reads no clock: serving time is measured by the
+external benchmark (``perfbench/``), not here.
 
 ``--storm`` arms a :class:`repro.faults.FaultPlan` worker-kill storm
 (every worker killed once, deterministically) to prove the supervisor
@@ -31,7 +30,6 @@ from __future__ import annotations
 import asyncio
 import json
 import sys
-import time
 from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
@@ -57,11 +55,6 @@ MODELS = ("xeon-paper", "fast-switch")
 #: Probability an arrival repeats an earlier request (the coalesce /
 #: cache fodder).
 REPEAT_P = 0.45
-
-#: Noise floors for the wall-clock gate: a regression needs to beat
-#: the relative threshold *and* these absolute slacks.
-MIN_WALL_DELTA_S = 1.0
-MIN_P99_DELTA_MS = 250.0
 
 
 def build_schedule(seed: int, requests: int) -> List[Dict[str, Any]]:
@@ -128,29 +121,14 @@ async def http_request(host: str, port: int, method: str, path: str,
 
 async def _drive(host: str, port: int,
                  schedule: List[Dict[str, Any]], concurrency: int,
-                 ) -> List[Tuple[int, Dict[str, str], bytes, float]]:
-    results: List[Tuple[int, Dict[str, str], bytes, float]] = []
-
-    async def one(doc: Mapping[str, Any],
-                  ) -> Tuple[int, Dict[str, str], bytes, float]:
-        began = time.perf_counter()
-        status, headers, body = await http_request(
-            host, port, "POST", "/v1/request", doc)
-        return status, headers, body, time.perf_counter() - began
-
+                 ) -> List[Tuple[int, Dict[str, str], bytes]]:
+    results: List[Tuple[int, Dict[str, str], bytes]] = []
     for wave_start in range(0, len(schedule), concurrency):
         wave = schedule[wave_start:wave_start + concurrency]
-        results.extend(await asyncio.gather(*[one(doc)
-                                              for doc in wave]))
+        results.extend(await asyncio.gather(*[
+            http_request(host, port, "POST", "/v1/request", doc)
+            for doc in wave]))
     return results
-
-
-def _percentile(samples: List[float], q: float) -> float:
-    if not samples:
-        return 0.0
-    ordered = sorted(samples)
-    index = min(len(ordered) - 1, int(q * len(ordered)))
-    return ordered[index]
 
 
 async def _campaign(seed: int, requests: int, jobs: int,
@@ -174,9 +152,7 @@ async def _campaign(seed: int, requests: int, jobs: int,
     pool.start()
     try:
         host, port = await server.start()
-        began = time.perf_counter()
         outcomes = await _drive(host, port, schedule, concurrency)
-        wall_s = time.perf_counter() - began
         health_status, _, health_body = await http_request(
             host, port, "GET", "/healthz")
         ready_status, _, _ = await http_request(
@@ -193,10 +169,8 @@ async def _campaign(seed: int, requests: int, jobs: int,
 
     bodies: Dict[str, bytes] = {}
     statuses: Dict[int, int] = {}
-    latencies: List[float] = []
-    for status, headers, body, latency in outcomes:
+    for status, headers, body in outcomes:
         statuses[status] = statuses.get(status, 0) + 1
-        latencies.append(latency)
         key = headers.get("x-repro-fingerprint", "")
         if status == 200 and key:
             seen = bodies.get(key)
@@ -248,13 +222,6 @@ async def _campaign(seed: int, requests: int, jobs: int,
             "errors": health["requests"]["errors"],
             "quarantined": health["requests"]["quarantined"],
         },
-        "wall": {
-            "wall_s": round(wall_s, 4),
-            "requests_per_s": round(requests / wall_s, 2)
-            if wall_s else 0.0,
-            "p50_ms": round(_percentile(latencies, 0.50) * 1e3, 3),
-            "p99_ms": round(_percentile(latencies, 0.99) * 1e3, 3),
-        },
     }
 
 
@@ -285,58 +252,25 @@ def run_loadtest(seed: int = 2019, requests: int = 60, jobs: int = 2,
             coalesce, storm, Path(tmp), dump_dir))
 
 
-# -- the regression gate --------------------------------------------------
+# -- the gate -------------------------------------------------------------
 
-def compare(current: Mapping[str, Any], baseline: Mapping[str, Any],
-            threshold: float = 0.5) -> List[Dict[str, Any]]:
-    """Regressions of ``current`` vs ``baseline``, worst first.
-
-    The ``deterministic`` section must match key-for-key (any drift
-    is a correctness regression, not noise).  The ``wall`` section
-    regresses only past the relative ``threshold`` *and* the absolute
-    noise floors — loadtest wall clocks on shared runners jitter far
-    more than the sim bench's.
-    """
-    regressions: List[Dict[str, Any]] = []
+def compare(current: Mapping[str, Any],
+            baseline: Mapping[str, Any]) -> List[Dict[str, Any]]:
+    """Every ``deterministic`` counter of ``current`` that differs from
+    ``baseline``'s, by field name.  Any drift is a correctness
+    regression, not noise."""
     base_det = baseline.get("deterministic", {})
     cur_det = current.get("deterministic", {})
-    for key in sorted(set(base_det) | set(cur_det)):
-        if base_det.get(key) != cur_det.get(key):
-            regressions.append({
-                "kind": "deterministic", "field": key,
-                "current": cur_det.get(key),
-                "baseline": base_det.get(key),
-            })
-    base_wall = baseline.get("wall", {})
-    cur_wall = current.get("wall", {})
-    wall_s = float(cur_wall.get("wall_s", 0.0))
-    base_s = float(base_wall.get("wall_s", 0.0))
-    if (base_s > 0.0 and wall_s > base_s * (1.0 + threshold)
-            and wall_s - base_s > MIN_WALL_DELTA_S):
-        regressions.append({
-            "kind": "wall", "field": "wall_s", "current": wall_s,
-            "baseline": base_s,
-            "ratio": round(wall_s / base_s, 3),
-        })
-    p99 = float(cur_wall.get("p99_ms", 0.0))
-    base_p99 = float(base_wall.get("p99_ms", 0.0))
-    if (base_p99 > 0.0 and p99 > base_p99 * (1.0 + threshold)
-            and p99 - base_p99 > MIN_P99_DELTA_MS):
-        regressions.append({
-            "kind": "wall", "field": "p99_ms", "current": p99,
-            "baseline": base_p99,
-            "ratio": round(p99 / base_p99, 3),
-        })
-    return sorted(regressions,
-                  key=lambda r: (r["kind"] != "deterministic",
-                                 str(r["field"])))
+    return [{"field": key, "current": cur_det.get(key),
+             "baseline": base_det.get(key)}
+            for key in sorted(set(base_det) | set(cur_det))
+            if base_det.get(key) != cur_det.get(key)]
 
 
 def render(doc: Mapping[str, Any]) -> str:
     """Human-readable campaign summary."""
     config = doc.get("config", {})
     det = doc.get("deterministic", {})
-    wall = doc.get("wall", {})
     lines = [
         (f"loadtest seed={config.get('seed')} "
          f"requests={det.get('requests')} jobs={config.get('jobs')} "
@@ -347,8 +281,5 @@ def render(doc: Mapping[str, Any]) -> str:
          f"computed={det.get('computed')} "
          f"shared={det.get('shared')} retries={det.get('retries')} "
          f"rejected={det.get('rejected')} shed={det.get('shed')}"),
-        (f"  wall={wall.get('wall_s')}s "
-         f"rate={wall.get('requests_per_s')}/s "
-         f"p50={wall.get('p50_ms')}ms p99={wall.get('p99_ms')}ms"),
     ]
     return "\n".join(lines)

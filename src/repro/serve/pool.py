@@ -25,9 +25,11 @@ contract:
   back to the injector scoreboard.
 
 Workers compute through exactly the code path the CLI uses
-(``Experiment.run`` / ``dse.build_document`` / ``bench_document``), so
-a served body is byte-identical to the CLI artifact for the same
-fingerprint.
+(``Experiment.run`` / ``dse.build_document``), so a served body is
+byte-identical to the CLI artifact for the same fingerprint.  Each
+worker closes the supervisor's pipe ends it inherits at fork, so it
+sees EOF, and exits, as soon as the supervisor process is gone, even
+when that process was killed.
 """
 
 from __future__ import annotations
@@ -35,10 +37,11 @@ from __future__ import annotations
 import multiprocessing
 import os
 import queue
+import signal
 import threading
 import time
 from dataclasses import dataclass
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.errors import ConfigError, ReproError
 from repro.faults.backoff import BackoffPolicy
@@ -90,11 +93,9 @@ def compute_body(kind: str, experiment: str,
     """The canonical body for one request — the CLI path, verbatim.
 
     Experiment bodies are ``Result.to_json()`` of the serial reference
-    path; dse/bench bodies are the canonical JSON of the documents the
-    ``repro dse`` / ``repro bench`` CLIs emit.
+    path; dse bodies are the canonical JSON of the document ``repro
+    dse`` emits.
     """
-    from repro.exp.result import canonical_json
-
     if kind == "experiment":
         from repro.exp import registry
         from repro.exp.registry import RunContext
@@ -103,6 +104,7 @@ def compute_body(kind: str, experiment: str,
         return exp.run(RunContext.create(params)).to_json()
     if kind == "dse":
         from repro.exp import dse
+        from repro.exp.result import canonical_json
 
         doc = dse.build_document(
             models=params.get("models", ("xeon-paper",)),
@@ -117,22 +119,23 @@ def compute_body(kind: str, experiment: str,
             iterations=params.get("iterations", 50),
         )
         return canonical_json(doc)
-    if kind == "bench":
-        from repro.exp import bench
-
-        overrides = {}
-        if params.get("cost_model"):
-            overrides["cost_model"] = params["cost_model"]
-        doc = bench.bench_document(
-            names=params.get("names"), sections=("smoke",),
-            repeats=params.get("repeats", 1),
-            overrides=overrides or None)
-        return canonical_json(doc)
     raise ConfigError(f"unknown request kind {kind!r}")
 
 
-def _worker_main(conn: Any) -> None:
-    """Child-process loop: recv a job, compute, send the outcome."""
+def _worker_main(conn: Any, supervisor_ends: List[Any]) -> None:
+    """Child-process loop: recv a job, compute, send the outcome.
+
+    ``supervisor_ends`` are the supervisor's pipe ends this fork
+    inherited; closing them leaves the supervisor the only holder of
+    this worker's peer end, so ``recv`` raises EOFError once it exits.
+    The supervisor's signal handlers (its event loop's) are not the
+    worker's: SIGTERM terminates a worker again, and a terminal's
+    Ctrl-C is left to the supervisor, which stops the pool.
+    """
+    for end in supervisor_ends:
+        end.close()
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
     # svtlint: disable=SVT005 — bounded: the supervisor owns this
     # loop; closing the pipe raises EOFError on recv and the worker
     # exits, and a "stop" message ends it cooperatively.
@@ -246,13 +249,21 @@ class WorkerPool:
                 break
 
     def _spawn(self, slot: WorkerSlot) -> None:
-        parent_conn, child_conn = self._mp.Pipe()
-        process = self._mp.Process(target=_worker_main,
-                                   args=(child_conn,), daemon=True)
-        process.start()
-        child_conn.close()
-        slot.process = process
-        slot.conn = parent_conn
+        # Under the lock, so that no other spawn forks between this
+        # pipe and the slot taking its end: every fork then knows each
+        # supervisor end it inherits.
+        with self._lock:
+            parent_conn, child_conn = self._mp.Pipe()
+            supervisor_ends = [other.conn for other in self._slots.values()
+                               if other.conn is not None]
+            supervisor_ends.append(parent_conn)
+            process = self._mp.Process(
+                target=_worker_main, args=(child_conn, supervisor_ends),
+                daemon=True)
+            process.start()
+            child_conn.close()
+            slot.process = process
+            slot.conn = parent_conn
 
     def _restart(self, slot: WorkerSlot) -> None:
         try:

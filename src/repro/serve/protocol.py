@@ -6,9 +6,8 @@ A :class:`ServeRequest` is the validated form of one ``POST
     {"kind": "experiment", "experiment": "table1",
      "params": {"cost_model": "fast-switch"}}
 
-``kind`` selects the execution path — a registered experiment, a DSE
-sweep (:func:`repro.exp.dse.build_document`) or a bench document
-(:func:`repro.exp.bench.bench_document`).  Validation is strict:
+``kind`` selects the execution path — a registered experiment or a
+DSE sweep (:func:`repro.exp.dse.build_document`).  Validation is strict:
 unknown experiment names and parameter typos fail loudly with 400
 (``Experiment.resolve(strict=True)``), never silently run defaults.
 
@@ -20,9 +19,9 @@ quarantine both key on it, so "identical request" means identical
 *result bytes*, not identical wire bytes.
 
 **Shed tiers.**  Under degradation the service sheds the expensive
-tiers first: bench before DSE before fresh experiment runs; cached
-reads (tier 0) are never shed.  :data:`TIER_RANK` is the single
-ordering both the service and the tests consult.
+tier first: DSE before fresh experiment runs; cached reads (tier 0)
+are never shed.  :data:`TIER_RANK` is the single ordering both the
+service and the tests consult.
 
 **Retry-After.**  Rejections must tell well-behaved clients when to
 come back, and the hint must be deterministic (testable, replayable):
@@ -39,21 +38,20 @@ from repro.exp import registry
 from repro.exp.cache import ResultCache
 
 #: Execution paths, cheapest-to-shed last.
-KINDS = ("experiment", "dse", "bench")
+KINDS = ("experiment", "dse")
 
 #: Shed ordering: a request is shed when its rank >= the current shed
 #: level.  Cached reads (rank 0) survive every level >= 1.
-TIER_RANK = {"cached": 0, "experiment": 1, "dse": 2, "bench": 3}
+TIER_RANK = {"cached": 0, "experiment": 1, "dse": 2}
 
-#: Retry-After base per tier, seconds.  Expensive tiers are told to
-#: back off longer — they are also the first to be shed.
-RETRY_AFTER_BASE_S = {"experiment": 1, "dse": 2, "bench": 4}
+#: Retry-After base per tier, seconds.  The expensive tier is told to
+#: back off longer — it is also the first to be shed.
+RETRY_AFTER_BASE_S = {"experiment": 1, "dse": 2}
 
-#: Parameters accepted by the non-experiment kinds (everything else is
-#: a 400; the experiment kind validates against the registry schema).
+#: Parameters a dse request accepts (everything else is a 400; the
+#: experiment kind validates against the registry schema).
 DSE_PARAMS = ("models", "scale_tenths", "mwait_wake", "stall_resume",
               "placements", "iterations")
-BENCH_PARAMS = ("names", "repeats", "cost_model")
 
 
 def retry_after_s(kind: str, depth: int, capacity: int) -> int:
@@ -66,7 +64,9 @@ def retry_after_s(kind: str, depth: int, capacity: int) -> int:
     """
     if capacity <= 0:
         raise ConfigError(f"capacity must be > 0: {capacity}")
-    base = RETRY_AFTER_BASE_S.get(kind, RETRY_AFTER_BASE_S["bench"])
+    if kind not in RETRY_AFTER_BASE_S:
+        raise ConfigError(f"no Retry-After base for kind {kind!r}")
+    base = RETRY_AFTER_BASE_S[kind]
     pressure = max(1, -(-max(depth, 1) // capacity))   # ceil division
     return base * pressure
 
@@ -110,9 +110,8 @@ class ServeRequest:
             resolved = registry.get(name).resolve(params, strict=True)
             return cls(kind=kind, experiment=name,
                        params=tuple(sorted(resolved.items())))
-        allowed = DSE_PARAMS if kind == "dse" else BENCH_PARAMS
         for key in params:
-            if key not in allowed:
+            if key not in DSE_PARAMS:
                 raise ConfigError(
                     f"{kind} requests accept no parameter {key!r}")
         normalized = {
@@ -125,9 +124,9 @@ class ServeRequest:
     def fingerprint(self, cache: ResultCache) -> str:
         """The request's cache/coalesce key (see module docstring).
 
-        Non-experiment kinds borrow the same key machinery under a
-        reserved pseudo-name, so their coalescing still folds in the
-        code fingerprint.
+        A dse request borrows the same key machinery under a reserved
+        pseudo-name, so its coalescing still folds in the code
+        fingerprint.
         """
         name = self.experiment if self.kind == "experiment" \
             else f"__{self.kind}__"

@@ -13,8 +13,8 @@ state machine):
    is replayed as the same error, never recomputed;
 3. **shed check** — under degradation (recent worker crashes) or
    overload (a full capacity of consecutive rejections) the service
-   sheds tiers expensive-first: bench, then DSE, then fresh
-   experiment runs — with a deterministic ``Retry-After``;
+   sheds tiers expensive-first: DSE, then fresh experiment runs —
+   with a deterministic ``Retry-After``;
 4. **coalescing** — the first in-flight request per fingerprint leads
    and computes; identical concurrent requests join its future and
    receive byte-identical bodies;
@@ -51,16 +51,16 @@ from repro.serve.protocol import (TIER_RANK, ServeRequest,
 HEALTH_SCHEMA = "repro-serve-health/1"
 
 #: How many requests a crash keeps the service in the degraded state
-#: (sheds bench/DSE); refreshed by every newly observed crash.
+#: (sheds DSE); refreshed by every newly observed crash.
 DEGRADE_WINDOW = 32
 
-#: In-memory body memo for dse/bench fingerprints (they have no
+#: In-memory body memo for dse fingerprints (they have no
 #: ResultCache tier); bounded, oldest-first eviction.
 BODY_CACHE_LIMIT = 128
 
-#: Shed levels (compare against TIER_RANK): 4 = serve everything,
-#: 2 = shed dse+bench, 1 = shed everything uncached.
-LEVEL_NORMAL, LEVEL_DEGRADED, LEVEL_CRITICAL = 4, 2, 1
+#: Shed levels (compare against TIER_RANK): 3 = serve everything,
+#: 2 = shed dse, 1 = shed everything uncached.
+LEVEL_NORMAL, LEVEL_DEGRADED, LEVEL_CRITICAL = 3, 2, 1
 
 
 @dataclass

@@ -23,11 +23,9 @@ clock without touching the heap at all.  The cache only ever
 *under*-estimates the true next live deadline (pushes min-update it,
 pops refresh it from the heap root, which may be a cancelled entry at
 an earlier time), so a skipped drain can never skip a due event.
-Fired and cancelled handles are recycled through a bounded freelist —
-but only when their refcount proves no outside alias survives that
-could later ``cancel()`` the reincarnated event — and the heap is
-compacted inside :meth:`at` once cancelled entries outnumber live ones
-(watchdog retry timers would otherwise leak dead handles forever).
+The heap is compacted inside :meth:`at` once cancelled entries
+outnumber live ones (watchdog retry timers would otherwise leak dead
+handles forever).
 
 **Deadlock/livelock detection.**  Blocking participants announce
 themselves with :meth:`Simulator.park` (and :meth:`Simulator.unpark` on
@@ -42,15 +40,10 @@ themselves without progress) into the same loud report.
 
 import heapq
 from dataclasses import dataclass, field
-from sys import getrefcount
 
 from repro.errors import DeadlockError
 from repro.sim import kernel as _kernel
 from repro.sim import sanitizer as _san
-
-#: Freelist bound: enough to absorb timer churn, small enough that a
-#: pathological cancel storm cannot pin memory.
-_FREELIST_MAX = 256
 
 #: Minimum number of cancelled entries before ``at`` considers
 #: compacting — avoids heapify thrash on tiny queues.
@@ -166,9 +159,8 @@ class Simulator:
         # Cancelled entries still sitting in the heap; compaction in
         # `at` keeps this below the live count.
         self._dead = 0
-        # Recycled EventHandle slots (bounded; see _recycle).
-        self._freelist = []
-        # Fast-path accounting (repro.sim.kernel / `repro bench`).
+        # Fast-path accounting: events fired (summed by
+        # repro.sim.kernel.collect_stats) and heap compactions.
         self.events_fired = 0
         self.compactions = 0
         # Parked waiters (deadlock detection): name -> Waiter.
@@ -205,18 +197,7 @@ class Simulator:
             )
         if self._dead >= _COMPACT_MIN and self._dead > self._pending:
             self._compact()
-        free = self._freelist
-        if free:
-            handle = free.pop()
-            handle.time = time
-            handle.seq = self._seq
-            handle.callback = callback
-            handle.args = args
-            handle.cancelled = False
-            handle._owner = self
-        else:
-            handle = EventHandle(time, self._seq, callback, args,
-                                 owner=self)
+        handle = EventHandle(time, self._seq, callback, args, owner=self)
         self._seq += 1
         self._pending += 1
         heapq.heappush(self._queue, handle)
@@ -290,7 +271,6 @@ class Simulator:
             if head.cancelled:
                 heapq.heappop(self._queue)
                 self._dead -= 1
-                self._recycle(head)
                 continue
             if target is not None and head.time > target:
                 break
@@ -306,7 +286,6 @@ class Simulator:
             head._owner = None
             self.now = head.time
             self._fire(head)
-            self._recycle(head)
             fired += 1
         queue = self._queue
         self._next_due = queue[0].time if queue else None
@@ -360,9 +339,8 @@ class Simulator:
     def peek_next_time(self):
         """Timestamp of the earliest pending event, or ``None``."""
         while self._queue and self._queue[0].cancelled:
-            head = heapq.heappop(self._queue)
+            heapq.heappop(self._queue)
             self._dead -= 1
-            self._recycle(head)
         if not self._queue:
             self._next_due = None
             return None
@@ -389,7 +367,6 @@ class Simulator:
             if head.cancelled:
                 heapq.heappop(self._queue)
                 self._dead -= 1
-                self._recycle(head)
                 continue
             if head.time > target:
                 break
@@ -398,41 +375,13 @@ class Simulator:
             head._owner = None
             self.now = head.time
             self._fire(head)
-            self._recycle(head)
-
-    def _recycle(self, handle, extra=0):
-        """Return a dead (fired or cancelled) handle to the freelist.
-
-        Only when its refcount proves no alias survives outside the
-        caller: the caller's local, this parameter binding and
-        ``getrefcount``'s own argument account for 3 references
-        (``extra`` covers a caller-side container still holding it).
-        Any additional reference means external code could still call
-        ``cancel()`` on the handle after reuse — which would corrupt an
-        unrelated future event — so such handles are simply dropped.
-        Recycling never perturbs ordering: ``seq`` comes from the
-        monotonic global counter regardless of the allocation path.
-        """
-        free = self._freelist
-        if len(free) >= _FREELIST_MAX or getrefcount(handle) > 3 + extra:
-            return
-        handle.callback = None
-        handle.args = ()
-        handle._owner = None
-        free.append(handle)
 
     def _compact(self):
         """Rebuild the heap without cancelled entries (satellite of the
         fast-path work: watchdog retry timers cancel in bulk and used to
         leave their handles in ``_queue`` until their deadline passed).
         """
-        queue = self._queue
-        live = []
-        for handle in queue:
-            if handle.cancelled:
-                self._recycle(handle, extra=1)
-            else:
-                live.append(handle)
+        live = [handle for handle in self._queue if not handle.cancelled]
         heapq.heapify(live)
         self._queue = live
         self._dead = 0

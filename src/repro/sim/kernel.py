@@ -5,7 +5,8 @@ and :class:`~repro.core.system.Machine` constructed registers itself
 with the active collector, which can then report totals (events fired,
 instructions retired) without the hot paths paying for any bookkeeping
 beyond their own counters.  The collector stack is per-process, exactly
-like ``repro.obs.observer``'s ambient capture.
+like ``repro.obs.observer``'s ambient capture.  No command reads it:
+the external benchmark (``perfbench/``) collects it around each op.
 """
 
 from contextlib import contextmanager
@@ -36,22 +37,6 @@ class KernelStats:
     @property
     def instructions(self):
         return sum(m.instructions_retired for m in self._machines)
-
-    @property
-    def compactions(self):
-        return sum(sim.compactions for sim in self._simulators)
-
-    @property
-    def simulators(self):
-        return len(self._simulators)
-
-    def to_dict(self):
-        return {
-            "events_fired": self.events_fired,
-            "instructions": self.instructions,
-            "compactions": self.compactions,
-            "simulators": self.simulators,
-        }
 
 
 _COLLECTORS = []

@@ -112,8 +112,7 @@ _service_memo = {}
 
 
 def reset_service_memo():
-    """Drop memoized service-time measurements (bench sections isolate
-    kernel timings behind this)."""
+    """Drop memoized service-time measurements."""
     _service_memo.clear()
 
 

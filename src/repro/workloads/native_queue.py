@@ -226,7 +226,8 @@ double qk_etc_run(uint32_t *state, long n, long k,
 _probe = None
 
 #: Native replays and fallbacks since process start or the last
-#: :func:`reset_native_stats` (surfaced by ``repro bench``).
+#: :func:`reset_native_stats` (pinned per experiment by tier-1's
+#: host-work counts).
 _COUNTS = {"calls": 0, "fallbacks": 0}
 
 #: Whether this process has already reported a fallback on stderr.

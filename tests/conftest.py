@@ -101,6 +101,16 @@ class GoldenStore:
     def path(self, name):
         return GOLDEN_DIR / f"{name}.json"
 
+    def load(self, name):
+        """The pinned ``tests/golden/<name>.json``."""
+        path = self.path(name)
+        if not path.exists():
+            pytest.fail(
+                f"golden file {path} missing; run "
+                f"pytest --update-golden to create it"
+            )
+        return json.loads(path.read_text())
+
     def check(self, name, data, rel_tol=1e-9):
         path = self.path(name)
         encoded = json.dumps(data, sort_keys=True, indent=2) + "\n"
@@ -108,12 +118,7 @@ class GoldenStore:
             path.parent.mkdir(parents=True, exist_ok=True)
             path.write_text(encoded)
             return json.loads(encoded)
-        if not path.exists():
-            pytest.fail(
-                f"golden file {path} missing; run "
-                f"pytest --update-golden to create it"
-            )
-        expected = json.loads(path.read_text())
+        expected = self.load(name)
         got = json.loads(encoded)   # normalize tuples/ints the same way
         try:
             _assert_matches(got, expected, name, rel_tol)

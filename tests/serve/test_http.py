@@ -94,6 +94,11 @@ def test_bad_bodies_are_400s(tmp_path):
             {"kind": "experiment", "experiment": "table1",
              "params": {"iterrations": 3}})
         assert status == 400
+        # An unknown kind (bench documents are not served) -> 400.
+        status, _, body = await http_request(
+            host, port, "POST", "/v1/request", {"kind": "bench"})
+        assert status == 400
+        assert "bench" in json.loads(body)["error"]
 
     over_http(tmp_path, scenario)
 

@@ -1,4 +1,5 @@
-"""repro loadtest: seeded schedules, campaign invariants, the gate."""
+"""repro loadtest: seeded schedules, campaign invariants, the exact
+gate."""
 
 import copy
 
@@ -32,6 +33,7 @@ def test_small_campaign_upholds_the_invariants(tmp_path):
                                 cache_dir=tmp_path / "cache",
                                 dump_dir=tmp_path / "bodies")
     assert doc["schema"] == loadtest.SCHEMA
+    assert sorted(doc) == ["config", "deterministic", "schema"]
     det = doc["deterministic"]
     assert det["requests"] == det["ok"] == 8
     assert det["computed"] == det["distinct"]
@@ -43,33 +45,16 @@ def test_small_campaign_upholds_the_invariants(tmp_path):
 
 
 def test_compare_passes_identical_documents():
-    doc = {"deterministic": {"ok": 8, "computed": 3},
-           "wall": {"wall_s": 1.0, "p99_ms": 50.0}}
+    doc = {"deterministic": {"ok": 8, "computed": 3}}
     assert loadtest.compare(doc, copy.deepcopy(doc)) == []
 
 
 def test_compare_flags_any_deterministic_drift():
-    baseline = {"deterministic": {"ok": 8, "computed": 3},
-                "wall": {}}
-    current = {"deterministic": {"ok": 8, "computed": 4},
-               "wall": {}}
+    baseline = {"deterministic": {"ok": 8, "computed": 3}}
+    current = {"deterministic": {"ok": 8, "computed": 4}}
     regressions = loadtest.compare(current, baseline)
-    assert [r["field"] for r in regressions] == ["computed"]
-    assert regressions[0]["kind"] == "deterministic"
-
-
-def test_compare_wall_gate_has_noise_floors():
-    baseline = {"deterministic": {},
-                "wall": {"wall_s": 1.0, "p99_ms": 50.0}}
-    # Over threshold but under the absolute floors: not a regression.
-    noisy = {"deterministic": {},
-             "wall": {"wall_s": 1.9, "p99_ms": 120.0}}
-    assert loadtest.compare(noisy, baseline) == []
-    # Over threshold *and* floors: flagged.
-    slow = {"deterministic": {},
-            "wall": {"wall_s": 2.5, "p99_ms": 500.0}}
-    fields = [r["field"] for r in loadtest.compare(slow, baseline)]
-    assert fields == ["p99_ms", "wall_s"]
+    assert regressions == [{"field": "computed", "current": 4,
+                            "baseline": 3}]
 
 
 def test_render_mentions_the_load_shape():
@@ -77,9 +62,7 @@ def test_render_mentions_the_load_shape():
                       "coalesce": True, "storm": False},
            "deterministic": {"requests": 8, "distinct": 3,
                              "computed": 3, "shared": 5, "retries": 0,
-                             "rejected": 0, "shed": 0},
-           "wall": {"wall_s": 0.5, "requests_per_s": 16.0,
-                    "p50_ms": 10.0, "p99_ms": 20.0}}
+                             "rejected": 0, "shed": 0}}
     text = loadtest.render(doc)
     assert "seed=1" in text and "distinct=3" in text
 

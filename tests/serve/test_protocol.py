@@ -15,7 +15,7 @@ def setup_module():
 
 def test_tiers_shed_expensive_first():
     assert TIER_RANK["cached"] < TIER_RANK["experiment"] \
-        < TIER_RANK["dse"] < TIER_RANK["bench"]
+        < TIER_RANK["dse"]
 
 
 def test_parse_resolves_experiment_params_strictly():
@@ -32,6 +32,8 @@ def test_parse_resolves_experiment_params_strictly():
 def test_parse_rejects_typos_loudly():
     with pytest.raises(ConfigError):
         ServeRequest.parse({"kind": "teleport"})
+    with pytest.raises(ConfigError):
+        ServeRequest.parse({"kind": "bench"})
     with pytest.raises(ConfigError):
         ServeRequest.parse({"kind": "experiment"})
     with pytest.raises(ConfigError):
@@ -76,8 +78,7 @@ def test_cost_model_changes_the_fingerprint(tmp_path):
 def test_non_experiment_kinds_use_pseudo_names(tmp_path):
     cache = ResultCache(tmp_path)
     dse = ServeRequest.parse({"kind": "dse"})
-    bench = ServeRequest.parse({"kind": "bench"})
-    assert dse.fingerprint(cache) != bench.fingerprint(cache)
+    assert dse.fingerprint(cache) == cache.key("__dse__", {})
     # List params normalize to tuples so the fingerprint is stable.
     a = ServeRequest.parse(
         {"kind": "dse", "params": {"models": ["xeon-paper"]}})
@@ -97,6 +98,9 @@ def test_retry_after_is_the_tier_base_at_rejection():
 def test_retry_after_scales_with_backlog_pressure():
     assert retry_after_s("experiment", 9, 4) == 3
     assert retry_after_s("dse", 8, 4) == 4
-    assert retry_after_s("bench", 0, 4) == 4
+    assert retry_after_s("dse", 0, 4) == 2
     with pytest.raises(ConfigError):
         retry_after_s("experiment", 1, 0)
+    # An unknown kind has no tier base to fall back on.
+    with pytest.raises(ConfigError):
+        retry_after_s("bench", 0, 4)

@@ -202,14 +202,10 @@ def test_overload_sheds_expensive_tiers_first(tmp_path):
         assert service.overloaded
         assert service.shed_level() == LEVEL_DEGRADED
 
-        # Now dse/bench shed deterministically; experiments still try.
+        # Now dse sheds deterministically; experiments still try.
         shed = await service.submit(dse)
         assert shed.status == 503
         assert header(shed, "Retry-After") == "2"
-        bench = await service.submit(
-            ServeRequest.parse({"kind": "bench"}))
-        assert bench.status == 503
-        assert header(bench, "Retry-After") == "4"
         experiment = await service.submit(
             request_for("table1", MODELS[0]))
         assert experiment.status == 429

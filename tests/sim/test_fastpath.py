@@ -1,4 +1,4 @@
-"""Fast-path engine semantics: charge ≡ advance, freelist, compaction.
+"""Fast-path engine semantics: charge ≡ advance, compaction.
 
 ``Simulator.charge`` must be observationally identical to ``advance``
 — same firing order, same callback-visible clock, same final state —
@@ -83,53 +83,39 @@ def test_next_due_survives_cancelling_the_earliest(sim):
     assert fired == ["late"]
 
 
-# -- freelist --------------------------------------------------------------
-
-
-def test_fired_handle_is_recycled_when_unreferenced(sim):
-    sim.after(10, lambda: None)  # handle discarded by caller
-    sim.run_until_idle()
-    assert len(sim._freelist) == 1
-    reused = sim._freelist[-1]
-    handle = sim.after(5, lambda: None)
-    assert handle is reused
-    assert not handle.cancelled
-
-
-def test_fired_handle_kept_by_caller_is_not_recycled(sim):
-    handle = sim.after(10, lambda: None)
-    sim.run_until_idle()
-    assert handle not in sim._freelist
+# -- handles ---------------------------------------------------------------
 
 
 def test_stale_cancel_after_recycling_is_impossible_by_construction(sim):
-    # Recycling only happens when the caller kept no reference, so no
-    # stale handle can alias a recycled event.  A caller-held handle
-    # stays valid and cancel() still works after unrelated recycling.
-    sim.after(10, lambda: None)
-    sim.run_until_idle()            # one entry on the freelist
+    # Every at()/after() returns a new handle, never a fired one, so a
+    # stale cancel() cannot reach an unrelated event: cancelling an
+    # already-fired handle is a no-op, and a caller-held handle stays
+    # valid while other events fire.
+    fired_early = sim.after(10, lambda: None)
+    sim.run_until_idle()
     fired = []
-    kept = sim.after(30, fired.append, "kept")   # reuses the entry
-    sim.after(20, fired.append, "other")
+    kept = sim.after(30, fired.append, "kept")
+    other = sim.after(20, fired.append, "other")
+    assert fired_early not in (kept, other)
+    fired_early.cancel()
     kept.cancel()
     sim.run_until_idle()
     assert fired == ["other"]
 
 
-def test_cancelled_handles_are_recycled_by_compaction(sim):
+# -- compaction ------------------------------------------------------------
+
+
+def test_compaction_drops_cancelled_handles(sim):
     for _ in range(20):
         sim.after(10, lambda: None)
     handles = [sim.after(20, lambda: None) for _ in range(30)]
     for handle in handles:
         handle.cancel()
-    del handles
     sim.at(sim.now + 5, lambda: None)   # triggers compaction
     assert sim.compactions == 1
-    assert len(sim._freelist) > 0
     assert sim._dead == 0
-
-
-# -- compaction ------------------------------------------------------------
+    assert len(sim._queue) == sim.pending == 21
 
 
 def test_compaction_preserves_firing_order(sim):

@@ -113,17 +113,11 @@ def test_all_without_flags_runs_every_experiment_at_its_defaults(
     ["chaos", "--rates", "2.0"],
     ["chaos", "--rates=-0.1"],
     ["chaos", "--rates", "abc"],
-    ["bench", "--smoke", "--experiments", "nope"],
+    ["bench"],
     ["all", "--jobs", "0"],
     ["all", "--jobs", "-2"],
     ["fig6", "--jobs", "0"],
     ["chaos", "--smoke", "--jobs", "0"],
-    ["bench", "--smoke", "--experiments", "table1", "--out", "{tmp}",
-     "--repeats", "0"],
-    ["bench", "--smoke", "--experiments", "table1", "--out", "{tmp}",
-     "--repeats", "-5"],
-    ["bench", "--smoke", "--experiments", "table1", "--out", "{tmp}",
-     "--threshold", "-1"],
     ["fuzz", "--runs", "0"],
     ["fuzz", "--ops", "0"],
     ["fuzz", "--jobs", "0"],
@@ -138,8 +132,17 @@ def test_all_without_flags_runs_every_experiment_at_its_defaults(
     ["loadtest", "--concurrency", "0"],
     ["loadtest", "--jobs", "0"],
     ["loadtest", "--capacity", "0"],
+    ["loadtest", "--deadline", "0"],
+    ["loadtest", "--deadline", "-1"],
+    ["loadtest", "--deadline", "nan"],
+    ["loadtest", "--threshold", "0.5"],
     ["serve", "--jobs", "0"],
     ["serve", "--capacity", "0"],
+    ["serve", "--deadline", "0"],
+    ["serve", "--deadline", "-2.5"],
+    ["serve", "--port", "70000"],
+    ["serve", "--port", "-1"],
+    ["serve", "--port", "http"],
     ["smoke"],
     ["all", "--out", "{tmp}"],
 ], ids=" ".join)
@@ -156,28 +159,6 @@ def test_bad_input_exits_2_with_one_error_line(capsys, tmp_path, argv):
               if "error:" in line]
     assert len(errors) == 1, captured.err
     assert not any(tmp_path.iterdir())
-
-
-@pytest.mark.parametrize("narrowing", [
-    ["--smoke"],
-    ["--full"],
-    ["--experiments", "fig6"],
-], ids=" ".join)
-def test_partial_bench_run_never_replaces_the_baseline(capsys, monkeypatch,
-                                                        tmp_path, narrowing):
-    from repro.exp import bench
-
-    committed = bench.default_bench_path().read_bytes()
-    baseline = tmp_path / "BENCH_sim.json"
-    baseline.write_bytes(committed)
-    monkeypatch.setattr(bench, "default_bench_path", lambda: baseline)
-    with pytest.raises(SystemExit) as exit_info:
-        main(["bench", *narrowing])
-    assert exit_info.value.code == 2
-    errors = [line for line in capsys.readouterr().err.splitlines()
-              if "error:" in line]
-    assert len(errors) == 1
-    assert baseline.read_bytes() == committed
 
 
 @pytest.mark.parametrize("narrowing", [
