@@ -27,6 +27,7 @@ automatically.
 """
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
@@ -171,9 +172,10 @@ def _cmd_run(argv):
     parser.add_argument("--no-breakdown", action="store_true",
                         help="skip the per-part breakdown table")
     parser.add_argument("--profile", action="store_true",
-                        help="run the cell under cProfile and print the "
-                             "top cumulative-time functions (perf PRs "
-                             "start from this data)")
+                        help="cProfile the same program on a machine "
+                             "without an observer, as the experiments "
+                             "run it, and print the top cumulative-time "
+                             "functions and the self time per package")
     parser.add_argument("--profile-top", type=positive_int, default=20,
                         metavar="N",
                         help="rows of the cProfile report (default 20)")
@@ -195,34 +197,19 @@ def _cmd_run(argv):
     )
 
     mode = ExecutionMode.validate(args.mode)
-    observer = Observer()
-    machine = Machine(mode=mode, observer=observer,
-                      costs=args.cost_model)
-    profiler = None
-    if args.profile:
-        import cProfile
-
-        profiler = cProfile.Profile()
-        profiler.enable()
     # One warm-up iteration, same protocol as repro.workloads.cpuid
     # (the first HW SVt resume differs slightly); it is traced too, and
     # the per-op breakdown divides by iterations + 1.
-    machine.run_program(isa.Program([isa.cpuid()], repeat=1),
-                        level=args.level)
-    result = machine.run_program(
-        isa.Program([isa.cpuid()], repeat=args.iterations),
-        level=args.level,
-    )
-    if profiler is not None:
-        import pstats
-
-        profiler.disable()
-        stats = pstats.Stats(profiler, stream=sys.stdout)
-        stats.sort_stats("cumulative").print_stats(args.profile_top)
-        if args.profile_out is not None:
-            args.profile_out.parent.mkdir(parents=True, exist_ok=True)
-            profiler.dump_stats(args.profile_out)
-            print(f"pstats dump -> {args.profile_out}")
+    warm_up = isa.Program([isa.cpuid()], repeat=1)
+    measured = isa.Program([isa.cpuid()], repeat=args.iterations)
+    if args.profile:
+        _profile(Machine(mode=mode, costs=args.cost_model), warm_up,
+                 measured, args)
+    observer = Observer()
+    machine = Machine(mode=mode, observer=observer,
+                      costs=args.cost_model)
+    machine.run_program(warm_up, level=args.level)
+    result = machine.run_program(measured, level=args.level)
     operations = args.iterations + 1
     print(f"cpuid mode={mode} L{args.level}: "
           f"{result.ns_per_instruction:.1f} ns/op "
@@ -245,6 +232,54 @@ def _cmd_run(argv):
             rows, title=f"Per-op breakdown from trace ({mode}, "
                         f"L{args.level})"))
     return 0
+
+
+def _profile(machine, warm_up, measured, args):
+    """``repro run --profile``: cProfile ``measured`` on ``machine``,
+    which has no observer, after running ``warm_up`` unprofiled; print
+    the top rows and the self time per ``repro.<package>``."""
+    import cProfile
+    import pstats
+
+    from repro.analysis.report import format_table
+
+    machine.run_program(warm_up, level=args.level)
+    profiler = cProfile.Profile()
+    profiler.enable()
+    machine.run_program(measured, level=args.level)
+    profiler.disable()
+    stats = pstats.Stats(profiler, stream=sys.stdout)
+    stats.sort_stats("cumulative").print_stats(args.profile_top)
+    by_package = _self_time_by_package(stats)
+    total = stats.total_tt
+    rows = [(package, f"{seconds * 1e3:.3f}",
+             f"{100 * seconds / total:.1f}%" if total else "-")
+            for package, seconds in by_package.items()]
+    rows.append(("total", f"{total * 1e3:.3f}", "100.0%"))
+    print(format_table(["Package", "Self ms", "Share"], rows,
+                       title="Self time by package (cProfile)"))
+    if args.profile_out is not None:
+        args.profile_out.parent.mkdir(parents=True, exist_ok=True)
+        profiler.dump_stats(args.profile_out)
+        print(f"pstats dump -> {args.profile_out}")
+
+
+def _self_time_by_package(stats):
+    """Self seconds of a :class:`pstats.Stats` per ``repro.<package>``
+    (``repro`` for the top-level modules), and ``stdlib/other`` for
+    everything else, largest first; the rows sum to ``total_tt``."""
+    import repro
+
+    root = os.path.dirname(repro.__file__) + os.sep
+    totals = {}
+    for (filename, _, _), (_, _, self_s, _, _) in stats.stats.items():
+        if filename.startswith(root):
+            parts = filename[len(root):].split(os.sep)
+            package = "repro" if len(parts) == 1 else f"repro.{parts[0]}"
+        else:
+            package = "stdlib/other"
+        totals[package] = totals.get(package, 0.0) + self_s
+    return dict(sorted(totals.items(), key=lambda item: -item[1]))
 
 
 def _sanitizer_verdict(report):

@@ -38,8 +38,8 @@ class BypassSvtEngine(HwSvtEngine):
     """HW SVt plus direct L2->L1 trap delivery for a bypass set."""
 
     def __init__(self, sim, tracer, costs, core,
-                 bypass_reasons=DEFAULT_BYPASS_SET):
-        super().__init__(sim, tracer, costs, core)
+                 bypass_reasons=DEFAULT_BYPASS_SET, obs=None):
+        super().__init__(sim, tracer, costs, core, obs=obs)
         self.bypass_reasons = frozenset(bypass_reasons)
         self.bypassed_exits = 0
 
@@ -77,7 +77,8 @@ def install_bypass(machine, bypass_reasons=DEFAULT_BYPASS_SET):
         raise VirtualizationError("bypass extends HW SVt machines only")
 
     engine = BypassSvtEngine(machine.sim, machine.tracer, machine.costs,
-                             machine.core, bypass_reasons)
+                             machine.core, bypass_reasons,
+                             obs=machine.obs)
     machine.engine = engine
     stack = machine.stack
     stack.engine = engine

@@ -285,9 +285,7 @@ class PairedChannels:
         # copy, never the producer's own payload (needed for resends).
         command = Command(CommandKind.VM_TRAP, dict(payload))
         command.xid = next(self._xids)
-        try:
-            self.request.push(command, now=now)
-        except ChannelError:
+        if not self.request.try_push(command, now=now):
             return False
         self.in_flight += 1
         self._trap_xid = command.xid
@@ -317,9 +315,7 @@ class PairedChannels:
             raise ChannelError("VM resume without an outstanding trap")
         command = Command(CommandKind.VM_RESUME, dict(payload))
         command.xid = next(self._xids)
-        try:
-            self.response.push(command, now=now)
-        except ChannelError:
+        if not self.response.try_push(command, now=now):
             return False
         self._resume_xid = command.xid
         self._count(CommandKind.VM_RESUME)

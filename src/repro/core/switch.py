@@ -36,12 +36,17 @@ class SwitchEngine:
         self.tracer = tracer
         self.costs = costs
         self.obs = obs
+        if obs is None:
+            # No histogram to feed: every engine charge is the tracer's.
+            self._charge = tracer.charge
 
     def _charge(self, ns, category):
+        """The tracer's charge, and a nonzero one also feeds the
+        observer's ``switch_ns`` histogram (an engine built without an
+        observer binds the tracer's charge here instead)."""
+        self.tracer.charge(ns, category)
         if ns:
-            self.tracer.charge(ns, category)
-            if self.obs is not None:
-                self.obs.observe("switch_ns", ns, category=category)
+            self.obs.observe("switch_ns", ns, category=category)
 
     # -- crossings ----------------------------------------------------------
 
@@ -273,7 +278,7 @@ class SwSvtEngine(SwitchEngine):
         payload = {
             "exit_reason": exit_info.reason,
             "qualification": dict(exit_info.qualification),
-            "regs": {name: vcpu.read(name) for name in RegNames.GPRS},
+            "regs": vcpu.read_gprs(),
             "rip": vcpu.read(RegNames.RIP),
         }
         if self.watchdog is not None:

@@ -238,19 +238,21 @@ class CostModel:
         return hashlib.sha256(doc.encode()).hexdigest()
 
     # -- per-crossing halves ------------------------------------------------
+    # Kept in the instance ``__dict__`` like :attr:`digest`: every nested
+    # exit reads them, and the fields they halve never change.
 
-    @property
+    @cached_property
     def switch_l2_l0_each(self):
         """One direction of the guest<->host switch (Table 1 part 1 is
         the round-trip total)."""
         return self.switch_l2_l0 // 2
 
-    @property
+    @cached_property
     def switch_l0_l1_each(self):
         """One direction of the L0<->L1 hypervisor switch (part 4)."""
         return self.switch_l0_l1 // 2
 
-    @property
+    @cached_property
     def vmcs_transform_each(self):
         """One direction of the vmcs02<->vmcs12 transform (part 2 covers
         both Alg. 1 line 3 and line 14)."""
@@ -275,15 +277,13 @@ class CostModel:
     def cacheline_transfer(self, placement):
         """One cache-line ownership transfer for a placement ('smt',
         'core', or 'numa')."""
-        table = {
-            "smt": self.cacheline_transfer_smt,
-            "core": self.cacheline_transfer_core,
-            "numa": self.cacheline_transfer_numa,
-        }
-        try:
-            return table[placement]
-        except KeyError:
-            raise ConfigError(f"unknown placement {placement!r}") from None
+        if placement == "smt":
+            return self.cacheline_transfer_smt
+        if placement == "core":
+            return self.cacheline_transfer_core
+        if placement == "numa":
+            return self.cacheline_transfer_numa
+        raise ConfigError(f"unknown placement {placement!r}")
 
     def channel_payload_ns(self):
         """Serialising the register payload into/out of the ring."""

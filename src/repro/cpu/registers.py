@@ -61,6 +61,11 @@ class ArchRegisters:
             raise VirtualizationError(f"unknown register {name!r}")
         return self._values.get(name, 0)
 
+    def read_gprs(self):
+        """:meth:`read` of every name in ``RegNames.GPRS``, in order."""
+        values = self._values
+        return {name: values.get(name, 0) for name in RegNames.GPRS}
+
     def write(self, name, value):
         if name not in RegNames.KNOWN:
             raise VirtualizationError(f"unknown register {name!r}")

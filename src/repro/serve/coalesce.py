@@ -55,10 +55,15 @@ class Coalescer:
             future.set_result(response)
 
     def abandon(self, key: str, error: BaseException) -> None:
-        """Leader died before producing a response; fail the joiners."""
+        """Leader died before producing a response; fail the joiners.
+        A cancelled leader cancels the future, so that a board with no
+        joiner leaves no exception for nobody to retrieve."""
         future = self._inflight.pop(key, None)
         if future is not None and not future.done():
-            future.set_exception(error)
+            if isinstance(error, asyncio.CancelledError):
+                future.cancel()
+            else:
+                future.set_exception(error)
 
     @property
     def inflight(self) -> int:

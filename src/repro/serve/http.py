@@ -15,14 +15,15 @@ Routes::
 
 Validation failures are 400s carrying the ConfigError message;
 transport-level garbage closes the connection with the smallest
-correct error we can produce.
+correct error we can produce.  :meth:`ServeHttp.stop` cancels the
+connections still in flight, which close without a reply.
 """
 
 from __future__ import annotations
 
 import asyncio
 import json
-from typing import Any, Optional, Tuple
+from typing import Any, Optional, Set, Tuple
 
 from repro.errors import ConfigError
 from repro.serve.protocol import ServeRequest
@@ -65,22 +66,41 @@ class ServeHttp:
         self.host = host
         self.port = port
         self._server: Optional[asyncio.AbstractServer] = None
+        #: Connection tasks in flight, for :meth:`stop` to cancel.
+        self._connections: Set[Any] = set()
 
     async def start(self) -> Tuple[str, int]:
         """Bind and serve; returns the bound (host, port)."""
         self._server = await asyncio.start_server(
-            self._handle, host=self.host, port=self.port)
+            self._accept, host=self.host, port=self.port)
         sockname = self._server.sockets[0].getsockname()
         self.host, self.port = sockname[0], sockname[1]
         return self.host, self.port
 
     async def stop(self) -> None:
+        """Stop accepting, then cancel the connections still in flight
+        and wait until each has answered and closed."""
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
             self._server = None
+        connections = list(self._connections)
+        for task in connections:
+            task.cancel()
+        await asyncio.gather(*connections, return_exceptions=True)
 
     # -- one connection ---------------------------------------------------
+
+    def _accept(self, reader: asyncio.StreamReader,
+                writer: asyncio.StreamWriter) -> None:
+        """Run each connection as a task kept until it ends, for
+        :meth:`stop` to cancel.  (Handed a coroutine, the stream server
+        would make the task itself, and log its cancellation as an
+        error.)"""
+        task = asyncio.get_running_loop().create_task(
+            self._handle(reader, writer))
+        self._connections.add(task)
+        task.add_done_callback(self._connections.discard)
 
     async def _handle(self, reader: asyncio.StreamReader,
                       writer: asyncio.StreamWriter) -> None:

@@ -22,7 +22,11 @@ contract:
   is consulted once per dispatch (``FaultKind.WORKER_KILL``); an
   injected kill makes the worker exit *before* computing, so crash
   storms never duplicate a computation, and recoveries are reported
-  back to the injector scoreboard.
+  back to the injector scoreboard;
+* **stopping** — :meth:`WorkerPool.stop` closes the pipes under any
+  dispatch still waiting; that dispatch, and every caller still waiting
+  for a worker, ends with a ``stopped`` outcome.  A stopping pool never
+  respawns a worker or retries a job.
 
 Workers compute through exactly the code path the CLI uses
 (``Experiment.run`` / ``dse.build_document``), so a served body is
@@ -81,7 +85,7 @@ class Job:
 class Outcome:
     """What one :meth:`WorkerPool.execute` call produced."""
 
-    status: str              # "ok" | "error" | "timeout" | "crash"
+    status: str    # "ok" | "error" | "timeout" | "crash" | "stopped"
     body: str = ""
     error: str = ""
     attempts: int = 1
@@ -198,7 +202,7 @@ class WorkerPool:
         self.max_kills_per_worker = max_kills_per_worker
         self._mp = multiprocessing.get_context("fork")
         self._slots: Dict[str, WorkerSlot] = {}
-        self._ready: "queue.Queue[WorkerSlot]" = queue.Queue()
+        self._ready: "queue.Queue[Optional[WorkerSlot]]" = queue.Queue()
         self._lock = threading.Lock()
         self._started = False
         # -- supervisor scoreboard (mirrored into /healthz) ---------------
@@ -215,6 +219,8 @@ class WorkerPool:
         if self._started:
             return
         self._started = True
+        # A fresh queue: the last stop() left its sentinel in the old one.
+        self._ready = queue.Queue()
         for index in range(self.jobs):
             slot = WorkerSlot(name=f"worker-{index}")
             self._spawn(slot)
@@ -238,15 +244,8 @@ class WorkerPool:
                     slot.process.terminate()
                     slot.process.join(timeout=2.0)
         self._slots.clear()
-        # Drain the ready queue so a restart starts clean.
-        # svtlint: disable=SVT005 — bounded: drains a queue that no
-        # longer receives entries (started flag is down); each
-        # iteration removes one element and Empty breaks out.
-        while True:
-            try:
-                self._ready.get_nowait()
-            except queue.Empty:
-                break
+        # Wake every caller still waiting for a worker (see execute).
+        self._ready.put(None)
 
     def _spawn(self, slot: WorkerSlot) -> None:
         # Under the lock, so that no other spawn forks between this
@@ -287,8 +286,12 @@ class WorkerPool:
             raise ConfigError("pool is not started")
         attempts = 0
         injected = 0
+        ready = self._ready
         while True:   # each attempt consumes retry budget (attempts)
-            slot = self._ready.get()
+            slot = ready.get()
+            if slot is None:
+                ready.put(None)     # stop()'s sentinel: wake the next
+                return self._stopped()
             kill = self._decide_kill(slot)
             if kill:
                 injected += 1
@@ -336,6 +339,8 @@ class WorkerPool:
         try:
             slot.conn.send(payload)
         except (BrokenPipeError, OSError):
+            if not self._started:
+                return self._stopped(slot.name)
             self._restart(slot)
             self._ready.put(slot)
             return Outcome(status="crash", worker=slot.name,
@@ -363,6 +368,8 @@ class WorkerPool:
                            body=reply.get("body", ""),
                            error=reply.get("error", ""),
                            worker=slot.name)
+        if not self._started:
+            return self._stopped(slot.name)
         self._restart(slot)
         self._ready.put(slot)
         if crashed:
@@ -373,6 +380,13 @@ class WorkerPool:
         return Outcome(
             status="timeout", worker=slot.name,
             error=f"deadline of {job.deadline_s:g}s exceeded")
+
+    @staticmethod
+    def _stopped(worker: str = "") -> Outcome:
+        """The final outcome of a job the pool stopped under: a
+        stopping pool restarts no worker and retries no job."""
+        return Outcome(status="stopped", worker=worker,
+                       error="the pool stopped")
 
     # -- introspection ----------------------------------------------------
 

@@ -4,10 +4,12 @@ Two styles of progress coexist:
 
 * *Synchronous* code (hypervisor handlers, guest instruction execution)
   charges elapsed time through :meth:`repro.sim.trace.Tracer.charge`,
-  the one charging call, which advances this clock with
-  :meth:`Simulator.charge`.  Any events whose deadline falls inside the
-  charged window fire at their exact timestamp, so asynchronous
-  arrivals interleave deterministically with synchronous execution.
+  the one charging call.  It bumps this clock itself when the cached
+  next deadline proves nothing falls due, and otherwise advances it
+  with :meth:`Simulator.charge`.  Any events whose deadline falls
+  inside the charged window fire at their exact timestamp, so
+  asynchronous arrivals interleave deterministically with synchronous
+  execution.
 * *Asynchronous* code registers callbacks with :meth:`Simulator.after` or
   :meth:`Simulator.at`; callbacks run with the clock set to their deadline.
 
@@ -236,8 +238,9 @@ class Simulator:
         no event can fall due, so the clock bumps without a heap peek;
         otherwise the call flushes through the same :meth:`_drain` as
         ``advance`` and every due event fires at its exact timestamp.
-        Synchronous machine code reaches it through
-        :meth:`repro.sim.trace.Tracer.charge`.
+        :meth:`repro.sim.trace.Tracer.charge` makes the same first test
+        in its own frame and calls this method only when an event falls
+        due or ``ns`` is negative.
         """
         if ns < 0:
             raise SimulationError(f"cannot advance by negative time {ns}")

@@ -57,11 +57,27 @@ class Tracer:
 
     def charge(self, ns, category):
         """Advance the clock by ``ns`` and attribute them to
-        ``category``; a zero charge does nothing."""
+        ``category``; a zero charge does nothing.
+
+        When no event can fall due inside the charge, the clock moves
+        here, in one frame: ``sim._next_due`` never exceeds the next
+        live deadline, so ``due > now + ns`` proves that nothing fires
+        (the test :meth:`~repro.sim.engine.Simulator.charge` makes).
+        Otherwise, and for a negative ``ns``, which raises before
+        anything is booked, :meth:`Simulator.charge` drains the due
+        events at their timestamps.  The observer sees each charge after
+        the clock has moved.
+        """
         if ns:
-            self.sim.charge(ns)
+            sim = self.sim
+            target = sim.now + ns
+            due = sim._next_due
+            if ns > 0 and (due is None or due > target):
+                sim.now = target
+            else:
+                sim.charge(ns)
             self.totals[category] += ns
-            obs = self.sim.obs
+            obs = sim.obs
             if obs is not None:
                 obs.charge(category, ns)
 

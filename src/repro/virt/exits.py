@@ -36,6 +36,8 @@ class ExitReason:
         PREEMPTION_TIMER, CR_ACCESS, MONITOR, MWAIT, CTXT_ACCESS,
         SVT_BLOCKED,
     )
+    #: ``ALL`` as a set, for the reason check on every exit.
+    KNOWN = frozenset(ALL)
 
     #: Exits a guest hypervisor (L1) wants reflected to it when its nested
     #: guest (L2) triggers them.  The remaining reasons are consumed by L0
@@ -59,7 +61,7 @@ class ExitInfo:
     injected: bool = False   # True when synthesised by a hypervisor
 
     def __post_init__(self):
-        if self.reason not in ExitReason.ALL:
+        if self.reason not in ExitReason.KNOWN:
             raise ValueError(f"unknown exit reason {self.reason!r}")
 
     def qual(self, key, default=None):

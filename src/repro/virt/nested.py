@@ -18,7 +18,6 @@ lines 8-10), L0 uses raw ``read``/``write``.
 """
 
 from collections import Counter
-from contextlib import nullcontext
 
 from repro.cpu.smt import INVALID_CONTEXT
 from repro.errors import VirtualizationError
@@ -35,9 +34,6 @@ from repro.virt.vmcs import Vmcs
 #: Share of the L0 nested handler charged on the inject side (Alg. 1
 #: lines 3-5); the rest is charged on the resume side (lines 13-14).
 _L0_INJECT_NUMER, _L0_INJECT_DENOM = 11, 20
-
-#: Reusable no-op context manager for the observability-off path.
-_NO_SPAN = nullcontext()
 
 
 def _enter_ctx(label):
@@ -250,10 +246,16 @@ class NestedStack:
 
         # Line 3: reflect hardware-written state into vmcs12.
         charge(costs.vmcs_transform_each, Category.VMCS_TRANSFORM)
-        with (obs.span("vmcs_transform:02->12", level=0)
-              if obs is not None else _NO_SPAN):
+        span = (obs.span("vmcs_transform:02->12", level=0)
+                if obs is not None else None)
+        if span is not None:
+            span.__enter__()
+        try:
             transform_02_to_12(self.vmcs02, self.vmcs12, self.ept01,
                                obs=obs)
+        finally:
+            if span is not None:
+                span.__exit__(None, None, None)
 
         # Lines 4-5: load vmcs01, inject the trap into vmcs12.
         l0_cost = costs.l0_pure(exit_info.reason)
@@ -271,11 +273,17 @@ class NestedStack:
         # callback while it touches non-shadowed vmcs01' fields).
         charge(costs.l1_pure(exit_info.reason), Category.L1_HANDLER)
         writer = self.engine.l1_writer(vcpu)
-        with (obs.span(f"l1_handler:{exit_info.reason}", level=1,
-                       reason=exit_info.reason)
-              if obs is not None else _NO_SPAN):
+        span = (obs.span(f"l1_handler:{exit_info.reason}", level=1,
+                         reason=exit_info.reason)
+                if obs is not None else None)
+        if span is not None:
+            span.__enter__()
+        try:
             self.l1.handle_exit(exit_info, self.l2_vm, vcpu, writer,
                                 self.vmcs01p)
+        finally:
+            if span is not None:
+                span.__exit__(None, None, None)
 
         # Line 12: L1's VM resume traps back into L0.
         self.engine.leave_l1(vcpu)
@@ -285,11 +293,17 @@ class NestedStack:
         self.engine.load_vmcs(self.vmcs02)
         charge(l0_cost - inject_cost, Category.L0_HANDLER)
         charge(costs.vmcs_transform_each, Category.VMCS_TRANSFORM)
-        with (obs.span("vmcs_transform:12->02", level=0)
-              if obs is not None else _NO_SPAN):
+        span = (obs.span("vmcs_transform:12->02", level=0)
+                if obs is not None else None)
+        if span is not None:
+            span.__enter__()
+        try:
             transform_12_to_02(self.vmcs12, self.vmcs02, self.ept01,
                                self.l0.policy,
                                composed_ept=self.composed_ept, obs=obs)
+        finally:
+            if span is not None:
+                span.__exit__(None, None, None)
 
     # ------------------------------------------------------------------
     # Aux traps: L1's privileged ops during handling (Alg. 1 lines 8-10)
@@ -312,18 +326,25 @@ class NestedStack:
         started = self.sim.now
         obs = self.obs
         engine = self.engine
-        if obs is None:
-            span = _NO_SPAN
-        else:
+        span = None
+        if obs is not None:
             what = kind if field_name is None else f"vmcs:{field_name}"
             span = obs.span(f"aux_exit:{what}", level=0, kind=kind)
-        with span:
-            previous = _enter_ctx("L0")
+            span.__enter__()
+        try:
+            # Without a sanitizer _enter_ctx returns None and
+            # _leave_ctx(None) does nothing: skip both calls.
+            previous = (_enter_ctx("L0") if _san.ACTIVE is not None
+                        else None)
             engine.aux_exit_begin()
             self.tracer.charge(self.costs.l0_pure(kind), Category.L0_HANDLER)
             engine.propagate_aux(kind)
             engine.aux_exit_end()
-            _leave_ctx(previous)
+            if previous is not None:
+                _leave_ctx(previous)
+        finally:
+            if span is not None:
+                span.__exit__(None, None, None)
         if obs is not None:
             obs.count("aux_exits_total", kind=kind)
         self.aux_exit_counts[kind] += 1
@@ -340,9 +361,12 @@ class NestedStack:
         vcpu.exits += 1
         started = self.sim.now
         obs = self.obs
-        with (obs.span(f"l1_exit:{exit_info.reason}", level=0,
-                       reason=exit_info.reason)
-              if obs is not None else _NO_SPAN):
+        span = (obs.span(f"l1_exit:{exit_info.reason}", level=0,
+                         reason=exit_info.reason)
+                if obs is not None else None)
+        if span is not None:
+            span.__enter__()
+        try:
             _enter_ctx("L1")                       # hardware, on L1's behalf
             self.vmcs01.record_exit(exit_info)
             self.engine.exit_l1_single()
@@ -355,6 +379,9 @@ class NestedStack:
                                 self.vmcs01)
             self.engine.resume_l1_single()
             _enter_ctx("L1")
+        finally:
+            if span is not None:
+                span.__exit__(None, None, None)
         elapsed = self.sim.now - started
         self.exit_ns["L1:" + exit_info.reason] += elapsed
         self.exit_counts["L1:" + exit_info.reason] += 1

@@ -63,6 +63,14 @@ class VCpu:
         else:
             self.memory_state.write(register, value)
 
+    def read_gprs(self):
+        """The 16 general-purpose registers, ``{name: read(name)}`` in
+        ``RegNames.GPRS`` order, in one call."""
+        if self._context is not None:
+            read = self._context.read
+            return {name: read(name) for name in RegNames.GPRS}
+        return self.memory_state.read_gprs()
+
     @property
     def rip(self):
         return self.read(RegNames.RIP)

@@ -157,11 +157,11 @@ class Vmcs:
 
     def read(self, field_name):
         values = self._values
-        if field_name not in values:
+        if field_name not in values and field_name not in FieldRegistry.FIELDS:
             # Every stored name is registered (write and restore admit
             # no other, copy_fields copies registered ones), so only a
             # miss can be an unknown name.
-            FieldRegistry.get(field_name)
+            FieldRegistry.get(field_name)        # an unknown name raises
         if _san.ACTIVE is not None:
             _san.ACTIVE.record(f"vmcs:{self.name}", field_name, "r",
                                "Vmcs.read")
@@ -169,7 +169,8 @@ class Vmcs:
 
     def write(self, field_name, value, force=False):
         if field_name not in _WRITABLE:
-            FieldRegistry.get(field_name)        # an unknown name raises
+            if field_name not in FieldRegistry.FIELDS:
+                FieldRegistry.get(field_name)    # an unknown name raises
             if not force:
                 raise VmcsError(
                     f"field {field_name} is read-only to software")

@@ -81,13 +81,13 @@ def test_sw_svt_trap_payload_carries_registers():
     vcpu = VCpu("v", 2)
     vcpu.write("rbx", 0x1234)
     sent = {}
-    original_push = channels.request.push
+    original_push = channels.request.try_push
 
-    def spy(command, now=0):
+    def spy(command, now=None):
         sent.update(command.payload)
         return original_push(command, now)
 
-    channels.request.push = spy
+    channels.request.try_push = spy
     engine.enter_l1(ExitInfo(ExitReason.CPUID, {"leaf": 1}), vcpu)
     engine.leave_l1(vcpu)
     assert sent["exit_reason"] == ExitReason.CPUID

@@ -26,13 +26,13 @@ def test_sw_reflection_applies_writes_only_at_resume():
     # inside the CMD_VM_RESUME payload.
     machine = Machine(mode=ExecutionMode.SW_SVT)
     payloads = []
-    original = machine.channels.response.push
+    original = machine.channels.response.try_push
 
-    def spy(command, now=0):
+    def spy(command, now=None):
         payloads.append(dict(command.payload))
         return original(command, now)
 
-    machine.channels.response.push = spy
+    machine.channels.response.try_push = spy
     machine.run_instruction(isa.cpuid(leaf=2))
     assert payloads
     regs = payloads[-1]["regs"]

@@ -6,18 +6,26 @@ the trace alone match the tracer's own accounting exactly, and the
 per-operation breakdown lands within 1% of the paper's numbers.
 """
 
+import collections
+import sys
+
 import pytest
 
+from repro.core.bypass import install_bypass
 from repro.core.mode import ExecutionMode
 from repro.core.system import Machine
 from repro.cpu import isa
 from repro.exp import claims
+from repro.exp.experiments.ablations import multiplexed_machine
 from repro.obs import (
     Observer,
     capture_metrics,
     charge_totals,
     trace_breakdown,
 )
+from repro.sim.trace import Tracer
+from repro.virt.exits import ExitInfo, ExitReason
+from repro.virt.hypervisor import MSR_TSC_DEADLINE
 
 ITERATIONS = 50
 
@@ -132,3 +140,91 @@ def test_observed_run_times_identically_to_unobserved():
     observed = _run_cpuid(ExecutionMode.BASELINE, Observer())
     assert observed.sim.now == plain.sim.now
     assert observed.tracer.snapshot() == plain.tracer.snapshot()
+
+
+# -- the switch_ns histogram ----------------------------------------------
+
+
+def _stock(mode):
+    return lambda: Machine(mode=mode)
+
+
+def _bypass():
+    machine = Machine(mode=ExecutionMode.HW_SVT)
+    install_bypass(machine)
+    return machine
+
+
+#: Every engine the simulator builds: the three modes' stock engines,
+#: HW SVt with the L2->L1 bypass, and HW SVt with L1 multiplexed.
+ENGINES = {
+    "baseline": _stock(ExecutionMode.BASELINE),
+    "sw_svt": _stock(ExecutionMode.SW_SVT),
+    "hw_svt": _stock(ExecutionMode.HW_SVT),
+    "bypass": _bypass,
+    "multiplexed": multiplexed_machine,
+}
+
+
+def _drive(machine):
+    """Nested exits (one with an aux trap), a direct exit and both
+    interrupt paths: the engine charges of a fault-free run."""
+    machine.run_program(isa.Program([isa.cpuid()], repeat=3), level=2)
+    machine.run_instruction(isa.wrmsr(MSR_TSC_DEADLINE, 50_000))
+    machine.stack.l2_exit(ExitInfo(ExitReason.EXTERNAL_INTERRUPT,
+                                   {"vector": 0x30}))
+    machine.stack.inject_irq_into_l2(0x60)
+    machine.stack.inject_irq_into_l1(0x61)
+
+
+def _charges(monkeypatch, build, observed):
+    """Run :func:`_drive`; every tracer charge as ``(ns, category,
+    made by the engine)``, and the observer (or None)."""
+    charges = []
+    original = Tracer.charge
+    engines = []
+
+    def spy(self, ns, category):
+        caller = sys._getframe(1).f_locals.get("self")
+        charges.append((ns, category,
+                        any(caller is engine for engine in engines)))
+        return original(self, ns, category)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(Tracer, "charge", spy)
+        if observed:
+            with capture_metrics() as observer:
+                machine = build()
+        else:
+            observer, machine = None, build()
+        engines.append(machine.engine)
+        del charges[:]                      # boot and set-up
+        _drive(machine)
+    return charges, observer
+
+
+@pytest.mark.parametrize("engine", sorted(ENGINES))
+def test_switch_ns_observes_every_nonzero_engine_charge(monkeypatch,
+                                                        engine):
+    charges, observer = _charges(monkeypatch, ENGINES[engine], True)
+    expected = collections.Counter(
+        category for ns, category, by_engine in charges
+        if by_engine and ns)
+    assert expected, "the drive made no engine charge"
+    recorded = {}
+    for category in {category for _, category, _ in charges}:
+        histogram = observer.metrics.histogram("switch_ns",
+                                               category=category)
+        if histogram is not None:
+            recorded[category] = histogram.count
+    assert recorded == dict(expected)
+
+
+@pytest.mark.parametrize("engine", sorted(ENGINES))
+def test_observer_changes_no_charge(monkeypatch, engine):
+    """Observed and unobserved machines make the same charges, in the
+    same order: binding the tracer's charge into an unobserved engine
+    forks no path."""
+    plain, _ = _charges(monkeypatch, ENGINES[engine], False)
+    observed, _ = _charges(monkeypatch, ENGINES[engine], True)
+    assert observed == plain

@@ -1,5 +1,7 @@
 """WorkerPool: supervised execution, crash retry, deadlines."""
 
+import threading
+
 import pytest
 
 from repro.errors import ConfigError
@@ -138,3 +140,18 @@ def test_stop_is_idempotent():
     pool.start()
     pool.stop()
     pool.stop()
+
+
+def test_stop_ends_a_caller_waiting_for_a_worker():
+    pool = WorkerPool(jobs=1)
+    pool.start()
+    busy = pool._ready.get()            # the one worker is taken
+    stopper = threading.Timer(0.2, pool.stop)
+    stopper.start()
+    try:
+        outcome = pool.execute(smoke_job())   # waits for a worker
+    finally:
+        stopper.join()
+    assert outcome.status == "stopped"
+    assert pool.restarts == 0 and pool.retries == 0
+    assert not busy.alive()

@@ -5,12 +5,18 @@
 while skipping the event heap whenever nothing is due.  The property
 test drives interleaved schedule/cancel/charge sequences through two
 simulators (one charging, one advancing) and compares everything a
-caller can observe.
+caller can observe.  A second property holds ``Tracer.charge``, which
+moves the clock itself when nothing is due, to the two steps it
+replaces: ``Simulator.charge`` for a nonzero charge, then the booking.
 """
 
+from collections import defaultdict
+
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.sim.engine import Simulator
+from repro.sim.engine import SimulationError, Simulator
+from repro.sim.trace import Category, Tracer
 
 # -- charge basics ---------------------------------------------------------
 
@@ -194,15 +200,11 @@ def test_charge_program_equals_advance_program(ops):
     assert fast.events_fired == slow.events_fired
 
 
-@settings(max_examples=100, deadline=None)
-@given(ops=_OPS)
-def test_next_due_cache_is_conservative_low(ops):
-    """The cached deadline never exceeds the true earliest live event."""
-    sim = Simulator()
+def _check_next_due_conservative_low(sim, charge, ops):
     handles = []
     for op, arg in ops:
         if op == "charge":
-            sim.charge(arg)
+            charge(arg)
         elif op == "after":
             handles.append(sim.after(arg, lambda: None))
         elif op == "cancel" and handles:
@@ -214,3 +216,101 @@ def test_next_due_cache_is_conservative_low(ops):
             assert sim._next_due <= min(live)
         if sim._next_due is None:
             assert not live
+
+
+@settings(max_examples=100, deadline=None)
+@given(ops=_OPS)
+def test_next_due_cache_is_conservative_low(ops):
+    """The cached deadline never exceeds the true earliest live event."""
+    sim = Simulator()
+    _check_next_due_conservative_low(sim, sim.charge, ops)
+
+
+@settings(max_examples=100, deadline=None)
+@given(ops=_OPS)
+def test_next_due_cache_is_conservative_low_through_tracer(ops):
+    """The same when every charge goes through a Tracer, which moves
+    the clock itself while nothing is due."""
+    sim = Simulator()
+    tracer = Tracer(sim)
+    _check_next_due_conservative_low(
+        sim, lambda ns: tracer.charge(ns, Category.IDLE), ops)
+
+
+# -- property: Tracer.charge ≡ Simulator.charge + booking -----------------
+
+_CATEGORIES = (Category.IDLE, Category.CHANNEL, Category.L0_HANDLER)
+
+_TRACER_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("charge"),
+                  st.one_of(st.just(0), st.integers(-2, 120)),
+                  st.sampled_from(_CATEGORIES)),
+        st.tuples(st.just("after"),
+                  st.one_of(st.just(0), st.integers(0, 150)),
+                  st.just(None)),
+        st.tuples(st.just("cancel"), st.integers(0, 200), st.just(None)),
+        st.tuples(st.just("idle"), st.just(0), st.just(None)),
+        st.tuples(st.just("peek"), st.just(0), st.just(None)),
+    ),
+    max_size=80,
+)
+
+
+def _next_live(sim):
+    """``peek_next_time`` without its side effect: peeking refreshes
+    the cached deadline, which would hide a stale-low cache from the
+    next charge."""
+    return min((h.time for h in sim._queue if not h.cancelled),
+               default=None)
+
+
+@settings(max_examples=300, deadline=None)
+@given(ops=_TRACER_OPS)
+def test_tracer_charge_equals_simulator_charge_then_booking(ops):
+    fast, slow = Simulator(), Simulator()
+    tracer = Tracer(fast)
+    totals = defaultdict(int)
+    fast_log, slow_log = [], []
+    fast_handles, slow_handles = [], []
+
+    def record(log, simulator, token):
+        log.append((token, simulator.now))
+
+    def reference_charge(ns, category):
+        if ns != 0:
+            slow.charge(ns)
+            totals[category] += ns
+
+    token = 0
+    for op, arg, category in ops:
+        if op == "charge" and arg < 0:
+            with pytest.raises(SimulationError):
+                tracer.charge(arg, category)
+            with pytest.raises(SimulationError):
+                reference_charge(arg, category)
+        elif op == "charge":
+            tracer.charge(arg, category)
+            reference_charge(arg, category)
+        elif op == "after":
+            fast_handles.append(
+                fast.after(arg, record, fast_log, fast, token))
+            slow_handles.append(
+                slow.after(arg, record, slow_log, slow, token))
+            token += 1
+        elif op == "cancel" and fast_handles:
+            index = arg % len(fast_handles)
+            fast_handles[index].cancel()
+            slow_handles[index].cancel()
+        elif op == "idle":
+            fast.run_until_idle()
+            slow.run_until_idle()
+        elif op == "peek":
+            assert fast.peek_next_time() == slow.peek_next_time()
+        assert fast.now == slow.now
+        assert fast_log == slow_log
+        assert _next_live(fast) == _next_live(slow)
+        assert fast._next_due == slow._next_due
+        assert fast.events_fired == slow.events_fired
+        assert tracer.totals == totals
+    assert fast.peek_next_time() == slow.peek_next_time()

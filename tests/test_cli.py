@@ -1,9 +1,12 @@
 """Command-line interface."""
 
 import json
+import os
+import pstats
 
 import pytest
 
+import repro
 from repro.cli import build_parser, main
 from repro.exp import registry, runner
 
@@ -192,6 +195,29 @@ def test_run_writes_trace_and_metrics_into_a_new_directory(capsys,
     assert json.loads((out / "t.json").read_text())["traceEvents"]
     metrics = json.loads((out / "m.json").read_text())
     assert metrics["schema"] == "repro-metrics/1"
+
+
+def test_run_profile_profiles_the_program_repro_all_runs(capsys, tmp_path):
+    """``--profile`` profiles an observer-free machine, warm-up outside
+    the profile; its per-package rows sum to the profile's total."""
+    dump = tmp_path / "run.pstats"
+    out = run_cli(capsys, "run", "cpuid", "--iterations", "20",
+                  "--no-breakdown", "--profile", "--profile-out",
+                  str(dump))
+    obs = os.path.join(os.path.dirname(repro.__file__), "obs") + os.sep
+    profiled = [filename for filename, _, _ in pstats.Stats(str(dump)).stats]
+    assert not [name for name in profiled if name.startswith(obs)]
+    lines = out[out.index("Self time by package"):].splitlines()[3:]
+    rows = {}
+    for line in lines:
+        package, ms, _share = line.split()
+        rows[package] = float(ms)
+        if package == "total":
+            break
+    total = rows.pop("total")
+    assert {"repro.virt", "repro.core", "stdlib/other"} <= set(rows)
+    assert sum(rows.values()) == pytest.approx(total,
+                                               abs=0.0005 * len(rows))
 
 
 @pytest.mark.parametrize("reports, code", [

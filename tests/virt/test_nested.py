@@ -1,10 +1,15 @@
 """Algorithm-1 orchestration: reflection, aux traps, direct handling."""
 
+import collections
 import json
+import os
+import sys
 import zlib
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro import ExecutionMode, Machine
 from repro.analysis.breakdown import exit_reason_profile
 from repro.cpu import isa
@@ -125,10 +130,11 @@ def test_vcpu_exit_counter(machine):
 
 
 #: Host work of one steady-state nested ``cpuid`` exit, the same in
-#: every mode.  Only the forced writes of the three read-only exit
-#: fields (``record_exit`` on vmcs02 and on vmcs12) consult the field
-#: registry; a SW SVt ring exchange encodes and checksums nothing.
-EXIT_WORK = {"FieldRegistry.get": 6, "json.dumps": 0, "zlib.crc32": 0}
+#: every mode.  Every field it names is registered, so nothing consults
+#: the field registry (not even ``record_exit``'s forced writes of the
+#: read-only exit fields); a SW SVt ring exchange encodes and checksums
+#: nothing.
+EXIT_WORK = {"FieldRegistry.get": 0, "json.dumps": 0, "zlib.crc32": 0}
 
 
 @pytest.mark.parametrize("mode", ExecutionMode.ALL)
@@ -156,3 +162,39 @@ def test_nested_cpuid_exit_host_work_is_pinned(monkeypatch, mode):
              for name, pinned in EXIT_WORK.items()
              if counts[name] != pinned]
     assert not drift, f"one nested cpuid exit ({mode}): " + "; ".join(drift)
+
+
+#: Python calls into ``src/repro`` code that one steady-state nested
+#: ``cpuid`` exit makes, building the instruction included.  List, dict
+#: and set comprehensions are left out: Python 3.12 inlines them into
+#: the enclosing frame, and 3.9-3.11 call them.
+EXIT_CALLS = {
+    ExecutionMode.BASELINE: 87,
+    ExecutionMode.SW_SVT: 138,
+    ExecutionMode.HW_SVT: 193,
+}
+_INLINED = frozenset({"<listcomp>", "<dictcomp>", "<setcomp>"})
+
+
+@pytest.mark.parametrize("mode", ExecutionMode.ALL)
+def test_nested_cpuid_exit_python_calls_are_pinned(mode):
+    machine = Machine(mode=mode)
+    machine.run_instruction(isa.cpuid())        # reach steady state
+    package = str(Path(repro.__file__).parent) + os.sep
+    calls = collections.Counter()
+
+    def profile(frame, event, arg):
+        code = frame.f_code
+        if (event == "call" and code.co_filename.startswith(package)
+                and code.co_name not in _INLINED):
+            calls[code.co_name] += 1
+
+    sys.setprofile(profile)
+    try:
+        machine.run_instruction(isa.cpuid())
+    finally:
+        sys.setprofile(None)
+    assert sum(calls.values()) == EXIT_CALLS[mode], (
+        f"one nested cpuid exit ({mode}) made "
+        f"{sum(calls.values())} calls, pinned {EXIT_CALLS[mode]}: "
+        f"{calls.most_common()}")
