@@ -14,17 +14,35 @@ depends on —
 * the code fingerprint (a content hash over every ``repro`` source
   module — edit any simulator file and the cache misses).
 
-Entries are one JSON file per (experiment, key) holding the serialized
-:class:`~repro.exp.result.Result` plus the key material for debugging.
-Corrupt or stale-schema entries read as misses.
+**Layout.**  The cache stores response bytes.  One file per
+(experiment, key), ``{name}-{key}.json``, holds one header line of
+compact sorted-key JSON — the schema (``repro-cache/2``), the key, the
+key material (experiment, params, cost-model id and fingerprints, code
+fingerprint) and the ``sha256`` of the payload — then the payload.  For
+a Result the payload is exactly ``Result.to_json()``, the body ``repro
+serve`` answers with, so the service answers a hit with the bytes as
+read, decoding and encoding nothing; the runner decodes a hit with
+``Result.from_json``.  :meth:`ResultCache.load` reads the
+file once, splits it at the first newline and returns the payload only
+when the header is a JSON object with the expected schema and key and
+its ``sha256`` matches the payload; anything else — an unreadable file,
+a header that is not a JSON object, another schema or key, a digest
+mismatch (a torn write, a changed or missing byte) — reads as a miss.
+A hit never serves bytes other than those stored.
+
+The ``repro-cache/1`` layout (one JSON document holding the decoded
+Result) has no reader: every key folds in the code fingerprint, a hash
+of every ``repro`` source file including this one, so no entry written
+in that layout has a key the current code computes.
 
 **Negative entries.**  A request that failed with a *deterministic*
 simulation error (a ``ReproError``: bad config, modelled deadlock, …)
 may be remembered via :meth:`ResultCache.store_error` so a long-lived
-service does not recompute a failure per retry.  Error sentinels carry
-a distinct schema (``repro-cache-error/1``) at the same path a Result
-would use, so :meth:`ResultCache.load` — whose schema check rejects
-them — can **never** serve one as a Result; only the explicit
+service does not recompute a failure per retry.  Error sentinels use
+the same layout under a distinct schema (``repro-cache-error/2``, the
+message as payload) at the same path a Result would use, so
+:meth:`ResultCache.load` — whose schema check rejects them — can
+**never** serve one as a Result; only the explicit
 :meth:`ResultCache.load_error` probe sees them, and a later
 :meth:`ResultCache.store` of a real Result overwrites the sentinel.
 """
@@ -39,11 +57,10 @@ from typing import Any, Mapping, Optional, Union
 
 from repro.cpu import costmodels
 from repro.cpu.costs import CostModel
-from repro.exp.result import Result, canonical_json
 
-SCHEMA = "repro-cache/1"
+SCHEMA = "repro-cache/2"
 #: Negative entries (deterministic failures) — never a Result.
-ERROR_SCHEMA = "repro-cache-error/1"
+ERROR_SCHEMA = "repro-cache-error/2"
 
 
 def default_cache_dir() -> Path:
@@ -108,51 +125,53 @@ class ResultCache:
     # -- access ----------------------------------------------------------
 
     def _read(self, name: str, params: Mapping[str, Any],
-              schema: str) -> Optional[dict[str, Any]]:
-        """The entry for this key under ``schema``, or ``None``."""
+              schema: str) -> Optional[bytes]:
+        """The verified payload for this key under ``schema``, or
+        ``None``."""
         key = self.key(name, params)
         try:
-            doc = json.loads(
-                (self.root / f"{name}-{key}.json").read_text())
+            raw = (self.root / f"{name}-{key}.json").read_bytes()
+            head, _, payload = raw.partition(b"\n")
+            header = json.loads(head)
         except (OSError, ValueError):
             return None
-        if not isinstance(doc, dict) or doc.get("schema") != schema \
-                or doc.get("key") != key:
+        if not isinstance(header, dict) \
+                or header.get("schema") != schema \
+                or header.get("key") != key \
+                or header.get("sha256") \
+                != hashlib.sha256(payload).hexdigest():
             return None
-        return doc
+        return payload
 
     def _write(self, name: str, params: Mapping[str, Any],
-               schema: str, **fields: Any) -> Path:
+               schema: str, payload: bytes) -> Path:
         """Write one entry under ``schema``; returns its path."""
         self.root.mkdir(parents=True, exist_ok=True)
         key = self.key(name, params)
         path = self.root / f"{name}-{key}.json"
-        doc = {"schema": schema, "experiment": name, "key": key,
-               "params": dict(params), **fields}
-        path.write_text(canonical_json(doc))
+        header = json.dumps(
+            {"schema": schema, "experiment": name, "key": key,
+             "params": dict(params),
+             "cost_model_id": costmodels.resolve(
+                 params.get("cost_model")).model_id,
+             "cost_model_fingerprint": self._cost_fp,
+             "code_fingerprint": self._code_fp,
+             "sha256": hashlib.sha256(payload).hexdigest()},
+            sort_keys=True, separators=(",", ":"))
+        path.write_bytes(header.encode() + b"\n" + payload)
         return path
 
     def load(self, name: str,
-             params: Mapping[str, Any]) -> Optional[Result]:
-        """Cached :class:`Result` for this key, or ``None`` on a miss."""
-        doc = self._read(name, params, SCHEMA)
-        if doc is None:
-            return None
-        try:
-            return Result.from_dict(doc["result"])
-        except Exception:
-            return None
+             params: Mapping[str, Any]) -> Optional[bytes]:
+        """The stored body (``Result.to_json()`` bytes) for this key,
+        or ``None`` on a miss."""
+        return self._read(name, params, SCHEMA)
 
     def store(self, name: str, params: Mapping[str, Any],
-              result: Result) -> Path:
-        """Write one entry; returns its path."""
-        return self._write(
-            name, params, SCHEMA,
-            cost_model_id=costmodels.resolve(
-                params.get("cost_model")).model_id,
-            cost_model_fingerprint=self._cost_fp,
-            code_fingerprint=self._code_fp,
-            result=result.to_dict())
+              body: bytes) -> Path:
+        """Write one entry holding ``body``, a Result's ``to_json()``
+        bytes; returns its path."""
+        return self._write(name, params, SCHEMA, body)
 
     # -- negative entries -------------------------------------------------
 
@@ -164,14 +183,14 @@ class ResultCache:
         distinct :data:`ERROR_SCHEMA`, so :meth:`load` reads it as a
         miss (schema mismatch) and can never serve it as a Result.
         """
-        return self._write(name, params, ERROR_SCHEMA, error=error)
+        return self._write(name, params, ERROR_SCHEMA,
+                           error.encode("utf-8"))
 
     def load_error(self, name: str,
                    params: Mapping[str, Any]) -> Optional[str]:
         """The remembered error message for this key, or ``None``."""
-        doc = self._read(name, params, ERROR_SCHEMA)
-        error = doc.get("error") if doc is not None else None
-        return error if isinstance(error, str) else None
+        payload = self._read(name, params, ERROR_SCHEMA)
+        return payload.decode("utf-8") if payload is not None else None
 
     def clear(self, name: Optional[str] = None) -> int:
         """Drop every entry (or just one experiment's)."""

@@ -243,7 +243,7 @@ class Result:
         return canonical_json(self.to_dict())
 
     @classmethod
-    def from_json(cls, text: str) -> Result:
+    def from_json(cls, text: Union[str, bytes]) -> Result:
         return cls.from_dict(json.loads(text))
 
 

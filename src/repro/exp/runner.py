@@ -153,6 +153,17 @@ def _execute_cell(name: str, cell: str, params: dict[str, Any],
     return name, cell, payload, snapshot, violations
 
 
+def _decode(body: Optional[bytes]) -> Optional[Result]:
+    """A cached body as a :class:`Result`; a miss, or a verified body
+    that does not decode, is ``None``."""
+    if body is None:
+        return None
+    try:
+        return Result.from_json(body)
+    except Exception:
+        return None
+
+
 def run_experiments(names: Iterable[str],
                     overrides: Optional[Mapping[str, Any]] = None,
                     jobs: int = 1,
@@ -184,7 +195,7 @@ def run_experiments(names: Iterable[str],
         params = experiment.resolve(overrides, smoke=smoke)
         if cache is not None:
             report.cache_keys[name] = cache.key(name, params)
-            hit = cache.load(name, params)
+            hit = _decode(cache.load(name, params))
             if hit is not None:
                 finished[name] = ExperimentRun(name, hit, True)
                 continue
@@ -231,7 +242,7 @@ def run_experiments(names: Iterable[str],
         }
         result = experiment.merge(params, ordered)
         if cache is not None:
-            cache.store(name, params, result)
+            cache.store(name, params, result.to_json().encode())
         metrics = None
         if collect_metrics:
             # merge_snapshots is order-independent, so the merged

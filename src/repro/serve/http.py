@@ -57,6 +57,19 @@ def render_response(response: Response) -> bytes:
     return head.encode("utf-8") + response.body
 
 
+async def _read_line(reader: asyncio.StreamReader) -> Optional[bytes]:
+    """One line, or ``None`` when it is over :data:`MAX_LINE_BYTES`.
+
+    A line past the stream's own buffer limit (64 KiB) makes
+    ``readline`` raise ``ValueError``; that is too long as well.
+    """
+    try:
+        line = await reader.readline()
+    except ValueError:
+        return None
+    return line if len(line) <= MAX_LINE_BYTES else None
+
+
 class ServeHttp:
     """The asyncio stream server wrapping one ExperimentService."""
 
@@ -122,8 +135,8 @@ class ServeHttp:
 
     async def _respond(self,
                        reader: asyncio.StreamReader) -> Response:
-        request_line = await reader.readline()
-        if len(request_line) > MAX_LINE_BYTES:
+        request_line = await _read_line(reader)
+        if request_line is None:
             return Response.json(431, {"error": "request line too "
                                                 "long"})
         parts = request_line.decode("latin-1").split()
@@ -149,8 +162,8 @@ class ServeHttp:
         remaining_lines = MAX_HEADER_LINES
         while remaining_lines > 0:
             remaining_lines -= 1
-            line = await reader.readline()
-            if len(line) > MAX_LINE_BYTES:
+            line = await _read_line(reader)
+            if line is None:
                 return 0, Response.json(
                     431, {"error": "header line too long"})
             if line in (b"\r\n", b"\n", b""):

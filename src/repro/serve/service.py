@@ -9,8 +9,9 @@ state machine):
 2. **cache fast-path** — experiment requests probe the shared
    :class:`~repro.exp.cache.ResultCache` first: a hit is served
    *before* any shed decision (cached reads are the last tier
-   standing), and a remembered deterministic failure (negative entry)
-   is replayed as the same error, never recomputed;
+   standing) with the stored body bytes as read, decoding nothing,
+   and a remembered deterministic failure (negative entry) is
+   replayed as the same error, never recomputed;
 3. **shed check** — under degradation (recent worker crashes) or
    overload (a full capacity of consecutive rejections) the service
    sheds tiers expensive-first: DSE, then fresh experiment runs —
@@ -25,7 +26,8 @@ state machine):
 6. **supervised execution** — the leader dispatches to the
    :class:`~repro.serve.pool.WorkerPool` (deadline, crash retry with
    fingerprint-seeded backoff) in an executor thread, then stores the
-   result — or the error sentinel — back into the cache.
+   body — once it decodes as a Result — or the error sentinel back
+   into the cache.
 
 ``/healthz`` (always 200) and ``/readyz`` (503 while overloaded)
 report the gate, the coalescer, the supervisor scoreboard and p50/p99
@@ -79,8 +81,9 @@ class Response:
                    headers=tuple(sorted(headers.items())))
 
     @classmethod
-    def raw(cls, status: int, body: str, **headers: str) -> "Response":
-        return cls(status=status, body=body.encode("utf-8"),
+    def raw(cls, status: int, body: bytes,
+            **headers: str) -> "Response":
+        return cls(status=status, body=body,
                    headers=tuple(sorted(headers.items())))
 
 
@@ -168,12 +171,12 @@ class ExperimentService:
                       "fingerprint": key},
                 **{"X-Repro-Fingerprint": key})
         if request.kind == "experiment":
-            cached = self.cache.load(request.experiment,
-                                     request.params_dict)
-            if cached is not None:
+            body = self.cache.load(request.experiment,
+                                   request.params_dict)
+            if body is not None:
                 self.metrics.count("serve_cache_hits_total")
                 return Response.raw(
-                    200, cached.to_json(),
+                    200, body,
                     **{"X-Repro-Fingerprint": key,
                        "X-Repro-Source": "cache"})
             error = self.cache.load_error(request.experiment,
@@ -248,12 +251,14 @@ class ExperimentService:
     def _finish(self, request: ServeRequest, key: str,
                 outcome: Outcome) -> Response:
         if outcome.status == "ok":
+            body = outcome.body.encode("utf-8")
             if request.kind == "experiment":
+                # Store only a body that decodes as a Result.
+                Result.from_json(body)
                 self.cache.store(request.experiment,
-                                 request.params_dict,
-                                 Result.from_json(outcome.body))
+                                 request.params_dict, body)
             response = Response.raw(
-                200, outcome.body,
+                200, body,
                 **{"X-Repro-Fingerprint": key,
                    "X-Repro-Source": "computed"})
             if request.kind != "experiment":

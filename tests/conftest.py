@@ -159,17 +159,21 @@ class HostWork(collections.Counter):
 
 @pytest.fixture
 def cache_host_work(monkeypatch):
-    """Counts ``ResultCache.key`` calls and ``CostModel.digest``
-    computations (``CostModel.digest[<model_id>]``) from here on.
+    """Counts ``ResultCache.key`` calls, ``CostModel.digest``
+    computations (``CostModel.digest[<model_id>]``) and the Result
+    codec's ``Result.to_json`` and ``Result.from_dict`` calls in this
+    process from here on.
 
     Every registered model starts with no digest kept, so a count
     reads the same whichever tests ran before in the process.
     """
     from repro.cpu import costmodels
     from repro.exp.cache import ResultCache
+    from repro.exp.result import Result
 
     counts = HostWork()
     key, digest = ResultCache.key, CostModel.digest.func
+    to_json, from_dict = Result.to_json, Result.from_dict.__func__
 
     def counted_key(cache, name, params):
         counts["ResultCache.key"] += 1
@@ -179,8 +183,19 @@ def cache_host_work(monkeypatch):
         counts[f"CostModel.digest[{model.model_id}]"] += 1
         return digest(model)
 
+    def counted_to_json(result):
+        counts["Result.to_json"] += 1
+        return to_json(result)
+
+    def counted_from_dict(cls, doc):
+        counts["Result.from_dict"] += 1
+        return from_dict(cls, doc)
+
     monkeypatch.setattr(ResultCache, "key", counted_key)
     monkeypatch.setattr(CostModel.digest, "func", counted_digest)
+    monkeypatch.setattr(Result, "to_json", counted_to_json)
+    monkeypatch.setattr(Result, "from_dict",
+                        classmethod(counted_from_dict))
     for name in costmodels.model_names():
         monkeypatch.delitem(vars(costmodels.get_model(name)), "digest",
                             raising=False)

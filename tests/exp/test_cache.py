@@ -1,7 +1,10 @@
 """Result cache: hits, misses, and fingerprint invalidation."""
 
 import dataclasses
+import hashlib
 import json
+
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.cpu import costmodels
 from repro.cpu.costs import CostModel
@@ -33,23 +36,28 @@ def _result():
                          scalars={"v": 1.0})
 
 
+def _body():
+    """What a Result entry stores and a hit returns."""
+    return _result().to_json().encode()
+
+
 def test_miss_then_hit(tmp_path):
     cache = ResultCache(tmp_path)
     assert cache.load("x", PARAMS) is None
-    cache.store("x", PARAMS, _result())
-    assert cache.load("x", PARAMS) == _result()
+    cache.store("x", PARAMS, _body())
+    assert cache.load("x", PARAMS) == _body()
 
 
 def test_params_change_misses(tmp_path):
     cache = ResultCache(tmp_path)
-    cache.store("x", PARAMS, _result())
+    cache.store("x", PARAMS, _body())
     assert cache.load("x", {"iterations": 6}) is None
 
 
 def test_cost_model_change_invalidates(tmp_path):
     old = ResultCache(tmp_path, cost_fingerprint="aaaa")
-    old.store("x", PARAMS, _result())
-    assert old.load("x", PARAMS) == _result()
+    old.store("x", PARAMS, _body())
+    assert old.load("x", PARAMS) == _body()
     # A new timing constant -> new fingerprint -> the entry is stale.
     new = ResultCache(tmp_path, cost_fingerprint="bbbb")
     assert new.load("x", PARAMS) is None
@@ -57,14 +65,14 @@ def test_cost_model_change_invalidates(tmp_path):
 
 def test_code_change_invalidates(tmp_path):
     old = ResultCache(tmp_path, code_version="v1")
-    old.store("x", PARAMS, _result())
+    old.store("x", PARAMS, _body())
     assert ResultCache(tmp_path, code_version="v2").load("x", PARAMS) \
         is None
 
 
 def test_corrupt_entry_reads_as_miss(tmp_path):
     cache = ResultCache(tmp_path)
-    path = cache.store("x", PARAMS, _result())
+    path = cache.store("x", PARAMS, _body())
     path.write_text("{not json")
     assert cache.load("x", PARAMS) is None
     path.write_text("[]")
@@ -73,8 +81,8 @@ def test_corrupt_entry_reads_as_miss(tmp_path):
 
 def test_clear(tmp_path):
     cache = ResultCache(tmp_path)
-    cache.store("x", PARAMS, _result())
-    cache.store("y", PARAMS, _result())
+    cache.store("x", PARAMS, _body())
+    cache.store("y", PARAMS, _body())
     assert cache.clear("x") == 1
     assert cache.load("x", PARAMS) is None
     assert cache.load("y", PARAMS) is not None
@@ -98,9 +106,9 @@ def test_cost_model_param_keys_differently(tmp_path):
     assert cache.key("x", xeon) != cache.key("x", arm)
     # "xeon-paper" is what an absent param resolves to, but it is still
     # a distinct *param dict*, which the key material already covers.
-    cache.store("x", xeon, _result())
+    cache.store("x", xeon, _body())
     assert cache.load("x", arm) is None
-    assert cache.load("x", xeon) == _result()
+    assert cache.load("x", xeon) == _body()
 
 
 def test_per_model_fingerprints_differ(tmp_path):
@@ -132,25 +140,73 @@ def test_per_model_fingerprints_differ(tmp_path):
 def test_entry_written_before_the_kept_digest_still_hits(tmp_path):
     result = Result.create(experiment="table1", params=PINNED_PARAMS,
                            scalars={"v": 1.0})
-    entry = {
-        "schema": "repro-cache/1",
+    body = result.to_json().encode()
+    material = {
         "experiment": "table1",
         "key": PINNED_KEY,
         "params": PINNED_PARAMS,
         "cost_model_id": "xeon-paper",
         "cost_model_fingerprint": PINNED_FINGERPRINTS["xeon-paper"],
         "code_fingerprint": PINNED_CODE,
-        "result": result.to_dict(),
     }
+    header = {**material, "schema": "repro-cache/2",
+              "sha256": hashlib.sha256(body).hexdigest()}
     path = tmp_path / f"table1-{PINNED_KEY}.json"
-    path.write_text(json.dumps(entry, sort_keys=True, indent=2) + "\n")
+    path.write_bytes(json.dumps(header, sort_keys=True,
+                                separators=(",", ":")).encode()
+                     + b"\n" + body)
     written = path.read_bytes()
     cache = ResultCache(tmp_path, code_version=PINNED_CODE)
     assert cache.key("table1", PINNED_PARAMS) == PINNED_KEY
-    assert cache.load("table1", PINNED_PARAMS) == result
-    # Storing the same result rewrites the same bytes in place.
-    assert cache.store("table1", PINNED_PARAMS, result) == path
+    assert cache.load("table1", PINNED_PARAMS) == body
+    # Storing the same body rewrites the same bytes in place.
+    assert cache.store("table1", PINNED_PARAMS, body) == path
     assert path.read_bytes() == written
+    # The older layout at the same path has no reader: a miss.
+    old = {**material, "schema": "repro-cache/1",
+           "result": result.to_dict()}
+    path.write_text(json.dumps(old, sort_keys=True, indent=2) + "\n")
+    assert cache.load("table1", PINNED_PARAMS) is None
+
+
+def _damaged(data, raw):
+    """``raw`` with one byte changed, cut short, or with bytes
+    appended."""
+    how = data.draw(st.sampled_from(["change", "truncate", "append"]))
+    if how == "change":
+        at = data.draw(st.integers(0, len(raw) - 1))
+        byte = data.draw(st.integers(0, 255).filter(
+            lambda value: value != raw[at]))
+        return raw[:at] + bytes([byte]) + raw[at + 1:]
+    if how == "truncate":
+        return raw[:data.draw(st.integers(0, len(raw) - 1))]
+    return raw + data.draw(st.binary(min_size=1, max_size=8))
+
+
+#: Each example stores its entry first, so one ``tmp_path`` can serve
+#: every example of a test.
+DAMAGE = settings(max_examples=300, deadline=None,
+                  suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+@DAMAGE
+@given(body=st.one_of(st.just(_body()), st.binary(max_size=64)),
+       data=st.data())
+def test_a_damaged_entry_never_serves_other_bytes(tmp_path, body, data):
+    cache = ResultCache(tmp_path)
+    path = cache.store("x", PARAMS, body)
+    path.write_bytes(_damaged(data, path.read_bytes()))
+    assert cache.load("x", PARAMS) in (None, body)
+
+
+@DAMAGE
+@given(error=st.text(max_size=40), data=st.data())
+def test_a_damaged_error_sentinel_never_replays_another_message(
+        tmp_path, error, data):
+    cache = ResultCache(tmp_path)
+    path = cache.store_error("x", PARAMS, error)
+    path.write_bytes(_damaged(data, path.read_bytes()))
+    assert cache.load_error("x", PARAMS) in (None, error)
 
 
 # -- negative entries (serve tier poisoned keys) --------------------------
@@ -173,14 +229,14 @@ def test_error_sentinel_is_never_served_as_a_result(tmp_path):
 def test_result_store_overwrites_the_sentinel(tmp_path):
     cache = ResultCache(tmp_path)
     cache.store_error("x", PARAMS, "transient bug, since fixed")
-    cache.store("x", PARAMS, _result())
-    assert cache.load("x", PARAMS) == _result()
+    cache.store("x", PARAMS, _body())
+    assert cache.load("x", PARAMS) == _body()
     assert cache.load_error("x", PARAMS) is None
 
 
 def test_result_entry_is_not_an_error(tmp_path):
     cache = ResultCache(tmp_path)
-    cache.store("x", PARAMS, _result())
+    cache.store("x", PARAMS, _body())
     assert cache.load_error("x", PARAMS) is None
 
 

@@ -3,6 +3,8 @@
 import asyncio
 import json
 
+import pytest
+
 from repro.exp import registry
 from repro.exp.cache import ResultCache
 from repro.serve.http import MAX_BODY_BYTES, ServeHttp, render_response
@@ -111,6 +113,39 @@ def test_oversized_bodies_are_413(tmp_path):
         assert status == 413
 
     over_http(tmp_path, scenario)
+
+
+async def raw_status(host, port, wire):
+    """Send raw request bytes; the status code of the reply."""
+    reader, writer = await asyncio.open_connection(host, port)
+    try:
+        writer.write(wire)
+        await writer.drain()
+        raw = await asyncio.wait_for(reader.read(-1), timeout=10)
+    finally:
+        writer.close()
+    return int(raw.split(b" ", 2)[1])
+
+
+@pytest.mark.parametrize("kib", [10, 70])
+@pytest.mark.parametrize("where", ["request line", "header line"])
+def test_overlong_lines_are_431(tmp_path, where, kib):
+    """Past MAX_LINE_BYTES is a 431, and so is a line past the stream
+    reader's own 64 KiB limit, which ``readline`` reports by raising
+    ``ValueError``."""
+    pad = "x" * (kib * 1024)
+    if where == "request line":
+        wire = f"GET /{pad} HTTP/1.1\r\nHost: h\r\n\r\n"
+    else:
+        wire = f"GET /healthz HTTP/1.1\r\nX-Pad: {pad}\r\n\r\n"
+
+    async def scenario(host, port):
+        status = await raw_status(host, port, wire.encode("latin-1"))
+        healthz, _, _ = await http_request(host, port, "GET",
+                                           "/healthz")
+        return status, healthz
+
+    assert over_http(tmp_path, scenario) == (431, 200)
 
 
 def test_raw_garbage_gets_a_400_not_a_hang(tmp_path):

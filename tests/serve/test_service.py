@@ -7,6 +7,7 @@ import json
 from repro.exp import registry
 from repro.exp.cache import ResultCache
 from repro.exp.registry import RunContext
+from repro.exp.runner import run_experiments
 from repro.faults.backoff import BackoffPolicy
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultKind, FaultPlan
@@ -56,26 +57,42 @@ def header(response, name):
     return dict(response.headers).get(name)
 
 
+def submit_each(cases, sources):
+    """A scenario that submits every case once per expected
+    ``X-Repro-Source``, in order, and returns the bodies."""
+    async def scenario(service):
+        served = {}
+        for source in sources:
+            for name, model in cases:
+                response = await service.submit(request_for(name, model))
+                assert response.status == 200
+                assert header(response, "X-Repro-Source") == source
+                served[(name, model, source)] = response.body
+        return served
+    return scenario
+
+
 def test_served_bodies_match_the_cli_path_across_models(tmp_path):
     """The acceptance differential: >= 3 experiments x 2 cost models,
-    byte-for-byte against the serial Experiment.run path."""
+    byte-for-byte against the serial Experiment.run path: computed,
+    re-submitted and served from the cache, and served from a cache
+    that ``run_experiments`` (the CLI path) filled."""
     cases = [(name, model)
              for name in ("table1", "table4", "coexist")
              for model in MODELS]
-
-    async def scenario(service):
-        served = {}
-        for name, model in cases:
-            response = await service.submit(request_for(name, model))
-            assert response.status == 200
-            assert header(response, "X-Repro-Source") == "computed"
-            served[(name, model)] = response.body
-        return served
-
-    served = with_service(tmp_path, scenario, jobs=2)
+    served = with_service(tmp_path / "served",
+                          submit_each(cases, ("computed", "cache")),
+                          jobs=2)
+    for name, model in cases:
+        run_experiments([name], overrides={"cost_model": model},
+                        cache=ResultCache(tmp_path / "cli"))
+    from_cli = with_service(tmp_path / "cli",
+                            submit_each(cases, ("cache",)), jobs=1)
     for name, model in cases:
         expected = serial_bytes(name, model).encode("utf-8")
-        assert served[(name, model)] == expected, (name, model)
+        assert served[(name, model, "computed")] == expected, (name, model)
+        assert served[(name, model, "cache")] == expected, (name, model)
+        assert from_cli[(name, model, "cache")] == expected, (name, model)
 
 
 def test_second_submit_is_a_cache_hit(tmp_path):
@@ -241,19 +258,27 @@ def test_cached_reads_survive_the_critical_level(tmp_path):
 
 
 def test_served_cache_hit_host_work_is_pinned(tmp_path, cache_host_work):
-    """A served cache hit keys its request twice (fingerprint, load)
-    and digests no model: the computed request before it kept the
-    digest."""
+    """A served cache hit keys its request twice (fingerprint, load),
+    digests no model and neither decodes nor encodes a Result: it
+    answers with the stored bytes.  The computed request before it
+    kept the digest and decoded the worker's body once, as the check
+    before storing it."""
     async def scenario(service):
         computed = await service.submit(request_for("table1",
                                                     "xeon-paper"))
+        before = cache_host_work.copy()
         cache_host_work.clear()
         served = await service.submit(request_for("table1",
                                                   "xeon-paper"))
-        return computed, served
+        return computed, before, served
 
-    computed, served = with_service(tmp_path, scenario, jobs=1)
+    computed, before, served = with_service(tmp_path, scenario, jobs=1)
+    assert header(computed, "X-Repro-Source") == "computed"
     assert header(served, "X-Repro-Source") == "cache"
     assert served.body == computed.body
+    drift = before.drift({"ResultCache.key": 4,
+                          "CostModel.digest[xeon-paper]": 1,
+                          "Result.from_dict": 1})
+    assert not drift, "one computed request: " + "; ".join(drift)
     drift = cache_host_work.drift({"ResultCache.key": 2})
     assert not drift, "one served cache hit: " + "; ".join(drift)
