@@ -108,6 +108,10 @@ lint:
 		echo "mypy not installed; skipping mypy"; \
 	fi
 
+# Every scratch directory .gitignore lists (tier-1 checks that the two
+# lists agree).
 clean:
-	rm -rf results/cache .pytest_cache .svtlint_cache
-	find . -name __pycache__ -type d -exec rm -rf {} +
+	rm -rf results/cache .pytest_cache .svtlint_cache .batch_cache \
+		.perfbench_tmp .hypothesis .benchmarks
+	find . \( -name __pycache__ -o -name '*.egg-info' \) -type d -prune \
+		-exec rm -rf {} +

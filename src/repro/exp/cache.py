@@ -124,11 +124,10 @@ class ResultCache:
 
     # -- access ----------------------------------------------------------
 
-    def _read(self, name: str, params: Mapping[str, Any],
+    def _read(self, name: str, key: str,
               schema: str) -> Optional[bytes]:
         """The verified payload for this key under ``schema``, or
         ``None``."""
-        key = self.key(name, params)
         try:
             raw = (self.root / f"{name}-{key}.json").read_bytes()
             head, _, payload = raw.partition(b"\n")
@@ -143,11 +142,10 @@ class ResultCache:
             return None
         return payload
 
-    def _write(self, name: str, params: Mapping[str, Any],
+    def _write(self, name: str, key: str, params: Mapping[str, Any],
                schema: str, payload: bytes) -> Path:
         """Write one entry under ``schema``; returns its path."""
         self.root.mkdir(parents=True, exist_ok=True)
-        key = self.key(name, params)
         path = self.root / f"{name}-{key}.json"
         header = json.dumps(
             {"schema": schema, "experiment": name, "key": key,
@@ -161,21 +159,23 @@ class ResultCache:
         path.write_bytes(header.encode() + b"\n" + payload)
         return path
 
-    def load(self, name: str,
-             params: Mapping[str, Any]) -> Optional[bytes]:
+    # Each access takes the entry's key, ``key(name, params)``: a caller
+    # computes it once and passes it to every access.
+
+    def load(self, name: str, key: str) -> Optional[bytes]:
         """The stored body (``Result.to_json()`` bytes) for this key,
         or ``None`` on a miss."""
-        return self._read(name, params, SCHEMA)
+        return self._read(name, key, SCHEMA)
 
-    def store(self, name: str, params: Mapping[str, Any],
+    def store(self, name: str, key: str, params: Mapping[str, Any],
               body: bytes) -> Path:
         """Write one entry holding ``body``, a Result's ``to_json()``
         bytes; returns its path."""
-        return self._write(name, params, SCHEMA, body)
+        return self._write(name, key, params, SCHEMA, body)
 
     # -- negative entries -------------------------------------------------
 
-    def store_error(self, name: str, params: Mapping[str, Any],
+    def store_error(self, name: str, key: str, params: Mapping[str, Any],
                     error: str) -> Path:
         """Remember a deterministic failure for this key.
 
@@ -183,13 +183,12 @@ class ResultCache:
         distinct :data:`ERROR_SCHEMA`, so :meth:`load` reads it as a
         miss (schema mismatch) and can never serve it as a Result.
         """
-        return self._write(name, params, ERROR_SCHEMA,
+        return self._write(name, key, params, ERROR_SCHEMA,
                            error.encode("utf-8"))
 
-    def load_error(self, name: str,
-                   params: Mapping[str, Any]) -> Optional[str]:
+    def load_error(self, name: str, key: str) -> Optional[str]:
         """The remembered error message for this key, or ``None``."""
-        payload = self._read(name, params, ERROR_SCHEMA)
+        payload = self._read(name, key, ERROR_SCHEMA)
         return payload.decode("utf-8") if payload is not None else None
 
     def clear(self, name: Optional[str] = None) -> int:

@@ -194,8 +194,8 @@ def run_experiments(names: Iterable[str],
         experiment = registry.get(name)
         params = experiment.resolve(overrides, smoke=smoke)
         if cache is not None:
-            report.cache_keys[name] = cache.key(name, params)
-            hit = _decode(cache.load(name, params))
+            key = report.cache_keys[name] = cache.key(name, params)
+            hit = _decode(cache.load(name, key))
             if hit is not None:
                 finished[name] = ExperimentRun(name, hit, True)
                 continue
@@ -242,7 +242,8 @@ def run_experiments(names: Iterable[str],
         }
         result = experiment.merge(params, ordered)
         if cache is not None:
-            cache.store(name, params, result.to_json().encode())
+            cache.store(name, report.cache_keys[name], params,
+                        result.to_json().encode())
         metrics = None
         if collect_metrics:
             # merge_snapshots is order-independent, so the merged

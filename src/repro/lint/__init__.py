@@ -16,9 +16,6 @@ invariants behind those promises as machine-checked rules:
 * **SVT005** :mod:`repro.lint.bounded` — ``while`` loops under
   ``repro.core`` carry a watchdog/cycle-budget identifier (or a
   *justified* inline suppression; a bare disable is itself a finding).
-* **SVT006** :mod:`repro.lint.fastpath` — per-instruction loops in the
-  modelling packages charge time via ``tracer.charge`` instead of the
-  heap-draining ``sim.advance`` (justified suppressions as in SVT005).
 * **SVT007** :mod:`repro.lint.races` — whole-program sim-state race
   detector: shared core state (``cpu.context``/``cpu.prf``/
   ``virt.vmcs``/``core.channel``) must not be written from code
@@ -33,6 +30,11 @@ invariants behind those promises as machine-checked rules:
 * **SVT009** :mod:`repro.lint.stale` — meta-diagnostic: ``disable``
   directives that no longer silence any finding are stale
   (``--no-stale`` opts out).
+
+SVT006 is retired: the tier-1 AST check
+``tests/test_design_consistency.py::test_only_repro_sim_charges_the_clock``
+fails any clock call on a simulator outside ``repro.sim``, in a loop or
+not, so time is always charged through ``Tracer.charge``.
 
 Run via ``python -m repro lint`` (see :mod:`repro.lint.cli`), ``make
 lint``, or programmatically through :func:`lint_paths` /
@@ -55,7 +57,6 @@ from repro.lint.engine import (
     lint_source,
     lint_tree,
 )
-from repro.lint.fastpath import FastPathRule
 from repro.lint.findings import (
     Finding,
     compute_stats,
@@ -76,7 +77,6 @@ __all__ = [
     "DEFAULT_RULES",
     "DeterminismRule",
     "DeterminismTaintRule",
-    "FastPathRule",
     "Finding",
     "FrozenResultRule",
     "LintCache",

@@ -33,7 +33,6 @@ from repro.lint.bounded import BoundedLoopRule
 from repro.lint.cache import DEFAULT_CACHE_DIR, LintCache
 from repro.lint.determinism import DeterminismRule
 from repro.lint.engine import Rule, lint_tree
-from repro.lint.fastpath import FastPathRule
 from repro.lint.findings import (compute_stats, findings_document,
                                  render_stats_table)
 from repro.lint.frozen import FrozenResultRule
@@ -50,7 +49,6 @@ DEFAULT_RULES: tuple[type[Rule], ...] = (
     PoolSafetyRule,
     FrozenResultRule,
     BoundedLoopRule,
-    FastPathRule,
     SimStateRaceRule,
     DeterminismTaintRule,
     StaleSuppressionRule,

@@ -80,9 +80,9 @@ class LintContext:
     def note_suppressed(self, line: int, rule_id: str) -> None:
         """Record a suppression hit without going through ``report``.
 
-        Rules that consult ``source.suppressed`` themselves (the
-        justified-suppression dance in SVT005/SVT006) call this so the
-        stale-suppression pass knows the directive is live.
+        Rules that consult ``source.suppressed`` themselves (SVT005's
+        justified-suppression dance) call this so the stale-suppression
+        pass knows the directive is live.
         """
         self.suppressed_hits.add((line, rule_id))
 

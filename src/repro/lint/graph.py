@@ -1,6 +1,6 @@
 """Project-wide symbol table, import map and call graph.
 
-The per-file rules (SVT001–SVT006) see one file at a time; the race
+The per-file rules (SVT001–SVT005) see one file at a time; the race
 and taint rules (SVT007/SVT008) need to reason about the whole batch:
 *which function can be reached from which simulated context*, and
 *where does a value produced here flow*.  :class:`ProjectGraph` is the

@@ -84,11 +84,10 @@ def suppression_justified(source: "SourceFile", line: int,
                           min_length: int = 8) -> bool:
     """Does the suppression directive covering ``line`` explain itself?
 
-    Rules whose suppressions must carry a justification (SVT005,
-    SVT006) share this scan.  The directive lives either in a trailing
-    comment on the line or in the comment-only block directly above;
-    continuation comment lines in that block count toward the
-    justification.
+    SVT005, whose suppressions must carry a justification, makes this
+    scan.  The directive lives either in a trailing comment on the line
+    or in the comment-only block directly above; continuation comment
+    lines in that block count toward the justification.
     """
     comment = source.comments.get(line, "")
     if "disable" in comment:

@@ -17,9 +17,9 @@ Semantics worth knowing (see ``docs/static-analysis.md``):
   every rule it names actually ran; a bare ``disable`` is only judged
   on a complete run (no ``--rules`` filter).  ``select_rules`` wires
   ``complete`` accordingly, so partial runs never mass-report stale.
-* Justified SVT005/SVT006 suppressions count as hits even though the
-  rules return early without reporting — they call
-  ``ctx.note_suppressed`` for exactly this reason.
+* Justified SVT005 suppressions count as hits even though the rule
+  returns early without reporting — it calls ``ctx.note_suppressed``
+  for exactly this reason.
 """
 
 from __future__ import annotations

@@ -7,7 +7,8 @@ state machine):
 1. **quarantine check** — fingerprints that exhausted their crash
    retries are refused outright (422) until an operator clears them;
 2. **cache fast-path** — experiment requests probe the shared
-   :class:`~repro.exp.cache.ResultCache` first: a hit is served
+   :class:`~repro.exp.cache.ResultCache` first, under the request's
+   fingerprint, which is the entry's key: a hit is served
    *before* any shed decision (cached reads are the last tier
    standing) with the stored body bytes as read, decoding nothing,
    and a remembered deterministic failure (negative entry) is
@@ -171,16 +172,14 @@ class ExperimentService:
                       "fingerprint": key},
                 **{"X-Repro-Fingerprint": key})
         if request.kind == "experiment":
-            body = self.cache.load(request.experiment,
-                                   request.params_dict)
+            body = self.cache.load(request.experiment, key)
             if body is not None:
                 self.metrics.count("serve_cache_hits_total")
                 return Response.raw(
                     200, body,
                     **{"X-Repro-Fingerprint": key,
                        "X-Repro-Source": "cache"})
-            error = self.cache.load_error(request.experiment,
-                                          request.params_dict)
+            error = self.cache.load_error(request.experiment, key)
             if error is not None:
                 self.metrics.count("serve_cache_errors_total")
                 return Response.json(
@@ -255,7 +254,7 @@ class ExperimentService:
             if request.kind == "experiment":
                 # Store only a body that decodes as a Result.
                 Result.from_json(body)
-                self.cache.store(request.experiment,
+                self.cache.store(request.experiment, key,
                                  request.params_dict, body)
             response = Response.raw(
                 200, body,
@@ -266,7 +265,7 @@ class ExperimentService:
             return response
         if outcome.status == "error":
             if request.kind == "experiment":
-                self.cache.store_error(request.experiment,
+                self.cache.store_error(request.experiment, key,
                                        request.params_dict,
                                        outcome.error)
             self.metrics.count("serve_errors_total")

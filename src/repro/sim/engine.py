@@ -6,7 +6,7 @@ Two styles of progress coexist:
   charges elapsed time through :meth:`repro.sim.trace.Tracer.charge`,
   the one charging call.  It bumps this clock itself when the cached
   next deadline proves nothing falls due, and otherwise advances it
-  with :meth:`Simulator.charge`.  Any events whose deadline falls
+  with :meth:`Simulator.advance`.  Any events whose deadline falls
   inside the charged window fire at their exact timestamp, so
   asynchronous arrivals interleave deterministically with synchronous
   execution.
@@ -16,18 +16,16 @@ Two styles of progress coexist:
 Determinism: ties on the timestamp are broken by registration order, and
 no wall-clock or global randomness is consulted anywhere.
 
-**Fast path (docs/performance.md).**  :meth:`Simulator.advance` is the
-drain-on-every-call reference for :meth:`Simulator.charge`, kept only
-for the charge ≡ advance property test.  ``charge`` keeps a
+**Fast path (docs/performance.md).**  The simulator keeps a
 conservative-low cache of the earliest scheduled deadline
-(``_next_due``) and, while the charge target stays below it, bumps the
-clock without touching the heap at all.  The cache only ever
-*under*-estimates the true next live deadline (pushes min-update it,
-pops refresh it from the heap root, which may be a cancelled entry at
-an earlier time), so a skipped drain can never skip a due event.
-The heap is compacted inside :meth:`at` once cancelled entries
-outnumber live ones (watchdog retry timers would otherwise leak dead
-handles forever).
+(``_next_due``) for ``Tracer.charge``'s nothing-due test.  The cache
+only ever *under*-estimates the true next live deadline (pushes
+min-update it, drains and peeks refresh it from the live heap root, a
+cancel leaves it at what may now be a cancelled entry's earlier time),
+so a skipped drain can never skip a due event.
+:meth:`Simulator.advance` is the slow path: it drains the heap on
+every call.  A cancelled entry stays in the heap until it reaches the
+root, where a drain or a peek discards it.
 
 **Deadlock/livelock detection.**  Blocking participants announce
 themselves with :meth:`Simulator.park` (and :meth:`Simulator.unpark` on
@@ -46,10 +44,6 @@ from dataclasses import dataclass, field
 from repro.errors import DeadlockError
 from repro.sim import kernel as _kernel
 from repro.sim import sanitizer as _san
-
-#: Minimum number of cancelled entries before ``at`` considers
-#: compacting — avoids heapify thrash on tiny queues.
-_COMPACT_MIN = 8
 
 
 class SimulationError(RuntimeError):
@@ -115,26 +109,18 @@ class DeadlockReport:
 class EventHandle:
     """Cancellation token returned by :meth:`Simulator.at`/``after``."""
 
-    __slots__ = ("time", "seq", "callback", "args", "cancelled", "_owner")
+    __slots__ = ("time", "seq", "callback", "args", "cancelled")
 
-    def __init__(self, time, seq, callback, args, owner=None):
+    def __init__(self, time, seq, callback, args):
         self.time = time
         self.seq = seq
         self.callback = callback
         self.args = args
         self.cancelled = False
-        self._owner = owner
 
     def cancel(self):
         """Prevent the callback from firing; safe to call repeatedly."""
-        if not self.cancelled:
-            self.cancelled = True
-            # Keep the owning simulator's live-event counter exact; an
-            # already-fired event has detached itself (owner is None).
-            if self._owner is not None:
-                self._owner._pending -= 1
-                self._owner._dead += 1
-                self._owner = None
+        self.cancelled = True
 
     def __lt__(self, other):
         return (self.time, self.seq) < (other.time, other.seq)
@@ -151,20 +137,13 @@ class Simulator:
         self.now = 0
         self._queue = []
         self._seq = 0
-        self._pending = 0
-        self._firing = False
         # Conservative-low cache of the earliest scheduled deadline:
         # never greater than the true earliest *live* deadline (it may
         # point at a cancelled entry's earlier time, which is harmless),
-        # so `charge` may skip the heap whenever target < _next_due.
+        # so Tracer.charge may skip the heap whenever target < _next_due.
         self._next_due = None
-        # Cancelled entries still sitting in the heap; compaction in
-        # `at` keeps this below the live count.
-        self._dead = 0
-        # Fast-path accounting: events fired (summed by
-        # repro.sim.kernel.collect_stats) and heap compactions.
+        # Events fired (summed by repro.sim.kernel.collect_stats).
         self.events_fired = 0
-        self.compactions = 0
         # Parked waiters (deadlock detection): name -> Waiter.
         self._waiters = {}
         # Observability hook (repro.obs.Observer); None keeps event
@@ -197,11 +176,8 @@ class Simulator:
             raise SimulationError(
                 f"cannot schedule at t={time} before now={self.now}"
             )
-        if self._dead >= _COMPACT_MIN and self._dead > self._pending:
-            self._compact()
-        handle = EventHandle(time, self._seq, callback, args, owner=self)
+        handle = EventHandle(time, self._seq, callback, args)
         self._seq += 1
-        self._pending += 1
         heapq.heappush(self._queue, handle)
         if self._next_due is None or time < self._next_due:
             self._next_due = time
@@ -218,40 +194,27 @@ class Simulator:
     def advance(self, ns):
         """Advance the clock by ``ns``, firing events that fall due.
 
-        The reference for :meth:`charge`: it peeks the heap on every
-        call.  Events fire with ``now`` set to their own deadline; after
-        the last due event the clock lands exactly on the target time.
+        The slow path of :meth:`repro.sim.trace.Tracer.charge`, which
+        calls it only when an event falls due inside the charge or
+        ``ns`` is negative.  It drains the heap on every call: events
+        fire with ``now`` set to their own deadline, and after the last
+        due event the clock lands exactly on the target time.
         """
         if ns < 0:
             raise SimulationError(f"cannot advance by negative time {ns}")
         target = self.now + ns
-        self._drain(target)
-        self.now = target
         queue = self._queue
-        self._next_due = queue[0].time if queue else None
-        return target
-
-    def charge(self, ns):
-        """Fast-path :meth:`advance`: identical semantics, lazy heap.
-
-        While the target stays strictly below the cached next deadline
-        no event can fall due, so the clock bumps without a heap peek;
-        otherwise the call flushes through the same :meth:`_drain` as
-        ``advance`` and every due event fires at its exact timestamp.
-        :meth:`repro.sim.trace.Tracer.charge` makes the same first test
-        in its own frame and calls this method only when an event falls
-        due or ``ns`` is negative.
-        """
-        if ns < 0:
-            raise SimulationError(f"cannot advance by negative time {ns}")
-        target = self.now + ns
-        due = self._next_due
-        if due is None or due > target:
-            self.now = target
-            return target
-        self._drain(target)
+        while queue:
+            head = queue[0]
+            if head.cancelled:
+                heapq.heappop(queue)
+                continue
+            if head.time > target:
+                break
+            heapq.heappop(queue)
+            self.now = head.time
+            self._fire(head)
         self.now = target
-        queue = self._queue
         self._next_due = queue[0].time if queue else None
         return target
 
@@ -267,15 +230,13 @@ class Simulator:
         :meth:`park`), nothing can ever wake them and a
         ``kind="deadlock"`` report is raised.
         """
-        target = limit if limit is not None else None
         fired = 0
         while self._queue:
             head = self._queue[0]
             if head.cancelled:
                 heapq.heappop(self._queue)
-                self._dead -= 1
                 continue
-            if target is not None and head.time > target:
+            if limit is not None and head.time > limit:
                 break
             if max_events is not None and fired >= max_events:
                 raise DeadlockError(
@@ -285,15 +246,13 @@ class Simulator:
                                                 events_fired=fired),
                 )
             heapq.heappop(self._queue)
-            self._pending -= 1
-            head._owner = None
             self.now = head.time
             self._fire(head)
             fired += 1
         queue = self._queue
         self._next_due = queue[0].time if queue else None
-        if target is not None and target > self.now:
-            self.now = target
+        if limit is not None and limit > self.now:
+            self.now = limit
         if not self._queue and self._waiters:
             # The queue drained for real (not a limit stop) with parked
             # waiters: no remaining event can ever wake them.
@@ -343,50 +302,8 @@ class Simulator:
         """Timestamp of the earliest pending event, or ``None``."""
         while self._queue and self._queue[0].cancelled:
             heapq.heappop(self._queue)
-            self._dead -= 1
         if not self._queue:
             self._next_due = None
             return None
         self._next_due = self._queue[0].time
         return self._next_due
-
-    @property
-    def pending(self):
-        """Number of non-cancelled scheduled events.
-
-        O(1): a live counter maintained by :meth:`at`,
-        :meth:`EventHandle.cancel` and the firing paths — this sits on
-        the hot path of long runs (devices poll it between bursts), so
-        it must not scan the heap.
-        """
-        return self._pending
-
-    # -- internals -------------------------------------------------------
-
-    def _drain(self, target):
-        """Fire every non-cancelled event with deadline <= target."""
-        while self._queue:
-            head = self._queue[0]
-            if head.cancelled:
-                heapq.heappop(self._queue)
-                self._dead -= 1
-                continue
-            if head.time > target:
-                break
-            heapq.heappop(self._queue)
-            self._pending -= 1
-            head._owner = None
-            self.now = head.time
-            self._fire(head)
-
-    def _compact(self):
-        """Rebuild the heap without cancelled entries (satellite of the
-        fast-path work: watchdog retry timers cancel in bulk and used to
-        leave their handles in ``_queue`` until their deadline passed).
-        """
-        live = [handle for handle in self._queue if not handle.cancelled]
-        heapq.heapify(live)
-        self._queue = live
-        self._dead = 0
-        self._next_due = live[0].time if live else None
-        self.compactions += 1

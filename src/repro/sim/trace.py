@@ -59,14 +59,14 @@ class Tracer:
         """Advance the clock by ``ns`` and attribute them to
         ``category``; a zero charge does nothing.
 
-        When no event can fall due inside the charge, the clock moves
-        here, in one frame: ``sim._next_due`` never exceeds the next
-        live deadline, so ``due > now + ns`` proves that nothing fires
-        (the test :meth:`~repro.sim.engine.Simulator.charge` makes).
-        Otherwise, and for a negative ``ns``, which raises before
-        anything is booked, :meth:`Simulator.charge` drains the due
-        events at their timestamps.  The observer sees each charge after
-        the clock has moved.
+        This is the clock's one fast path.  When no event can fall due
+        inside the charge, the clock moves here, in one frame:
+        ``sim._next_due`` never exceeds the next live deadline, so
+        ``due > now + ns`` proves that nothing fires.  Otherwise, and
+        for a negative ``ns``, which raises before anything is booked,
+        :meth:`~repro.sim.engine.Simulator.advance` drains the due
+        events at their timestamps.  The observer sees each charge
+        after the clock has moved.
         """
         if ns:
             sim = self.sim
@@ -75,7 +75,7 @@ class Tracer:
             if ns > 0 and (due is None or due > target):
                 sim.now = target
             else:
-                sim.charge(ns)
+                sim.advance(ns)
             self.totals[category] += ns
             obs = sim.obs
             if obs is not None:

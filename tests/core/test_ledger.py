@@ -62,11 +62,11 @@ def test_clock_advances_by_exactly_the_ledger(name):
     # The L3 model classifies no RDTSC; its loop is the other two.
     loop = LOOP[:2] if name.startswith("l3_") else LOOP
     run(isa.Program(list(loop)))                         # warm-up
-    assert machine.sim.pending == 0
+    assert machine.sim.peek_next_time() is None
     before = machine.tracer.snapshot()
     start = machine.sim.now
     run(isa.Program(list(loop), repeat=PASSES))
-    assert machine.sim.pending == 0
+    assert machine.sim.peek_next_time() is None
     elapsed = machine.sim.now - start
     assert elapsed > 0
     assert elapsed == sum(machine.tracer.since(before).values())

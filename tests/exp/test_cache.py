@@ -41,51 +41,70 @@ def _body():
     return _result().to_json().encode()
 
 
+def _store(cache, name, params, body):
+    """Store ``body`` under the key of ``name`` and ``params``."""
+    return cache.store(name, cache.key(name, params), params, body)
+
+
+def _load(cache, name, params):
+    """The body stored under the key of ``name`` and ``params``."""
+    return cache.load(name, cache.key(name, params))
+
+
 def test_miss_then_hit(tmp_path):
     cache = ResultCache(tmp_path)
-    assert cache.load("x", PARAMS) is None
-    cache.store("x", PARAMS, _body())
-    assert cache.load("x", PARAMS) == _body()
+    key = cache.key("x", PARAMS)
+    assert cache.load("x", key) is None
+    cache.store("x", key, PARAMS, _body())
+    assert cache.load("x", key) == _body()
 
 
 def test_params_change_misses(tmp_path):
     cache = ResultCache(tmp_path)
-    cache.store("x", PARAMS, _body())
-    assert cache.load("x", {"iterations": 6}) is None
+    _store(cache, "x", PARAMS, _body())
+    assert _load(cache, "x", {"iterations": 6}) is None
 
 
 def test_cost_model_change_invalidates(tmp_path):
     old = ResultCache(tmp_path, cost_fingerprint="aaaa")
-    old.store("x", PARAMS, _body())
-    assert old.load("x", PARAMS) == _body()
+    _store(old, "x", PARAMS, _body())
+    assert _load(old, "x", PARAMS) == _body()
     # A new timing constant -> new fingerprint -> the entry is stale.
     new = ResultCache(tmp_path, cost_fingerprint="bbbb")
-    assert new.load("x", PARAMS) is None
+    assert _load(new, "x", PARAMS) is None
 
 
 def test_code_change_invalidates(tmp_path):
     old = ResultCache(tmp_path, code_version="v1")
-    old.store("x", PARAMS, _body())
-    assert ResultCache(tmp_path, code_version="v2").load("x", PARAMS) \
-        is None
+    _store(old, "x", PARAMS, _body())
+    assert _load(ResultCache(tmp_path, code_version="v2"), "x",
+                 PARAMS) is None
 
 
 def test_corrupt_entry_reads_as_miss(tmp_path):
     cache = ResultCache(tmp_path)
-    path = cache.store("x", PARAMS, _body())
+    path = _store(cache, "x", PARAMS, _body())
     path.write_text("{not json")
-    assert cache.load("x", PARAMS) is None
+    assert _load(cache, "x", PARAMS) is None
     path.write_text("[]")
-    assert cache.load("x", PARAMS) is None
+    assert _load(cache, "x", PARAMS) is None
+
+
+def test_a_key_reads_only_its_own_entry(tmp_path):
+    cache = ResultCache(tmp_path)
+    path = _store(cache, "x", PARAMS, _body())
+    other = cache.key("x", {"iterations": 6})
+    path.rename(tmp_path / f"x-{other}.json")
+    assert cache.load("x", other) is None
 
 
 def test_clear(tmp_path):
     cache = ResultCache(tmp_path)
-    cache.store("x", PARAMS, _body())
-    cache.store("y", PARAMS, _body())
+    _store(cache, "x", PARAMS, _body())
+    _store(cache, "y", PARAMS, _body())
     assert cache.clear("x") == 1
-    assert cache.load("x", PARAMS) is None
-    assert cache.load("y", PARAMS) is not None
+    assert _load(cache, "x", PARAMS) is None
+    assert _load(cache, "y", PARAMS) is not None
     assert cache.clear() == 1
 
 
@@ -106,9 +125,9 @@ def test_cost_model_param_keys_differently(tmp_path):
     assert cache.key("x", xeon) != cache.key("x", arm)
     # "xeon-paper" is what an absent param resolves to, but it is still
     # a distinct *param dict*, which the key material already covers.
-    cache.store("x", xeon, _body())
-    assert cache.load("x", arm) is None
-    assert cache.load("x", xeon) == _body()
+    _store(cache, "x", xeon, _body())
+    assert _load(cache, "x", arm) is None
+    assert _load(cache, "x", xeon) == _body()
 
 
 def test_per_model_fingerprints_differ(tmp_path):
@@ -158,15 +177,15 @@ def test_entry_written_before_the_kept_digest_still_hits(tmp_path):
     written = path.read_bytes()
     cache = ResultCache(tmp_path, code_version=PINNED_CODE)
     assert cache.key("table1", PINNED_PARAMS) == PINNED_KEY
-    assert cache.load("table1", PINNED_PARAMS) == body
+    assert cache.load("table1", PINNED_KEY) == body
     # Storing the same body rewrites the same bytes in place.
-    assert cache.store("table1", PINNED_PARAMS, body) == path
+    assert cache.store("table1", PINNED_KEY, PINNED_PARAMS, body) == path
     assert path.read_bytes() == written
     # The older layout at the same path has no reader: a miss.
     old = {**material, "schema": "repro-cache/1",
            "result": result.to_dict()}
     path.write_text(json.dumps(old, sort_keys=True, indent=2) + "\n")
-    assert cache.load("table1", PINNED_PARAMS) is None
+    assert cache.load("table1", PINNED_KEY) is None
 
 
 def _damaged(data, raw):
@@ -194,9 +213,10 @@ DAMAGE = settings(max_examples=300, deadline=None,
        data=st.data())
 def test_a_damaged_entry_never_serves_other_bytes(tmp_path, body, data):
     cache = ResultCache(tmp_path)
-    path = cache.store("x", PARAMS, body)
+    key = cache.key("x", PARAMS)
+    path = cache.store("x", key, PARAMS, body)
     path.write_bytes(_damaged(data, path.read_bytes()))
-    assert cache.load("x", PARAMS) in (None, body)
+    assert cache.load("x", key) in (None, body)
 
 
 @DAMAGE
@@ -204,44 +224,50 @@ def test_a_damaged_entry_never_serves_other_bytes(tmp_path, body, data):
 def test_a_damaged_error_sentinel_never_replays_another_message(
         tmp_path, error, data):
     cache = ResultCache(tmp_path)
-    path = cache.store_error("x", PARAMS, error)
+    key = cache.key("x", PARAMS)
+    path = cache.store_error("x", key, PARAMS, error)
     path.write_bytes(_damaged(data, path.read_bytes()))
-    assert cache.load_error("x", PARAMS) in (None, error)
+    assert cache.load_error("x", key) in (None, error)
 
 
 # -- negative entries (serve tier poisoned keys) --------------------------
 
 def test_error_sentinel_round_trips(tmp_path):
     cache = ResultCache(tmp_path)
-    assert cache.load_error("x", PARAMS) is None
-    cache.store_error("x", PARAMS, "cells disagree at (3, 2)")
-    assert cache.load_error("x", PARAMS) == "cells disagree at (3, 2)"
+    key = cache.key("x", PARAMS)
+    assert cache.load_error("x", key) is None
+    cache.store_error("x", key, PARAMS, "cells disagree at (3, 2)")
+    assert cache.load_error("x", key) == "cells disagree at (3, 2)"
 
 
 def test_error_sentinel_is_never_served_as_a_result(tmp_path):
     cache = ResultCache(tmp_path)
-    cache.store_error("x", PARAMS, "boom")
+    key = cache.key("x", PARAMS)
+    cache.store_error("x", key, PARAMS, "boom")
     # The sentinel occupies the Result path but load() rejects it by
     # schema — a poisoned key can never masquerade as a Result.
-    assert cache.load("x", PARAMS) is None
+    assert cache.load("x", key) is None
 
 
 def test_result_store_overwrites_the_sentinel(tmp_path):
     cache = ResultCache(tmp_path)
-    cache.store_error("x", PARAMS, "transient bug, since fixed")
-    cache.store("x", PARAMS, _body())
-    assert cache.load("x", PARAMS) == _body()
-    assert cache.load_error("x", PARAMS) is None
+    key = cache.key("x", PARAMS)
+    cache.store_error("x", key, PARAMS, "transient bug, since fixed")
+    cache.store("x", key, PARAMS, _body())
+    assert cache.load("x", key) == _body()
+    assert cache.load_error("x", key) is None
 
 
 def test_result_entry_is_not_an_error(tmp_path):
     cache = ResultCache(tmp_path)
-    cache.store("x", PARAMS, _body())
-    assert cache.load_error("x", PARAMS) is None
+    key = cache.key("x", PARAMS)
+    cache.store("x", key, PARAMS, _body())
+    assert cache.load_error("x", key) is None
 
 
 def test_corrupt_error_sentinel_reads_as_miss(tmp_path):
     cache = ResultCache(tmp_path)
-    path = cache.store_error("x", PARAMS, "boom")
+    key = cache.key("x", PARAMS)
+    path = cache.store_error("x", key, PARAMS, "boom")
     path.write_text("{not json")
-    assert cache.load_error("x", PARAMS) is None
+    assert cache.load_error("x", key) is None

@@ -42,22 +42,24 @@ def test_an_entry_that_is_not_a_result_is_recomputed(tmp_path):
     as a miss; the computed Result overwrites it."""
     cache = ResultCache(tmp_path)
     params = registry.get("fig6").resolve({"iterations": 10})
-    cache.store("fig6", params, b'{"schema": "not-a-result"}\n')
+    key = cache.key("fig6", params)
+    cache.store("fig6", key, params, b'{"schema": "not-a-result"}\n')
     report = run_experiments(["fig6"], overrides={"iterations": 10},
                              cache=cache)
     assert report.computed == ["fig6"]
-    assert cache.load("fig6", params) \
+    assert cache.load("fig6", key) \
         == report.runs[0].result.to_json().encode()
 
 
 def test_cold_run_cache_host_work_is_pinned(tmp_path, cache_host_work):
-    """A cold cached run keys each experiment three times (runner,
-    load, store), digests its one model once per process and encodes
-    each computed Result once, for its entry."""
+    """A cold cached run keys each experiment once (the runner records
+    the key and hands it to ``load`` and ``store``), digests its one
+    model once per process and encodes each computed Result once, for
+    its entry."""
     names = ["fig6", "table1"]
     report = run_experiments(names, cache=ResultCache(tmp_path))
     assert report.computed == names
-    drift = cache_host_work.drift({"ResultCache.key": 3 * len(names),
+    drift = cache_host_work.drift({"ResultCache.key": len(names),
                                    "CostModel.digest[xeon-paper]": 1,
                                    "Result.to_json": len(names)})
     assert not drift, "cold fig6 + table1: " + "; ".join(drift)

@@ -48,7 +48,7 @@ COUNTED = (
     "repro.core.channel:CommandRing.try_push",
     "repro.core.channel:CommandRing.pop",
     "repro.sim.trace:Tracer.charge",
-    "repro.sim.engine:Simulator.charge",
+    "repro.sim.engine:Simulator.advance",
     "repro.workloads.memcached:measure_service",
 )
 

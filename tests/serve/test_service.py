@@ -258,11 +258,12 @@ def test_cached_reads_survive_the_critical_level(tmp_path):
 
 
 def test_served_cache_hit_host_work_is_pinned(tmp_path, cache_host_work):
-    """A served cache hit keys its request twice (fingerprint, load),
-    digests no model and neither decodes nor encodes a Result: it
-    answers with the stored bytes.  The computed request before it
-    kept the digest and decoded the worker's body once, as the check
-    before storing it."""
+    """A served cache hit keys its request once, for its fingerprint,
+    which ``load`` reuses; it digests no model and neither decodes nor
+    encodes a Result: it answers with the stored bytes.  The computed
+    request before it also keyed once (``load``, ``load_error`` and
+    ``store`` reuse the fingerprint), kept the digest and decoded the
+    worker's body once, as the check before storing it."""
     async def scenario(service):
         computed = await service.submit(request_for("table1",
                                                     "xeon-paper"))
@@ -276,9 +277,9 @@ def test_served_cache_hit_host_work_is_pinned(tmp_path, cache_host_work):
     assert header(computed, "X-Repro-Source") == "computed"
     assert header(served, "X-Repro-Source") == "cache"
     assert served.body == computed.body
-    drift = before.drift({"ResultCache.key": 4,
+    drift = before.drift({"ResultCache.key": 1,
                           "CostModel.digest[xeon-paper]": 1,
                           "Result.from_dict": 1})
     assert not drift, "one computed request: " + "; ".join(drift)
-    drift = cache_host_work.drift({"ResultCache.key": 2})
+    drift = cache_host_work.drift({"ResultCache.key": 1})
     assert not drift, "one served cache hit: " + "; ".join(drift)

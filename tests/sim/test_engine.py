@@ -109,14 +109,6 @@ def test_peek_next_time(sim):
     assert sim.peek_next_time() == 30
 
 
-def test_pending_counts_only_live_events(sim):
-    a = sim.after(10, lambda: None)
-    sim.after(20, lambda: None)
-    assert sim.pending == 2
-    a.cancel()
-    assert sim.pending == 1
-
-
 def test_negative_delay_rejected(sim):
     with pytest.raises(SimulationError):
         sim.after(-5, lambda: None)

@@ -4,9 +4,11 @@ DESIGN.md's module map must reference files that actually exist, and
 DESIGN.md's per-experiment index and EXPERIMENTS.md must name every
 registered experiment and cite only experiments, ``results/`` files
 and claim tests that exist.  Every backticked repo path and
-``repro.…`` dotted name in the user-facing docs must exist too;
-nothing rots silently.  One design rule is checked on the source
-itself: only ``repro.sim`` charges the simulator's clock.
+``repro.…`` dotted name in the user-facing docs must exist too,
+docs/static-analysis.md documents each shipped lint rule exactly once,
+and ``make clean`` removes every directory .gitignore lists; nothing
+rots silently.  One design rule is checked on the source itself: only
+``repro.sim`` charges the simulator's clock.
 """
 
 import ast
@@ -19,6 +21,7 @@ import pytest
 
 import repro
 from repro.exp import claims, registry
+from repro.lint import DEFAULT_RULES
 
 REPO_ROOT = Path(repro.__file__).resolve().parent.parent.parent
 DESIGN = (REPO_ROOT / "DESIGN.md").read_text()
@@ -167,11 +170,37 @@ def test_design_declares_paper_match():
         "matches" in DESIGN[:800].lower()
 
 
-def _last_name(node):
-    """``sim`` for ``sim``, ``self.sim`` or ``self.machine.sim``."""
-    if isinstance(node, ast.Attribute):
-        return node.attr
-    return node.id if isinstance(node, ast.Name) else None
+def _names_a_simulator(node):
+    """Whether an attribute chain has a part containing ``sim``:
+    ``sim``, ``self._sim``, ``self.machine.sim``, ``simulator``."""
+    while isinstance(node, ast.Attribute):
+        if "sim" in node.attr.lower():
+            return True
+        node = node.value
+    return isinstance(node, ast.Name) and "sim" in node.id.lower()
+
+
+def _clock_calls(tree):
+    """Lines of every ``<simulator>.charge(...)`` or ``.advance(...)``
+    call in ``tree``, in a loop or not."""
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr in ("charge", "advance")
+            and _names_a_simulator(node.func.value)]
+
+
+@pytest.mark.parametrize("call, flagged", [
+    ("sim.advance(1)", True),
+    ("self._sim.advance(1)", True),
+    ("self.machine.sim.charge(1)", True),
+    ("simulator.advance(1)", True),
+    ("self.tracer.charge(1, category)", False),
+    ("cursor.advance(1)", False),
+])
+def test_clock_check_names_any_simulator_receiver(call, flagged):
+    loop = f"for _ in range(3):\n    {call}\n"
+    assert _clock_calls(ast.parse(loop)) == ([2] if flagged else [])
 
 
 def test_only_repro_sim_charges_the_clock():
@@ -183,16 +212,31 @@ def test_only_repro_sim_charges_the_clock():
         relative = path.relative_to(SRC)
         if relative.parts[0] == "sim":
             continue
-        for node in ast.walk(ast.parse(path.read_text(), str(path))):
-            if (isinstance(node, ast.Call)
-                    and isinstance(node.func, ast.Attribute)
-                    and node.func.attr in ("charge", "advance")
-                    and _last_name(node.func.value) == "sim"):
-                offenders.append(f"src/repro/{relative.as_posix()}:"
-                                 f"{node.lineno}")
+        tree = ast.parse(path.read_text(), str(path))
+        offenders += [f"src/repro/{relative.as_posix()}:{line}"
+                      for line in _clock_calls(tree)]
     assert not offenders, (
         "charge time via tracer.charge(ns, category), not the "
         "simulator: " + ", ".join(offenders))
+
+
+def test_static_analysis_doc_has_one_section_per_rule():
+    # A retired rule's section cannot outlive it, and a new rule
+    # cannot ship undocumented.  SVT000 is the parse failure.
+    doc = (REPO_ROOT / "docs" / "static-analysis.md").read_text()
+    sections = re.findall(r"^### (SVT\d{3})\b", doc, flags=re.MULTILINE)
+    assert sorted(sections) == sorted(
+        ["SVT000"] + [rule.rule_id for rule in DEFAULT_RULES])
+
+
+def test_make_clean_removes_every_ignored_directory():
+    recipe = (REPO_ROOT / "Makefile").read_text().split("\nclean:\n")[1]
+    ignored = [line.rstrip("/")
+               for line in (REPO_ROOT / ".gitignore").read_text().split()
+               if line.endswith("/")]
+    assert len(ignored) > 5
+    missing = [name for name in ignored if name not in recipe]
+    assert not missing, f"make clean leaves {missing} behind"
 
 
 #: Documents whose backticked citations must resolve.  ROADMAP.md is
