@@ -7,13 +7,13 @@ export PYTHONPATH := src
 test:
 	$(PYTHON) -m pytest -x -q
 
-# Fast end-to-end pass: every registered experiment, fanned out over
-# four processes, served from the result cache when nothing changed.
-# Tier-1 pins each experiment's host work as exact call counts
-# (tests/test_host_work.py); `make perfbench-smoke` runs the benchmark
-# that times them (docs/performance.md).
+# Fast end-to-end pass: every registered experiment, its cells fanned
+# out over every CPU, served from the result cache when nothing
+# changed.  Tier-1 pins each experiment's host work as exact call
+# counts (tests/test_host_work.py); `make perfbench-smoke` runs the
+# benchmark that times them (docs/performance.md).
 smoke:
-	$(PYTHON) -m repro all --json --jobs 4 > /dev/null
+	$(PYTHON) -m repro all --json > /dev/null
 
 # The external benchmark (perfbench/, BENCHMARK.json) against this tree:
 # its own tests, then a 1 s run of each workload, untraced and traced.

@@ -11,8 +11,8 @@ set — nothing can be silently dropped.
     python -m repro fig6              # cpuid bars
     python -m repro fig8 --seed 11    # memcached sweep
     python -m repro fig7 --json       # structured result on stdout
-    python -m repro all --jobs 4      # everything, fanned out over 4 procs
-    python -m repro all --json --jobs 4 --no-cache
+    python -m repro all               # everything, cells over every CPU
+    python -m repro all --json --jobs 1 --no-cache
     python -m repro lint              # svtlint invariant checker
     python -m repro run cpuid --mode baseline --trace out.json
     python -m repro run cpuid --profile        # cProfile a single cell
@@ -100,10 +100,11 @@ def build_parser():
                              f"{', '.join(costmodels.model_names())})")
     parser.add_argument("--json", action="store_true",
                         help="emit structured results as canonical JSON")
-    parser.add_argument("--jobs", type=positive_int, default=1,
+    parser.add_argument("--jobs", type=positive_int, default=None,
                         metavar="N",
-                        help="fan independent cells out over N worker "
-                             "processes (default 1; output is "
+                        help="run independent cells in up to N "
+                             "processes (default: every CPU this "
+                             "process may run on; output is "
                              "byte-identical at any N)")
     parser.add_argument("--no-cache", action="store_true",
                         help="ignore and don't write the result cache")
@@ -325,10 +326,11 @@ def _cmd_chaos(argv):
     parser.add_argument("--iterations", type=positive_int, default=None,
                         help="nested cpuid iterations per cell "
                              "(default 30)")
-    parser.add_argument("--jobs", type=positive_int, default=1,
+    parser.add_argument("--jobs", type=positive_int, default=None,
                         metavar="N",
-                        help="worker processes (default 1; output is "
-                             "byte-identical at any N)")
+                        help="run cells in up to N processes (default: "
+                             "every CPU this process may run on; output "
+                             "is byte-identical at any N)")
     parser.add_argument("--smoke", action="store_true",
                         help="fast parameters (CI chaos-smoke job)")
     parser.add_argument("--json", action="store_true",

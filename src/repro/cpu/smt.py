@@ -67,19 +67,19 @@ class SmtCore:
 
     def check_single_running(self):
         """The SVt invariant: at most one context fetches at a time."""
-        running = self.running_contexts()
+        running = [c.index for c in self.contexts
+                   if c.state == ContextState.RUNNING]
         if len(running) > 1:
-            raise AssertionError(
-                f"multiple running contexts: {[c.index for c in running]}"
-            )
+            raise AssertionError(f"multiple running contexts: {running}")
 
     # -- SVt micro-register management (VMPTRLD path, paper §4 step B) -------
 
     def load_svt_fields(self, visor, vm, nested):
         """Cache the three SVt VMCS fields into the micro-registers.
         Called when the active VMCS is loaded (VMPTRLD)."""
+        count = len(self.contexts)
         for name, value in (("visor", visor), ("vm", vm), ("nested", nested)):
-            if value != INVALID_CONTEXT and not 0 <= value < self.n_contexts:
+            if value != INVALID_CONTEXT and not 0 <= value < count:
                 raise VirtualizationError(
                     f"SVt_{name} points at nonexistent context {value}"
                 )
@@ -115,8 +115,11 @@ class SmtCore:
 
     def _switch_fetch(self, target_index):
         """Stall current, run target, charge one stall/resume event."""
-        target = self.context(target_index)
-        current = self.active_context
+        contexts = self.contexts
+        if not 0 <= target_index < len(contexts):
+            raise VirtualizationError(f"no hardware context {target_index}")
+        target = contexts[target_index]
+        current = contexts[self.svt_current]
         if current is target:
             return
         current.set_state(ContextState.STALLED)
@@ -139,7 +142,9 @@ class SmtCore:
         """Read ``register`` of another context through its rename map.
         The *semantic* operation — permission checks and ``lvl``
         virtualization live in `repro.core.cross_context`."""
-        value = self.context(target_index).read(register)
+        if not 0 <= target_index < len(self.contexts):
+            raise VirtualizationError(f"no hardware context {target_index}")
+        value = self.contexts[target_index].read(register)
         self.tracer.charge(self.costs.ctxt_access, Category.CROSS_CONTEXT)
         if self.obs is not None:
             self.obs.count("ctxt_access_total", op="ctxtld")
@@ -147,7 +152,9 @@ class SmtCore:
 
     def cross_write(self, target_index, register, value):
         """Write ``register`` of another context through its rename map."""
-        self.context(target_index).write(register, value)
+        if not 0 <= target_index < len(self.contexts):
+            raise VirtualizationError(f"no hardware context {target_index}")
+        self.contexts[target_index].write(register, value)
         self.tracer.charge(self.costs.ctxt_access, Category.CROSS_CONTEXT)
         if self.obs is not None:
             self.obs.count("ctxt_access_total", op="ctxtst")

@@ -24,6 +24,11 @@ class EptFault(VirtualizationError):
         self.gpa = gpa
         super().__init__(message or f"EPT fault at GPA {gpa:#x}")
 
+    def __reduce__(self):
+        # Pickle rebuilds an exception as ``cls(*args)``, and ``args``
+        # holds only the message: pass the address too.
+        return type(self), (self.gpa, str(self)), self.__dict__
+
 
 class CrossContextFault(VirtualizationError):
     """Invalid ctxtld/ctxtst use — traps to the supervising hypervisor."""

@@ -7,8 +7,9 @@ One subsystem orchestrates every paper artifact:
 * :mod:`repro.exp.result` — frozen, JSON-serializable ``Result`` /
   ``Table`` / ``Row`` / ``Series`` dataclasses with the paper's expected
   values attached.
-* :mod:`repro.exp.runner` — fans independent cells out over a process
-  pool (``--jobs N``) with deterministic, byte-identical assembly.
+* :mod:`repro.exp.runner` — fans independent cells out over forked
+  helpers, one process per CPU by default (``--jobs N``), with
+  deterministic, byte-identical assembly.
 * :mod:`repro.exp.cache` — on-disk result cache keyed by (experiment,
   params, cost-model fingerprint, code version).
 * :mod:`repro.exp.experiments` — the registered experiments themselves.

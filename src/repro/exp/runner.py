@@ -1,26 +1,38 @@
-"""Parallel experiment runner with deterministic assembly.
+"""Experiment runner: cells fan out over forked helpers, output is exact.
 
 The unit of parallelism is a *cell*: one (experiment, mode, seed,
 sweep-point) combination as declared by ``Experiment.cells``.  Cells are
 independent by contract — each builds its own ``Machine``; no simulator
-state crosses a cell boundary — so they fan out over a
-``ProcessPoolExecutor`` with ``--jobs N``.
+state crosses a cell boundary — so a batch of more than one cell runs in
+the calling process plus ``min(jobs, cells) - 1`` forked helpers
+(``--jobs``, by default every CPU this process may run on).  Every
+process takes cell indices from one queue, a pipe, until it is empty, so
+a slow cell never leaves another process idle; each helper sends its
+outcomes back pickled and leaves through ``os._exit``.  ``jobs=1`` runs
+the same loop with no helpers.
 
 Determinism: payloads are merged strictly in ``cells()`` order and
 experiments are assembled in sorted-name order, so the output document is
-byte-identical whether cells ran serially, in any interleaving, or on any
-number of workers.  The runner reads no clock: tier-1 pins each
-experiment's host work as exact call counts (``tests/test_host_work.py``)
-and the external benchmark (``perfbench/``) times it.
+byte-identical however many processes ran the cells, and whichever ran
+which.  A failing batch raises the exception of its earliest failing
+cell in ``cells()`` order, as a serial run would.  The runner reads no
+clock: tier-1 pins each experiment's host work as exact call counts
+(``tests/test_host_work.py``) and the external benchmark (``perfbench/``)
+times it.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
+import os
+import pickle
+import signal
+import sys
+import threading
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Mapping, Optional
+from typing import Any, Iterable, Iterator, Mapping, Optional, Union
 
 from repro.cpu import costmodels
+from repro.errors import ReproError
 from repro.exp import registry
 from repro.exp.cache import ResultCache, code_fingerprint, \
     cost_model_fingerprint
@@ -28,10 +40,28 @@ from repro.exp.result import Result, canonical_json
 from repro.obs.export import metrics_document
 from repro.obs.metrics import merge_snapshots
 from repro.obs.observer import capture_metrics
-from repro.sim import sanitizer
+from repro.sim import kernel, sanitizer
 
 #: Top-level schema of the ``--json`` document.
 DOCUMENT_SCHEMA = "repro-results/1"
+
+#: Bytes per cell index in the work queue; one read takes one index.
+_INDEX_BYTES = 4
+
+#: One cell to run: (experiment name, cell, params).
+_Cell = tuple[str, str, dict[str, Any]]
+#: What a cell produced: (payload, metrics snapshot, sanitizer report
+#: lines).
+_Done = tuple[Any, Optional[dict[str, Any]], list[str]]
+#: One cell's outcome: what it produced, or the exception it raised.
+_Outcome = Union[_Done, BaseException]
+
+
+def _default_jobs() -> int:
+    """``--jobs``'s default: every CPU this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 @dataclass(frozen=True)
@@ -52,6 +82,7 @@ class RunReport:
     """Everything a batch run produced."""
 
     runs: list[ExperimentRun] = field(default_factory=list)
+    #: How many processes ran cells: the caller plus its helpers.
     jobs: int = 1
     cache_dir: str = ""
     cache_enabled: bool = False
@@ -76,7 +107,7 @@ class RunReport:
 
         ``meta.cache.entries`` maps each experiment to the cache key
         that backs its result; a freshly computed result is stored under
-        that key before the document is emitted, so a cold ``--jobs 4``
+        that key before the document is emitted, so a cold fanned-out
         run, a warm ``--jobs 1`` run and any rerun in between are
         byte-identical.  The per-invocation hit/miss split stays out of
         the document (the CLI reports it on stderr) precisely to keep
@@ -122,22 +153,20 @@ class RunReport:
 
 
 def _execute_cell(name: str, cell: str, params: dict[str, Any],
-                  collect_metrics: bool = False) \
-        -> tuple[str, str, Any, Optional[dict[str, Any]], list[str]]:
-    """Worker entry point: one cell in a fresh simulator.
+                  collect_metrics: bool) -> _Done:
+    """One cell in a fresh simulator: (payload, metrics snapshot,
+    sanitizer report lines).
 
-    Module-level so it pickles; re-resolves the experiment through the
-    registry so it also works under the ``spawn`` start method.  With
-    ``collect_metrics`` the cell runs under an ambient metrics capture
-    (`repro.obs.observer.capture_metrics`): every machine the cell
-    builds adopts the capture observer, and its snapshot travels back
-    with the payload.  The capture stack is per-process, so pool
-    workers never share observer state.
+    With ``collect_metrics`` the cell runs under an ambient metrics
+    capture (`repro.obs.observer.capture_metrics`): every machine the
+    cell builds adopts the capture observer, and its snapshot travels
+    back with the payload.  The capture stack is per-process, so
+    helpers never share observer state.
 
     Under ``REPRO_SIM_SANITIZE=1`` the cell's runtime-sanitizer reports
-    travel back rendered (strings pickle across the pool boundary);
-    draining per cell keeps attribution cell-accurate and resets the
-    process-global log between cells sharing a worker.
+    travel back rendered (strings pickle); draining per cell keeps
+    attribution cell-accurate and resets the process-global log between
+    cells sharing a process.
     """
     experiment = registry.get(name)
     snapshot: Optional[dict[str, Any]] = None
@@ -150,7 +179,202 @@ def _execute_cell(name: str, cell: str, params: dict[str, Any],
             payload = experiment.run_cell(cell, params)
     violations = ([report.render() for report in sanitizer.drain()]
                   if sanitizer.enabled() else [])
-    return name, cell, payload, snapshot, violations
+    return payload, snapshot, violations
+
+
+def _run_cells(indices: Iterable[int], cells: list[_Cell],
+               collect_metrics: bool,
+               outcomes: dict[int, _Outcome]) -> None:
+    """Run the cells at ``indices`` into ``outcomes``.  Stops at the
+    first cell that raises: indices arrive in increasing order, so no
+    later one can be the batch's earliest failure."""
+    for index in indices:
+        name, cell, params = cells[index]
+        try:
+            outcomes[index] = _execute_cell(name, cell, params,
+                                            collect_metrics)
+        except Exception as exc:
+            outcomes[index] = exc
+            return
+
+
+def _queue(count: int) -> Optional[int]:
+    """The read end of a pipe holding the indices ``0..count-1``, its
+    write end closed; ``None`` if the pipe cannot hold them all."""
+    read_end, write_end = os.pipe()
+    data = b"".join(index.to_bytes(_INDEX_BYTES, "little")
+                    for index in range(count))
+    os.set_blocking(write_end, False)
+    try:
+        written = os.write(write_end, data)
+    except BlockingIOError:
+        written = 0
+    finally:
+        os.close(write_end)
+    if written == len(data):
+        return read_end
+    os.close(read_end)
+    return None
+
+
+def _take(queue: int) -> Iterator[int]:
+    """Cell indices from the queue, one read each, until it is empty."""
+    while True:
+        index = os.read(queue, _INDEX_BYTES)
+        if not index:
+            return
+        yield int.from_bytes(index, "little")
+
+
+def _portable(index: int, outcome: _Outcome) \
+        -> tuple[int, _Outcome, Optional[str]]:
+    """A helper's outcome as it crosses to the caller: an exception
+    travels with its formatted traceback, and one that does not survive
+    pickling becomes a :class:`ReproError` naming its type and
+    message."""
+    if not isinstance(outcome, BaseException):
+        return index, outcome, None
+    import traceback
+
+    trace = "".join(traceback.format_exception(
+        type(outcome), outcome, outcome.__traceback__))
+    try:
+        pickle.loads(pickle.dumps(outcome))
+    except Exception:
+        kind = type(outcome)
+        outcome = ReproError(
+            f"{kind.__module__}.{kind.__qualname__}: {outcome} (it does "
+            "not pickle, so a helper process sent it as a ReproError)")
+    return index, outcome, trace
+
+
+def _helper(queue: int, reply: tuple[int, int], cells: list[_Cell],
+            collect_metrics: bool) -> None:
+    """A forked helper's whole life: run cells from the queue, send
+    ``[(index, outcome, traceback)]`` pickled down ``reply``, exit.  It
+    never returns into the caller's frames and never runs ``atexit``."""
+    status = 1
+    try:
+        os.close(reply[0])
+        outcomes: dict[int, _Outcome] = {}
+        _run_cells(_take(queue), cells, collect_metrics, outcomes)
+        data = pickle.dumps([_portable(index, outcome)
+                             for index, outcome in outcomes.items()],
+                            pickle.HIGHEST_PROTOCOL)
+        with os.fdopen(reply[1], "wb") as pipe:
+            pipe.write(data)
+        status = 0
+    except Exception:
+        import traceback
+
+        traceback.print_exc()
+    finally:
+        try:
+            sys.stdout.flush()
+            sys.stderr.flush()
+        finally:
+            os._exit(status)
+
+
+def _fan_out(queue: int, helpers: int, cells: list[_Cell],
+             collect_metrics: bool, outcomes: dict[int, _Outcome]) -> None:
+    """Run the queue's cells here and in ``helpers`` forked helpers,
+    merging every reply into ``outcomes``.  The cells a helper held when
+    it exited without a reply get a :class:`ReproError` naming them.
+    Every helper is reaped on every path; if this process gets an
+    exception, helpers still running are killed first."""
+    running: list[int] = []
+    replies: dict[int, int] = {}    # pid -> read end of its reply pipe
+    lost: list[str] = []
+    try:
+        for _ in range(helpers):
+            read_end, write_end = os.pipe()
+            sys.stdout.flush()
+            sys.stderr.flush()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read_end)
+                os.close(write_end)
+                raise
+            if pid == 0:
+                _helper(queue, (read_end, write_end), cells,
+                        collect_metrics)
+            os.close(write_end)
+            running.append(pid)
+            replies[pid] = read_end
+        _run_cells(_take(queue), cells, collect_metrics, outcomes)
+        while running:
+            pid = running[0]
+            with os.fdopen(replies.pop(pid), "rb") as pipe:
+                data = pipe.read()
+            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            running.pop(0)
+            if status != 0 or not data:
+                lost.append(f"{pid} (exit status {status})")
+                continue
+            for index, outcome, trace in pickle.loads(data):
+                if trace is not None:
+                    outcome.__cause__ = ReproError(
+                        f"traceback in helper process {pid}:\n{trace}")
+                outcomes[index] = outcome
+    except BaseException:
+        for read_end in replies.values():
+            os.close(read_end)
+        for pid in running:
+            try:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+            except OSError:
+                pass
+        raise
+    if lost:
+        # An index nobody took is later than some failure, and no
+        # helper held it.
+        untaken = set(_take(queue))
+        held = [index for index in range(len(cells))
+                if index not in outcomes and index not in untaken]
+        error = ReproError(
+            f"helper process {', '.join(lost)} exited without a reply; "
+            "it held cells "
+            + ", ".join(f"{cells[i][0]}/{cells[i][1]}" for i in held))
+        for index in held:
+            outcomes[index] = error
+
+
+def _run_batch(cells: list[_Cell], collect_metrics: bool, jobs: int) \
+        -> tuple[list[_Done], int]:
+    """Run every cell: (each cell's outcome in ``cells()`` order, how
+    many processes ran cells).  Raises the exception of the earliest
+    failing cell in ``cells()`` order, as a serial run would.
+
+    Helpers fork only from a single-threaded process, since a fork
+    copies every lock as another thread may hold it, and not while a
+    :func:`repro.sim.kernel.collect_stats` collection is open, since it
+    totals only the machines its own process builds.  Otherwise, and at
+    ``jobs=1``, this process runs every cell.
+    """
+    outcomes: dict[int, _Outcome] = {}
+    helpers = min(jobs, len(cells)) - 1
+    queue = None
+    if helpers > 0 and hasattr(os, "fork") \
+            and threading.active_count() == 1 and not kernel.collecting():
+        queue = _queue(len(cells))
+    if queue is None:
+        helpers = 0
+        _run_cells(range(len(cells)), cells, collect_metrics, outcomes)
+    else:
+        try:
+            _fan_out(queue, helpers, cells, collect_metrics, outcomes)
+        finally:
+            os.close(queue)
+    ordered: list[_Done] = []
+    for index in range(len(cells)):
+        outcome = outcomes[index]
+        if isinstance(outcome, BaseException):
+            raise outcome
+        ordered.append(outcome)
+    return ordered, helpers + 1
 
 
 def _decode(body: Optional[bytes]) -> Optional[Result]:
@@ -166,7 +390,7 @@ def _decode(body: Optional[bytes]) -> Optional[Result]:
 
 def run_experiments(names: Iterable[str],
                     overrides: Optional[Mapping[str, Any]] = None,
-                    jobs: int = 1,
+                    jobs: Optional[int] = None,
                     cache: Optional[ResultCache] = None,
                     smoke: bool = False,
                     collect_metrics: bool = False) -> RunReport:
@@ -174,15 +398,16 @@ def run_experiments(names: Iterable[str],
 
     ``names`` is any iterable of registered names; ``overrides`` is one
     shared parameter namespace (each experiment takes only what it
-    declares); ``cache=None`` disables caching; ``smoke`` applies each
-    experiment's fast-run parameter overrides first;
-    ``collect_metrics`` captures per-cell observability metrics
-    (cached results carry no metrics, so the CLI disables the cache
-    when asked for them).
+    declares); ``jobs`` caps the processes that run cells (``None``:
+    every CPU this process may run on); ``cache=None`` disables
+    caching; ``smoke`` applies each experiment's fast-run parameter
+    overrides first; ``collect_metrics`` captures per-cell
+    observability metrics (cached results carry no metrics, so the CLI
+    disables the cache when asked for them).
     """
     names = sorted(dict.fromkeys(names))
+    jobs = _default_jobs() if jobs is None else max(1, int(jobs))
     report = RunReport(
-        jobs=max(1, int(jobs)),
         cache_dir=str(cache.root) if cache else "",
         cache_enabled=cache is not None,
     )
@@ -207,33 +432,16 @@ def run_experiments(names: Iterable[str],
         for cell in experiment.cells(params)
     ]
 
+    outcomes, report.jobs = _run_batch(cells, collect_metrics, jobs)
     payloads: dict[tuple[str, str], Any] = {}
     snapshots: dict[str, list[dict[str, Any]]] = {}
-    if report.jobs > 1 and len(cells) > 1:
-        with ProcessPoolExecutor(max_workers=report.jobs) as pool:
-            outcomes = pool.map(
-                _execute_cell,
-                [c[0] for c in cells],
-                [c[1] for c in cells],
-                [c[2] for c in cells],
-                [collect_metrics] * len(cells),
-            )
-            for name, cell, payload, snapshot, violations in outcomes:
-                payloads[(name, cell)] = payload
-                if snapshot is not None:
-                    snapshots.setdefault(name, []).append(snapshot)
-                report.sanitizer_reports.extend(
-                    f"{name}/{cell}: {line}" for line in violations)
-    else:
-        for name, cell, params in cells:
-            _, _, payload, snapshot, violations = _execute_cell(
-                name, cell, params, collect_metrics
-            )
-            payloads[(name, cell)] = payload
-            if snapshot is not None:
-                snapshots.setdefault(name, []).append(snapshot)
-            report.sanitizer_reports.extend(
-                f"{name}/{cell}: {line}" for line in violations)
+    for (name, cell, _), (payload, snapshot, violations) in zip(cells,
+                                                                 outcomes):
+        payloads[(name, cell)] = payload
+        if snapshot is not None:
+            snapshots.setdefault(name, []).append(snapshot)
+        report.sanitizer_reports.extend(
+            f"{name}/{cell}: {line}" for line in violations)
 
     for name, experiment, params in plans:
         ordered = {

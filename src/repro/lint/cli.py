@@ -67,7 +67,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="repro lint",
         description="AST-based invariant checker for the experiment "
                     "runtime (determinism, cost-model provenance, "
-                    "process-pool safety, frozen results, sim-state "
+                    "fork safety, frozen results, sim-state "
                     "races, determinism taint)",
     )
     parser.add_argument("paths", nargs="*", type=Path,

@@ -1,12 +1,12 @@
-"""SVT003 — experiment cells must be process-pool safe.
+"""SVT003 — experiment cells must be fork safe.
 
-Cells fan out over a ``ProcessPoolExecutor``: each runs in a forked (or
-spawned) worker whose module globals are a *copy*.  A cell that writes a
-module global appears to work serially and under fork, then silently
-loses the write in parallel runs — the classic hidden-state race the
-runner's byte-identical guarantee cannot survive.  Payloads and cell
-descriptors also cross the pool boundary by pickling, which lambdas and
-other closures cannot do.
+A batch's cells run in the calling process and in helpers forked from
+it (``repro.exp.runner``): a cell in a helper sees module globals that
+are a *copy*.  A cell that writes a module global appears to work
+serially, then silently loses the write whenever a helper runs it — the
+classic hidden-state race the runner's byte-identical guarantee cannot
+survive.  A helper sends payloads back by pickling, which lambdas and
+other closures cannot survive.
 
 Flagged under ``repro.exp``:
 
@@ -46,10 +46,10 @@ def _base_name(node: ast.AST) -> str:
 
 
 class PoolSafetyRule(Rule):
-    """SVT003: no shared mutable state across the pool boundary."""
+    """SVT003: no shared mutable state across the process boundary."""
 
     rule_id = "SVT003"
-    title = "process-pool safety"
+    title = "fork safety of cells"
 
     def __init__(self) -> None:
         self._module_names: set[str] = set()
@@ -87,13 +87,13 @@ class PoolSafetyRule(Rule):
     def visit_Global(self, node: ast.Global, ctx: LintContext) -> None:
         ctx.report(self, node,
                    f"global {', '.join(node.names)}: module-global "
-                   "writes are lost in process-pool workers")
+                   "writes are lost in forked helpers")
 
     def visit_Nonlocal(self, node: ast.Nonlocal,
                        ctx: LintContext) -> None:
         ctx.report(self, node,
                    f"nonlocal {', '.join(node.names)}: closure state "
-                   "does not survive the process-pool boundary")
+                   "does not survive the process boundary")
 
     # -- mutation of module-level bindings -------------------------------
 

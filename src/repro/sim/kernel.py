@@ -53,6 +53,12 @@ def collect_stats():
         _COLLECTORS.pop()
 
 
+def collecting():
+    """Is a collection open in this process?  A machine built in a
+    forked child would escape it."""
+    return bool(_COLLECTORS)
+
+
 def adopt_simulator(sim):
     """Called by ``Simulator.__init__``; no-op outside a collection."""
     for stats in _COLLECTORS:

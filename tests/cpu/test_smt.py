@@ -116,6 +116,31 @@ def test_unknown_context_rejected():
         core.cross_read(7, "rax")
 
 
+@pytest.mark.parametrize("index", [3, -1])
+@pytest.mark.parametrize("access", [
+    lambda core, index: core.context(index),
+    lambda core, index: core.cross_read(index, "rax"),
+    lambda core, index: core.cross_write(index, "rax", 1),
+    lambda core, index: core.force_fetch(index),
+], ids=["context", "cross_read", "cross_write", "force_fetch"])
+def test_every_context_access_checks_the_index(access, index):
+    """A negative index must not wrap around to the last context."""
+    core = make_core()
+    with pytest.raises(VirtualizationError,
+                       match=rf"^no hardware context {index}$"):
+        access(core, index)
+    assert core.svt_current == 0
+    core.check_single_running()
+
+
+def test_two_running_contexts_break_the_invariant():
+    core = make_core()
+    core.contexts[2].set_state(ContextState.RUNNING)
+    with pytest.raises(AssertionError,
+                       match=r"^multiple running contexts: \[0, 2\]$"):
+        core.check_single_running()
+
+
 def test_full_trap_resume_cycle_preserves_register_state():
     # State survives stall/resume because it never leaves the PRF — the
     # paper's core claim.

@@ -1,13 +1,13 @@
 """Differential: sanitized parallel runs equal plain serial runs.
 
 The ordering sanitizer (``REPRO_SIM_SANITIZE=1``) wraps shared
-simulation state in checking proxies, and ``jobs=2`` moves cell
-execution into a process pool.  Neither is allowed to perturb results:
-every experiment's canonical result document must come out
+simulation state in checking proxies, and ``jobs=2`` runs cells in the
+calling process and a forked helper.  Neither is allowed to perturb
+results: every experiment's canonical result document must come out
 byte-identical to a plain, serial, cache-less run.  This is the
 whole-registry analogue of the fuzz harness's per-case kernel-identity
-oracle, and it also proves the sanitizer flag propagates into pool
-workers (the pool forks, inheriting the environment).
+oracle, and it also proves the sanitizer flag reaches the helper (a
+fork inherits the environment).
 """
 
 import pytest
@@ -38,6 +38,7 @@ def test_sanitized_parallel_is_byte_identical(plain_serial,
     registry.ensure_loaded()
     checked = run_experiments(registry.names(), jobs=2, cache=None,
                               smoke=True)
+    assert checked.jobs == 2
     assert checked.sanitizer_reports == []
     plain = _documents(plain_serial)
     sanitized = _documents(checked)

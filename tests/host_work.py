@@ -2,9 +2,15 @@
 
 ``python tests/host_work.py``, with ``src`` on ``PYTHONPATH``, prints
 one JSON object: for each registered experiment, how many calls its
-run at default parameters (``run_experiments([name], cache=None)``)
-makes to each entry point in :data:`COUNTED`, plus the native memcached
-queue loop's calls and fallbacks (``native_queue.native_stats()``).
+run at default parameters (``run_experiments([name], cache=None,
+jobs=1)``) makes to each entry point in :data:`COUNTED`, plus the native
+memcached queue loop's calls and fallbacks
+(``native_queue.native_stats()``).
+
+The counters live in this process, so each experiment runs serially
+(``jobs=1``): by default the runner would fork helpers for a
+many-cell experiment, and the calls its cells make there would go
+uncounted.  The counts are the same whichever process runs a cell.
 
 The interpreter imports the program and wraps the entry points, then
 runs each experiment in its own fork.  Every process-level memo
@@ -115,7 +121,7 @@ def count(name, counts):
     from repro.exp.runner import run_experiments
     from repro.workloads import native_queue
 
-    run_experiments([name], cache=None)
+    run_experiments([name], cache=None, jobs=1)
     row = dict(counts)
     for key, value in native_queue.native_stats().items():
         row[f"native_queue.{key}"] = value

@@ -1,4 +1,4 @@
-"""SVT003: process-pool safety of experiment cells."""
+"""SVT003: fork safety of experiment cells."""
 
 import textwrap
 

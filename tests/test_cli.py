@@ -3,6 +3,9 @@
 import json
 import os
 import pstats
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -93,17 +96,33 @@ def test_all_without_flags_runs_every_experiment_at_its_defaults(
     class Captured(Exception):
         pass
 
-    def capture(names, overrides=None, **_kwargs):
-        captured.update(names=list(names), overrides=overrides)
+    def capture(names, overrides=None, **kwargs):
+        captured.update(names=list(names), overrides=overrides,
+                        jobs=kwargs["jobs"])
         raise Captured
 
     monkeypatch.setattr(runner, "run_experiments", capture)
     with pytest.raises(Captured):
         main(["all", "--json", "--no-cache"])
     assert captured["names"] == registry.names()
+    assert captured["jobs"] is None         # every CPU it may run on
     for experiment in registry.experiments():
         assert (experiment.resolve(captured["overrides"])
                 == experiment.all_defaults()), experiment.name
+
+
+def test_import_loads_no_process_pool():
+    """The runner forks its own helpers, so no CLI start-up imports
+    ``concurrent.futures`` or ``multiprocessing``."""
+    src = str(Path(repro.__file__).parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    probe = ("import sys, repro.cli; print(sorted(name for name in "
+             "('concurrent.futures', 'multiprocessing') "
+             "if name in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", probe], check=True,
+                         capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": path}).stdout
+    assert out == "[]\n"
 
 
 @pytest.mark.parametrize("argv", [

@@ -171,7 +171,7 @@ def test_nested_cpuid_exit_host_work_is_pinned(monkeypatch, mode):
 EXIT_CALLS = {
     ExecutionMode.BASELINE: 87,
     ExecutionMode.SW_SVT: 138,
-    ExecutionMode.HW_SVT: 193,
+    ExecutionMode.HW_SVT: 159,
 }
 _INLINED = frozenset({"<listcomp>", "<dictcomp>", "<setcomp>"})
 
