@@ -55,15 +55,16 @@ dse:
 	$(PYTHON) -m repro dse
 
 # Differential fuzzing (docs/fuzzing.md): seed-deterministic guest
-# programs run across every execution mode with the oracle suite armed.
-# `fuzz` is the developer campaign; `fuzz-smoke` is CI's gate — a
-# 25-run clean campaign, a bug-calibration campaign that must find and
-# shrink a violation, and a replay of every committed counterexample.
+# programs run across every execution mode with the oracle suite armed,
+# the runs fanned out over every CPU.  `fuzz` is the developer
+# campaign; `fuzz-smoke` is CI's gate — a 25-run clean campaign, a
+# bug-calibration campaign that must find and shrink a violation, and a
+# replay of every committed counterexample.
 fuzz:
-	$(PYTHON) -m repro fuzz --seed 2019 --jobs 4
+	$(PYTHON) -m repro fuzz --seed 2019
 
 fuzz-smoke:
-	$(PYTHON) -m repro fuzz --seed 2019 --runs 25 --jobs 4
+	$(PYTHON) -m repro fuzz --seed 2019 --runs 25
 	$(PYTHON) -m repro fuzz --seed 2019 --runs 5 --ops 12 \
 		--bug drop-redirect --expect-violation > /dev/null
 	$(PYTHON) -m repro fuzz --corpus tests/fuzz/corpus

@@ -15,7 +15,6 @@ from repro.analysis.breakdown import exit_reason_profile
 from repro.analysis.report import render_result
 from repro.cpu import isa
 from repro.exp import registry
-from repro.exp.registry import RunContext
 from repro.io.block import BlkRequest, install_block
 from repro.io.net import Packet, install_network
 
@@ -45,7 +44,7 @@ def figure7_rows():
     """The registered Figure-7 experiment, with the paper's row beside
     each measured one."""
     fig7 = registry.get("fig7")
-    print(render_result(fig7.run(RunContext.create(fig7.resolve()))))
+    print(render_result(fig7.run(fig7.resolve())))
 
 
 def one_disk_request():

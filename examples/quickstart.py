@@ -14,7 +14,6 @@ from repro import ExecutionMode, Machine
 from repro.analysis.report import format_table, render_result
 from repro.cpu import isa
 from repro.exp import claims, registry
-from repro.exp.registry import RunContext
 from repro.workloads import cpuid
 
 
@@ -27,7 +26,7 @@ def main():
 
     # --- Figure 6: the registered experiment --------------------------
     fig6 = registry.get("fig6")
-    print(render_result(fig6.run(RunContext.create(fig6.resolve()))))
+    print(render_result(fig6.run(fig6.resolve())))
     print()
 
     # --- Table 1 -----------------------------------------------------------

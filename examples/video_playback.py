@@ -14,7 +14,6 @@ Usage::
 from repro.analysis.report import render_result
 from repro.core.mode import ExecutionMode
 from repro.exp import claims, registry
-from repro.exp.registry import RunContext
 from repro.workloads import video
 
 
@@ -27,7 +26,7 @@ def main():
           f"({base_burst / svt_burst:.2f}x shorter)\n")
 
     fig10 = registry.get("fig10")
-    result = fig10.run(RunContext.create(fig10.resolve()))
+    result = fig10.run(fig10.resolve())
     print(render_result(result))
     dropped = result.scalars_dict
     base120 = dropped["dropped_120_baseline"]

@@ -9,7 +9,9 @@ One subsystem orchestrates every paper artifact:
   values attached.
 * :mod:`repro.exp.runner` — fans independent cells out over forked
   helpers, one process per CPU by default (``--jobs N``), with
-  deterministic, byte-identical assembly.
+  deterministic, byte-identical assembly; its ``fan_out`` is the one
+  ordered map for every batch of independent work, the fuzz campaign's
+  runs included.
 * :mod:`repro.exp.cache` — on-disk result cache keyed by (experiment,
   params, cost-model fingerprint, code version).
 * :mod:`repro.exp.experiments` — the registered experiments themselves.
@@ -17,8 +19,7 @@ One subsystem orchestrates every paper artifact:
 
 from repro.exp.cache import ResultCache, code_fingerprint, \
     cost_model_fingerprint
-from repro.exp.registry import Experiment, RunContext, get, names, \
-    register
+from repro.exp.registry import Experiment, get, names, register
 from repro.exp.result import Result, Row, Series, Table
 from repro.exp.runner import RunReport, run_experiments
 
@@ -27,7 +28,6 @@ __all__ = [
     "Result",
     "ResultCache",
     "Row",
-    "RunContext",
     "RunReport",
     "Series",
     "Table",

@@ -25,7 +25,6 @@ An experiment declares:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, ClassVar, Mapping, Optional, TypeVar
 
 from repro.cpu import costmodels
@@ -45,29 +44,6 @@ _LOADED = False
 UNIVERSAL_DEFAULTS: dict[str, Any] = {
     "cost_model": costmodels.DEFAULT_MODEL,
 }
-
-
-@dataclass(frozen=True)
-class RunContext:
-    """What an experiment run sees: its resolved parameters."""
-
-    params: tuple[tuple[str, Any], ...] = ()
-
-    @classmethod
-    def create(cls, params: Optional[Mapping[str, Any]] = None) \
-            -> RunContext:
-        params = params or {}
-        return cls(params=tuple(sorted(params.items())))
-
-    @property
-    def params_dict(self) -> dict[str, Any]:
-        return dict(self.params)
-
-    def get(self, key: str, default: Any = None) -> Any:
-        return dict(self.params).get(key, default)
-
-    def __getitem__(self, key: str) -> Any:
-        return dict(self.params)[key]
 
 
 class Experiment:
@@ -120,9 +96,10 @@ class Experiment:
               payloads: dict[str, Any]) -> Result:
         raise NotImplementedError
 
-    def run(self, ctx: RunContext) -> Result:
-        """Serial reference path: run every cell in order, then merge."""
-        params = ctx.params_dict
+    def run(self, params: Mapping[str, Any]) -> Result:
+        """Serial reference path: run every cell of the resolved
+        ``params`` (see :meth:`resolve`) in order, then merge."""
+        params = dict(params)
         with costmodels.use_default(params.get("cost_model")):
             payloads = {
                 cell: self.run_cell(cell, params)

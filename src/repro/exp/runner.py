@@ -3,22 +3,20 @@
 The unit of parallelism is a *cell*: one (experiment, mode, seed,
 sweep-point) combination as declared by ``Experiment.cells``.  Cells are
 independent by contract — each builds its own ``Machine``; no simulator
-state crosses a cell boundary — so a batch of more than one cell runs in
-the calling process plus ``min(jobs, cells) - 1`` forked helpers
-(``--jobs``, by default every CPU this process may run on).  Every
-process takes cell indices from one queue, a pipe, until it is empty, so
-a slow cell never leaves another process idle; each helper sends its
-outcomes back pickled and leaves through ``os._exit``.  ``jobs=1`` runs
-the same loop with no helpers.
+state crosses a cell boundary — so a batch's cells go to
+:func:`fan_out`, the one ordered map for every batch of independent work
+(``repro fuzz`` runs its campaign on it too).  It runs them in the
+calling process plus forked helpers, one process per CPU by default
+(``--jobs``); ``jobs=1`` runs the same loop with no helpers.
 
-Determinism: payloads are merged strictly in ``cells()`` order and
-experiments are assembled in sorted-name order, so the output document is
-byte-identical however many processes ran the cells, and whichever ran
-which.  A failing batch raises the exception of its earliest failing
-cell in ``cells()`` order, as a serial run would.  The runner reads no
-clock: tier-1 pins each experiment's host work as exact call counts
-(``tests/test_host_work.py``) and the external benchmark (``perfbench/``)
-times it.
+Determinism: values are merged strictly in item order, cells in
+``cells()`` order, and experiments are assembled in sorted-name order,
+so the output document is byte-identical however many processes ran
+the cells, and whichever ran which.  A failing batch raises the
+exception of its earliest failing item, as a serial run would.  The
+runner reads no clock: tier-1 pins each experiment's host work as exact
+call counts (``tests/test_host_work.py``) and the external benchmark
+(``perfbench/``) times it.
 """
 
 from __future__ import annotations
@@ -29,7 +27,8 @@ import signal
 import sys
 import threading
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Iterator, Mapping, Optional, Union
+from typing import Any, Callable, Iterable, Iterator, Mapping, \
+    NamedTuple, Optional, Sequence, TypeVar
 
 from repro.cpu import costmodels
 from repro.errors import ReproError
@@ -45,16 +44,28 @@ from repro.sim import kernel, sanitizer
 #: Top-level schema of the ``--json`` document.
 DOCUMENT_SCHEMA = "repro-results/1"
 
-#: Bytes per cell index in the work queue; one read takes one index.
-_INDEX_BYTES = 4
+#: Most tokens the work queue holds, and bytes per token: 4 KiB in
+#: all, which any pipe holds whole.  One read takes one token.
+_TOKENS = 1024
+_TOKEN_BYTES = 4
 
-#: One cell to run: (experiment name, cell, params).
-_Cell = tuple[str, str, dict[str, Any]]
+_Item = TypeVar("_Item")
+_Value = TypeVar("_Value")
+
 #: What a cell produced: (payload, metrics snapshot, sanitizer report
 #: lines).
 _Done = tuple[Any, Optional[dict[str, Any]], list[str]]
-#: One cell's outcome: what it produced, or the exception it raised.
-_Outcome = Union[_Done, BaseException]
+
+
+class _Cell(NamedTuple):
+    """One cell to run; it prints as ``experiment/cell``."""
+
+    name: str
+    cell: str
+    params: dict[str, Any]
+
+    def __str__(self) -> str:
+        return f"{self.name}/{self.cell}"
 
 
 def _default_jobs() -> int:
@@ -182,52 +193,42 @@ def _execute_cell(name: str, cell: str, params: dict[str, Any],
     return payload, snapshot, violations
 
 
-def _run_cells(indices: Iterable[int], cells: list[_Cell],
-               collect_metrics: bool,
-               outcomes: dict[int, _Outcome]) -> None:
-    """Run the cells at ``indices`` into ``outcomes``.  Stops at the
-    first cell that raises: indices arrive in increasing order, so no
-    later one can be the batch's earliest failure."""
+def _run(fn: Callable[[_Item], Any], items: Sequence[_Item],
+         indices: Iterable[int], outcomes: dict[int, Any]) -> None:
+    """Run ``fn`` on the items at ``indices`` into ``outcomes``.  Stops
+    at the first item that raises: indices arrive in increasing order,
+    so no later one can be the batch's earliest failure."""
     for index in indices:
-        name, cell, params = cells[index]
         try:
-            outcomes[index] = _execute_cell(name, cell, params,
-                                            collect_metrics)
+            outcomes[index] = fn(items[index])
         except Exception as exc:
             outcomes[index] = exc
             return
 
 
-def _queue(count: int) -> Optional[int]:
-    """The read end of a pipe holding the indices ``0..count-1``, its
-    write end closed; ``None`` if the pipe cannot hold them all."""
+def _queue(count: int) -> tuple[int, int]:
+    """(the read end of a pipe holding the tokens for ``count`` items,
+    its write end closed; how many consecutive items a token names)."""
+    per = -(-count // _TOKENS)
     read_end, write_end = os.pipe()
-    data = b"".join(index.to_bytes(_INDEX_BYTES, "little")
-                    for index in range(count))
-    os.set_blocking(write_end, False)
-    try:
-        written = os.write(write_end, data)
-    except BlockingIOError:
-        written = 0
-    finally:
-        os.close(write_end)
-    if written == len(data):
-        return read_end
-    os.close(read_end)
-    return None
+    os.write(write_end, b"".join(token.to_bytes(_TOKEN_BYTES, "little")
+                                 for token in range(-(-count // per))))
+    os.close(write_end)
+    return read_end, per
 
 
-def _take(queue: int) -> Iterator[int]:
-    """Cell indices from the queue, one read each, until it is empty."""
+def _take(queue: int, per: int, count: int) -> Iterator[int]:
+    """Item indices from the queue, one token read at a time, until it
+    is empty."""
     while True:
-        index = os.read(queue, _INDEX_BYTES)
-        if not index:
+        token = os.read(queue, _TOKEN_BYTES)
+        if not token:
             return
-        yield int.from_bytes(index, "little")
+        first = int.from_bytes(token, "little") * per
+        yield from range(first, min(first + per, count))
 
 
-def _portable(index: int, outcome: _Outcome) \
-        -> tuple[int, _Outcome, Optional[str]]:
+def _portable(index: int, outcome: Any) -> tuple[int, Any, Optional[str]]:
     """A helper's outcome as it crosses to the caller: an exception
     travels with its formatted traceback, and one that does not survive
     pickling becomes a :class:`ReproError` naming its type and
@@ -248,16 +249,16 @@ def _portable(index: int, outcome: _Outcome) \
     return index, outcome, trace
 
 
-def _helper(queue: int, reply: tuple[int, int], cells: list[_Cell],
-            collect_metrics: bool) -> None:
-    """A forked helper's whole life: run cells from the queue, send
+def _helper(fn: Callable[[_Item], Any], items: Sequence[_Item],
+            queue: int, per: int, reply: tuple[int, int]) -> None:
+    """A forked helper's whole life: run items from the queue, send
     ``[(index, outcome, traceback)]`` pickled down ``reply``, exit.  It
     never returns into the caller's frames and never runs ``atexit``."""
     status = 1
     try:
         os.close(reply[0])
-        outcomes: dict[int, _Outcome] = {}
-        _run_cells(_take(queue), cells, collect_metrics, outcomes)
+        outcomes: dict[int, Any] = {}
+        _run(fn, items, _take(queue, per, len(items)), outcomes)
         data = pickle.dumps([_portable(index, outcome)
                              for index, outcome in outcomes.items()],
                             pickle.HIGHEST_PROTOCOL)
@@ -276,10 +277,11 @@ def _helper(queue: int, reply: tuple[int, int], cells: list[_Cell],
             os._exit(status)
 
 
-def _fan_out(queue: int, helpers: int, cells: list[_Cell],
-             collect_metrics: bool, outcomes: dict[int, _Outcome]) -> None:
-    """Run the queue's cells here and in ``helpers`` forked helpers,
-    merging every reply into ``outcomes``.  The cells a helper held when
+def _fan_out(fn: Callable[[_Item], Any], items: Sequence[_Item],
+             label: str, queue: int, per: int, helpers: int,
+             outcomes: dict[int, Any]) -> None:
+    """Run the queue's items here and in ``helpers`` forked helpers,
+    merging every reply into ``outcomes``.  The items a helper held when
     it exited without a reply get a :class:`ReproError` naming them.
     Every helper is reaped on every path; if this process gets an
     exception, helpers still running are killed first."""
@@ -298,12 +300,11 @@ def _fan_out(queue: int, helpers: int, cells: list[_Cell],
                 os.close(write_end)
                 raise
             if pid == 0:
-                _helper(queue, (read_end, write_end), cells,
-                        collect_metrics)
+                _helper(fn, items, queue, per, (read_end, write_end))
             os.close(write_end)
             running.append(pid)
             replies[pid] = read_end
-        _run_cells(_take(queue), cells, collect_metrics, outcomes)
+        _run(fn, items, _take(queue, per, len(items)), outcomes)
         while running:
             pid = running[0]
             with os.fdopen(replies.pop(pid), "rb") as pipe:
@@ -329,52 +330,69 @@ def _fan_out(queue: int, helpers: int, cells: list[_Cell],
                 pass
         raise
     if lost:
-        # An index nobody took is later than some failure, and no
-        # helper held it.
-        untaken = set(_take(queue))
-        held = [index for index in range(len(cells))
-                if index not in outcomes and index not in untaken]
+        # A token nobody took is later than some failure, and no helper
+        # held it; one that a process still here took has an outcome
+        # for its first item.
+        untaken = set(_take(queue, per, len(items)))
+        held = [index for index in range(len(items))
+                if index not in untaken
+                and index - index % per not in outcomes]
         error = ReproError(
             f"helper process {', '.join(lost)} exited without a reply; "
-            "it held cells "
-            + ", ".join(f"{cells[i][0]}/{cells[i][1]}" for i in held))
+            f"it held {label} " + ", ".join(str(items[i]) for i in held))
         for index in held:
             outcomes[index] = error
 
 
-def _run_batch(cells: list[_Cell], collect_metrics: bool, jobs: int) \
-        -> tuple[list[_Done], int]:
-    """Run every cell: (each cell's outcome in ``cells()`` order, how
-    many processes ran cells).  Raises the exception of the earliest
-    failing cell in ``cells()`` order, as a serial run would.
+def fan_out(fn: Callable[[_Item], _Value], items: Sequence[_Item],
+            jobs: Optional[int] = None, label: str = "items") \
+        -> tuple[list[_Value], int]:
+    """``fn`` of every item, in this process and forked helpers: (the
+    values in item order, how many processes ran items).
+
+    A batch of more than one item runs in this process plus
+    ``min(jobs, items) - 1`` helpers (``jobs=None``: every CPU this
+    process may run on).  Every process takes tokens from one pipe until
+    it is empty, so a slow item never leaves another process idle.  A
+    token names ``ceil(n / 1024)`` consecutive items, so the pipe never
+    holds more than 4 KiB, whatever the batch's size.  A helper sends
+    its outcomes back pickled and leaves through ``os._exit``; ``fn``
+    and the items reach it in the memory the fork copied, so they need
+    not pickle.
+
+    Each process stops at its first failure, and the exception of the
+    earliest failing item is raised, as a serial run would raise it: a
+    helper's traceback travels as its ``__cause__``, and an exception
+    that does not pickle arrives as a :class:`ReproError`.  A helper
+    that exits without a reply is named in a :class:`ReproError` with
+    the items it held: ``label``, a plural noun, then ``str`` of each.
 
     Helpers fork only from a single-threaded process, since a fork
     copies every lock as another thread may hold it, and not while a
     :func:`repro.sim.kernel.collect_stats` collection is open, since it
     totals only the machines its own process builds.  Otherwise, and at
-    ``jobs=1``, this process runs every cell.
+    ``jobs=1``, this process runs every item.
     """
-    outcomes: dict[int, _Outcome] = {}
-    helpers = min(jobs, len(cells)) - 1
-    queue = None
+    jobs = _default_jobs() if jobs is None else max(1, int(jobs))
+    outcomes: dict[int, Any] = {}
+    helpers = min(jobs, len(items)) - 1
     if helpers > 0 and hasattr(os, "fork") \
             and threading.active_count() == 1 and not kernel.collecting():
-        queue = _queue(len(cells))
-    if queue is None:
-        helpers = 0
-        _run_cells(range(len(cells)), cells, collect_metrics, outcomes)
-    else:
+        queue, per = _queue(len(items))
         try:
-            _fan_out(queue, helpers, cells, collect_metrics, outcomes)
+            _fan_out(fn, items, label, queue, per, helpers, outcomes)
         finally:
             os.close(queue)
-    ordered: list[_Done] = []
-    for index in range(len(cells)):
+    else:
+        helpers = 0
+        _run(fn, items, range(len(items)), outcomes)
+    values: list[_Value] = []
+    for index in range(len(items)):
         outcome = outcomes[index]
         if isinstance(outcome, BaseException):
             raise outcome
-        ordered.append(outcome)
-    return ordered, helpers + 1
+        values.append(outcome)
+    return values, helpers + 1
 
 
 def _decode(body: Optional[bytes]) -> Optional[Result]:
@@ -406,7 +424,6 @@ def run_experiments(names: Iterable[str],
     disables the cache when asked for them).
     """
     names = sorted(dict.fromkeys(names))
-    jobs = _default_jobs() if jobs is None else max(1, int(jobs))
     report = RunReport(
         cache_dir=str(cache.root) if cache else "",
         cache_enabled=cache is not None,
@@ -427,12 +444,14 @@ def run_experiments(names: Iterable[str],
         plans.append((name, experiment, params))
 
     cells = [
-        (name, cell, params)
+        _Cell(name, cell, params)
         for name, experiment, params in plans
         for cell in experiment.cells(params)
     ]
 
-    outcomes, report.jobs = _run_batch(cells, collect_metrics, jobs)
+    outcomes, report.jobs = fan_out(
+        lambda cell: _execute_cell(*cell, collect_metrics), cells, jobs,
+        label="cells")
     payloads: dict[tuple[str, str], Any] = {}
     snapshots: dict[str, list[dict[str, Any]]] = {}
     for (name, cell, _), (payload, snapshot, violations) in zip(cells,

@@ -3,7 +3,7 @@
 ::
 
     python -m repro fuzz --seed 2019 --runs 25       # a campaign
-    python -m repro fuzz --jobs 4 --json             # parallel, JSON doc
+    python -m repro fuzz --jobs 1 --json             # one process, JSON doc
     python -m repro fuzz --bug drop-redirect         # calibrate oracles
     python -m repro fuzz --corpus tests/fuzz/corpus  # replay the corpus
     python -m repro fuzz --save-failures DIR         # keep shrunk cases
@@ -13,10 +13,13 @@ Exit codes: **0** healthy (no unexpected oracle violation; with
 reproducibly), **1** an oracle fired (or an expected one did not),
 **2** usage error.
 
-The JSON document (``--json``/``--out``) is byte-identical for a given
-flag set regardless of ``--jobs`` or invocation count — the campaign
-determinism contract that CI's ``fuzz-smoke`` job compares with
-``cmp``.
+Runs fan out over forked helpers as the experiment runner's cells do
+(:func:`repro.exp.runner.fan_out`), one process per CPU by default.
+Without ``--json``, one line per run goes to stderr, in run order, once
+the campaign has finished.  The JSON document (``--json``/``--out``) is
+byte-identical for a given flag set regardless of ``--jobs`` or
+invocation count — the campaign determinism contract that CI's
+``fuzz-smoke`` job compares with ``cmp``.
 """
 
 import argparse
@@ -57,8 +60,11 @@ def build_parser():
                         help="report failures without shrinking")
     parser.add_argument("--cost-model", default=None,
                         help="registered cost model to run under")
-    parser.add_argument("--jobs", type=positive_int, default=1,
-                        help="worker processes (default: 1)")
+    parser.add_argument("--jobs", type=positive_int, default=None,
+                        metavar="N",
+                        help="run cases in up to N processes (default: "
+                             "every CPU this process may run on; the "
+                             "document is byte-identical at any N)")
     parser.add_argument("--bug", default=None, choices=bugs.names(),
                         help="arm a known-bad fixture machine "
                              "(oracle calibration)")
@@ -66,10 +72,6 @@ def build_parser():
                         help="invert the gate: fail unless at least "
                              "one violation is found and shrinks "
                              "reproducibly (used with --bug)")
-    parser.add_argument("--check", action="store_true",
-                        help="exit 1 on any oracle violation (default "
-                             "already does; kept for symmetry with "
-                             "other subcommands)")
     parser.add_argument("--json", action="store_true",
                         help="write the campaign document to stdout")
     parser.add_argument("--out", type=Path, default=None,
@@ -83,13 +85,6 @@ def build_parser():
                         help="replay every committed fuzzcase/1 file "
                              "under DIR instead of generating cases")
     return parser
-
-
-def _progress(entry):
-    status = "FAIL" if entry["failed"] else "ok"
-    oracles = ",".join(entry["oracles"]) or "-"
-    print(f"  run {entry['index']:>3} seed {entry['seed']:>10} "
-          f"{status:<4} {oracles}", file=sys.stderr)
 
 
 def _replay_corpus(directory, cost_model):
@@ -163,15 +158,19 @@ def main(argv=None):
             args.out.write_text(canonical_json(doc))
         return 1 if failures else 0
 
-    progress = None if args.json else _progress
     doc = driver.run_campaign(
         seed=args.seed, runs=args.runs, n_ops=args.ops, bug=args.bug,
         cost_model=args.cost_model, shrink=args.shrink,
-        budget=args.budget, jobs=args.jobs, progress=progress,
+        budget=args.budget, jobs=args.jobs,
     )
     if args.json:
         sys.stdout.write(canonical_json(doc))
     else:
+        for entry in doc["entries"]:
+            status = "FAIL" if entry["failed"] else "ok"
+            oracles = ",".join(entry["oracles"]) or "-"
+            print(f"  run {entry['index']:>3} seed {entry['seed']:>10} "
+                  f"{status:<4} {oracles}", file=sys.stderr)
         summary = doc["summary"]
         print(f"fuzz seed={args.seed} runs={summary['runs']} "
               f"failed={summary['failed']} "

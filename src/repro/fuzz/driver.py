@@ -8,14 +8,18 @@ a ``repro-fuzz/1`` document that contains no wall-clock time, worker
 count, or any other environment echo — so the same campaign is
 byte-identical across invocations and ``--jobs`` values.
 
-``--jobs N`` fans runs out over a process pool; :func:`run_one` is
-module-level so it pickles, and ``executor.map`` preserves submission
-order, so parallelism cannot reorder (or otherwise perturb) the
-document.
+Runs are independent, so they fan out as the experiment runner's cells
+do, through :func:`repro.exp.runner.fan_out`: the calling process plus
+forked helpers, one process per CPU by default.  ``fan_out`` returns
+the entries in run order and raises the earliest failing run's
+exception, so parallelism cannot reorder (or otherwise perturb) the
+document.  Helpers are forked, so what describes a run need not pickle;
+each entry, plain JSON data, does.
 """
 
-from concurrent.futures import ProcessPoolExecutor
+import functools
 
+from repro.exp.runner import fan_out
 from repro.fuzz import shrink as shrinker
 from repro.fuzz.case import FuzzCase
 from repro.fuzz.gen import derive_stream, generate_case
@@ -32,14 +36,10 @@ def case_seed(campaign_seed, index):
         0, 2**31 - 1)
 
 
-def run_one(spec):
-    """Evaluate (and, on failure, shrink) one campaign run.
-
-    ``spec`` is a plain tuple so a process pool can pickle it:
-    ``(campaign_seed, index, n_ops, bug, cost_model, do_shrink,
-    budget)``.  Returns one JSON-ready campaign entry.
-    """
-    campaign_seed, index, n_ops, bug, cost_model, do_shrink, budget = spec
+def run_one(campaign_seed, index, n_ops, bug, cost_model, do_shrink,
+            budget):
+    """Evaluate (and, on failure, shrink) run ``index`` of a campaign.
+    Returns one JSON-ready campaign entry."""
     seed = case_seed(campaign_seed, index)
     case = generate_case(seed, n_ops=n_ops, bug=bug)
     report = evaluate_case(case, cost_model=cost_model)
@@ -66,25 +66,15 @@ def run_one(spec):
 
 
 def run_campaign(seed, runs, n_ops=40, bug=None, cost_model=None,
-                 shrink=True, budget=shrinker.DEFAULT_BUDGET, jobs=1,
-                 progress=None):
-    """Run a whole campaign; returns the ``repro-fuzz/1`` document."""
-    specs = [(seed, index, n_ops, bug, cost_model, shrink, budget)
-             for index in range(runs)]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            entries = []
-            for entry in pool.map(run_one, specs):
-                entries.append(entry)
-                if progress is not None:
-                    progress(entry)
-    else:
-        entries = []
-        for spec in specs:
-            entry = run_one(spec)
-            entries.append(entry)
-            if progress is not None:
-                progress(entry)
+                 shrink=True, budget=shrinker.DEFAULT_BUDGET, jobs=None):
+    """Run a whole campaign in up to ``jobs`` processes (``None``: every
+    CPU this process may run on); returns the ``repro-fuzz/1``
+    document."""
+    entries, _ = fan_out(
+        functools.partial(run_one, seed, n_ops=n_ops, bug=bug,
+                          cost_model=cost_model, do_shrink=shrink,
+                          budget=budget),
+        range(runs), jobs, label="runs")
     failed = [entry for entry in entries if entry["failed"]]
     by_oracle = {}
     for entry in failed:

@@ -102,10 +102,8 @@ def compute_body(kind: str, experiment: str,
     """
     if kind == "experiment":
         from repro.exp import registry
-        from repro.exp.registry import RunContext
 
-        exp = registry.get(experiment)
-        return exp.run(RunContext.create(params)).to_json()
+        return registry.get(experiment).run(params).to_json()
     if kind == "dse":
         from repro.exp import dse
         from repro.exp.result import canonical_json

@@ -2,6 +2,7 @@
 
 import collections
 import json
+import os
 import signal
 from pathlib import Path
 
@@ -200,6 +201,20 @@ def cache_host_work(monkeypatch):
         monkeypatch.delitem(vars(costmodels.get_model(name)), "digest",
                             raising=False)
     return counts
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """How many times this process forks (the fan-out's helpers)."""
+    calls = []
+    fork = os.fork
+
+    def counted():
+        calls.append(None)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted)
+    return calls
 
 
 @pytest.fixture(scope="session")

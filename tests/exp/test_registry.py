@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import ConfigError
 from repro.exp import registry
-from repro.exp.registry import Experiment, RunContext, register, unregister
+from repro.exp.registry import Experiment, register, unregister
 from repro.exp.result import Result
 
 
@@ -91,7 +91,7 @@ def test_resolve_accepts_universal_overrides(toy):
 
 
 def test_run_composes_cells(toy):
-    result = toy.run(RunContext.create(toy.resolve()))
+    result = toy.run(toy.resolve())
     assert result.scalar("total") == 9
     assert result.params_dict == {**UNIVERSAL, "iterations": 3}
 

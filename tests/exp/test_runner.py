@@ -2,7 +2,9 @@
 failure, helper hygiene, helper counts), parallel == serial
 byte-for-byte, and cache integration."""
 
+import functools
 import io
+import operator
 import os
 import select
 import threading
@@ -14,7 +16,7 @@ from repro.errors import ConfigError, EptFault, ReproError
 from repro.exp import registry
 from repro.exp.cache import ResultCache
 from repro.exp.result import Result
-from repro.exp.runner import run_experiments
+from repro.exp.runner import fan_out, run_experiments
 
 #: Small-but-real parameters so the determinism check stays fast.
 FAST = {"iterations": 10, "requests": 5_000}
@@ -125,20 +127,6 @@ def probe():
 
 def run_probe(plan, **kwargs):
     return run_experiments([PROBE], overrides={"plan": plan}, **kwargs)
-
-
-@pytest.fixture
-def forks(monkeypatch):
-    """How many times the runner forks."""
-    calls = []
-    fork = os.fork
-
-    def counted():
-        calls.append(None)
-        return fork()
-
-    monkeypatch.setattr(os, "fork", counted)
-    return calls
 
 
 def test_jobs_do_not_change_the_document():
@@ -257,13 +245,71 @@ def test_a_second_live_thread_forces_a_serial_run(probe, forks):
     assert probe["ran_here"] == ["0:ok", "1:ok"]
 
 
+def test_a_batch_of_any_size_fans_out(probe, forks):
+    """20,000 items need more than the 1,024 tokens the queue holds, so
+    each token names 20 of them."""
+    values, processes = fan_out(operator.neg, range(20_000), jobs=2)
+    assert values == [-index for index in range(20_000)]
+    assert processes == 2 and len(forks) == 1
+
+
+def _fail_at(failing, index):
+    _STATE["ran_here"].append(index)
+    if index == failing:
+        raise ConfigError(f"item {index} failed")
+    return index
+
+
+def test_a_process_stops_at_its_first_failure(probe):
+    with pytest.raises(ConfigError, match="^item 1 failed$"):
+        fan_out(functools.partial(_fail_at, 1), range(4), jobs=1)
+    assert probe["ran_here"] == [0, 1]
+
+
+def _exit_after_the_caller_fails(index):
+    """In the helper: report the first item, then exit on the caller's
+    signal.  In the caller: fail, and signal, on the first item of a
+    token after the helper's, so the second item of that token never
+    runs."""
+    if os.getpid() != _STATE["pid"]:
+        os.write(_STATE["report"][1], index.to_bytes(4, "little"))
+        _wait()
+        os._exit(3)
+    if "helper" not in _STATE:
+        ready, _, _ = select.select([_STATE["report"][0]], [], [],
+                                    SIGNAL_TIMEOUT_S)
+        if not ready:
+            raise TimeoutError("the helper reported no item")
+        _STATE["helper"] = int.from_bytes(os.read(_STATE["report"][0], 4),
+                                          "little")
+    if index > _STATE["helper"] + 1 and index % 2 == 0:
+        _signal()
+        raise ConfigError(f"item {index} failed")
+    return index
+
+
+def test_a_lost_helper_is_named_with_the_items_of_its_token(probe):
+    """Of 2,047 items a token names two (the last token one).  The lost
+    helper held one token, and the item the caller skipped after its
+    own failure is not named."""
+    probe["report"] = os.pipe()
+    try:
+        with pytest.raises(ReproError, match="exited without a reply") \
+                as excinfo:
+            fan_out(_exit_after_the_caller_fails, range(2_047), jobs=2)
+    finally:
+        for fd in probe.pop("report"):
+            os.close(fd)
+        first = probe.pop("helper", None)
+    assert first % 2 == 0
+    assert str(excinfo.value).endswith(
+        f"it held items {first}, {first + 1}")
+
+
 def test_serial_runner_matches_direct_run():
     experiment = registry.get("fig6")
     report = run_experiments(["fig6"], overrides={"iterations": 10})
-    from repro.exp.registry import RunContext
-
-    direct = experiment.run(RunContext.create(
-        experiment.resolve({"iterations": 10})))
+    direct = experiment.run(experiment.resolve({"iterations": 10}))
     assert report.runs[0].result == direct
 
 

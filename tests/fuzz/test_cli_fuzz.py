@@ -26,11 +26,26 @@ def test_campaign_is_byte_identical_across_invocations(capsys):
 
 
 def test_campaign_is_byte_identical_across_jobs(capsys):
-    code1, serial = _campaign(capsys)
-    code2, parallel = _campaign(capsys, "--jobs", "2")
-    assert (code1, code2) == (0, 0)
-    assert serial == parallel
+    code1, serial = _campaign(capsys, "--jobs", "1")
+    for jobs in (["--jobs", "2"], []):    # [] = every usable CPU
+        code2, parallel = _campaign(capsys, *jobs)
+        assert (code1, code2) == (0, 0)
+        assert serial == parallel, jobs
     assert '"jobs"' not in serial      # no environment echo in the doc
+
+
+def test_progress_lines_are_one_per_run_in_run_order(capfd):
+    """Without ``--json`` each run gets one stderr line once the
+    campaign ends; ``capfd`` would also catch a helper's writes."""
+    lines = {}
+    for jobs in ("1", "2"):
+        assert repro_main(["fuzz", *GREEN, "--jobs", jobs]) == 0
+        captured = capfd.readouterr()
+        assert captured.out.startswith("fuzz seed=2019 runs=3 failed=0 ")
+        lines[jobs] = captured.err.splitlines()
+    assert [line.split()[:2] for line in lines["1"]] \
+        == [["run", "0"], ["run", "1"], ["run", "2"]]
+    assert lines["2"] == lines["1"]
 
 
 def test_bug_campaign_gates_on_expected_violation(capsys):

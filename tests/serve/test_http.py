@@ -161,11 +161,9 @@ def test_raw_garbage_gets_a_400_not_a_hang(tmp_path):
 
 
 def test_post_round_trip_serves_result_bytes(tmp_path):
-    from repro.exp.registry import RunContext
-
     exp = registry.get("table1")
     params = exp.resolve(exp.smoke)
-    expected = exp.run(RunContext.create(params)).to_json()
+    expected = exp.run(params).to_json()
 
     async def scenario(host, port):
         status, headers, body = await http_request(

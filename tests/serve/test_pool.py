@@ -6,7 +6,6 @@ import pytest
 
 from repro.errors import ConfigError
 from repro.exp import registry
-from repro.exp.registry import RunContext
 from repro.faults.backoff import BackoffPolicy
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultKind, FaultPlan
@@ -48,7 +47,7 @@ def test_execute_requires_start():
 def test_served_body_is_byte_identical_to_the_serial_path():
     job = smoke_job("table1")
     exp = registry.get("table1")
-    expected = exp.run(RunContext.create(dict(job.params))).to_json()
+    expected = exp.run(dict(job.params)).to_json()
     pool = WorkerPool(jobs=1)
     pool.start()
     try:

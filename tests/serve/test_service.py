@@ -6,7 +6,6 @@ import json
 
 from repro.exp import registry
 from repro.exp.cache import ResultCache
-from repro.exp.registry import RunContext
 from repro.exp.runner import run_experiments
 from repro.faults.backoff import BackoffPolicy
 from repro.faults.injector import FaultInjector
@@ -36,7 +35,7 @@ def serial_bytes(name, model):
     """What the CLI path produces for the same request."""
     exp = registry.get(name)
     params = exp.resolve({"cost_model": model})
-    return exp.run(RunContext.create(params)).to_json()
+    return exp.run(params).to_json()
 
 
 def with_service(tmp_path, scenario, **pool_kw):

@@ -112,17 +112,19 @@ def test_all_without_flags_runs_every_experiment_at_its_defaults(
 
 
 def test_import_loads_no_process_pool():
-    """The runner forks its own helpers, so no CLI start-up imports
-    ``concurrent.futures`` or ``multiprocessing``."""
+    """The runner and the fuzz campaign fork their own helpers, so
+    neither CLI's start-up imports ``concurrent.futures`` or
+    ``multiprocessing``."""
     src = str(Path(repro.__file__).parent.parent)
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    probe = ("import sys, repro.cli; print(sorted(name for name in "
-             "('concurrent.futures', 'multiprocessing') "
-             "if name in sys.modules))")
-    out = subprocess.run([sys.executable, "-c", probe], check=True,
-                         capture_output=True, text=True,
-                         env={**os.environ, "PYTHONPATH": path}).stdout
-    assert out == "[]\n"
+    for module in ("repro.cli", "repro.fuzz.cli"):
+        probe = (f"import sys, {module}; print(sorted(name for name in "
+                 "('concurrent.futures', 'multiprocessing') "
+                 "if name in sys.modules))")
+        out = subprocess.run([sys.executable, "-c", probe], check=True,
+                             capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": path}).stdout
+        assert out == "[]\n", module
 
 
 @pytest.mark.parametrize("argv", [

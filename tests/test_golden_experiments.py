@@ -38,7 +38,6 @@ import pytest
 
 from repro.analysis.report import render_result
 from repro.exp import claims, registry
-from repro.exp.registry import RunContext
 from repro.exp.result import Result, canonical_json
 
 from tests.test_paper_claims import locate
@@ -73,8 +72,7 @@ def live_results(documents):
                for name, doc in documents.items()}
     for experiment in registry.experiments():
         if experiment.name not in results:
-            results[experiment.name] = experiment.run(
-                RunContext.create(experiment.resolve()))
+            results[experiment.name] = experiment.run(experiment.resolve())
     return results
 
 

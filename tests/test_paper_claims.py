@@ -30,7 +30,6 @@ from repro.exp.experiments.ablations import (
     with_lazy_fraction,
 )
 from repro.exp.experiments.figures import FIG7_METRICS
-from repro.exp.registry import RunContext
 from repro.virt.deep import DeepNestingModel
 from repro.virt.hypervisor import MSR_TSC_DEADLINE
 from repro.workloads import tpcc
@@ -41,7 +40,7 @@ def table3():
     """The live Table 3 document (it counts this repository's lines, so
     the golden file does not pin it)."""
     experiment = registry.get("table3")
-    return experiment.run(RunContext.create(experiment.resolve())).to_dict()
+    return experiment.run(experiment.resolve()).to_dict()
 
 
 def _rows(document):
