@@ -13,8 +13,9 @@ Usage::
     python examples/deep_nesting.py
 """
 
-from repro import ExecutionMode, Machine
 from repro.analysis.report import format_table
+from repro.core.mode import ExecutionMode
+from repro.core.system import Machine
 from repro.cpu import isa
 from repro.virt.deep import DeepNestingModel
 from repro.virt.hypervisor import MSR_TSC_DEADLINE

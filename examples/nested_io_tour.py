@@ -10,9 +10,10 @@ Usage::
     python examples/nested_io_tour.py
 """
 
-from repro import ExecutionMode, Machine
 from repro.analysis.breakdown import exit_reason_profile
 from repro.analysis.report import render_result
+from repro.core.mode import ExecutionMode
+from repro.core.system import Machine
 from repro.cpu import isa
 from repro.exp import registry
 from repro.io.block import BlkRequest, install_block

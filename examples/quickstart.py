@@ -10,8 +10,9 @@ Usage::
     python examples/quickstart.py
 """
 
-from repro import ExecutionMode, Machine
 from repro.analysis.report import format_table, render_result
+from repro.core.mode import ExecutionMode
+from repro.core.system import Machine
 from repro.cpu import isa
 from repro.exp import claims, registry
 from repro.workloads import cpuid

@@ -10,7 +10,8 @@ hardware.  Timing is calibrated to the paper's Table 1.
 
 Quick start::
 
-    from repro import Machine, ExecutionMode
+    from repro.core.mode import ExecutionMode
+    from repro.core.system import Machine
     from repro.cpu import isa
 
     machine = Machine(mode=ExecutionMode.HW_SVT)
@@ -18,39 +19,4 @@ Quick start::
     print(result.ns_per_instruction)   # ~5360 ns vs 10400 baseline
 """
 
-from repro.config import HostConfig, MachineConfig, VMConfig, paper_machine
-from repro.core.mode import ExecutionMode
-from repro.core.system import Machine, RunResult
-from repro.cpu.costs import CostModel
-from repro.errors import (
-    ChannelError,
-    ConfigError,
-    CrossContextFault,
-    DeadlockError,
-    EptFault,
-    ReproError,
-    VirtualizationError,
-    VmcsError,
-)
-
 __version__ = "1.0.0"
-
-__all__ = [
-    "ChannelError",
-    "ConfigError",
-    "CostModel",
-    "CrossContextFault",
-    "DeadlockError",
-    "EptFault",
-    "ExecutionMode",
-    "HostConfig",
-    "Machine",
-    "MachineConfig",
-    "ReproError",
-    "RunResult",
-    "VMConfig",
-    "VirtualizationError",
-    "VmcsError",
-    "paper_machine",
-    "__version__",
-]

@@ -27,6 +27,7 @@ automatically.
 """
 
 import argparse
+import importlib
 import os
 import sys
 from pathlib import Path
@@ -71,20 +72,41 @@ def fault_rates(text):
     return text
 
 
+#: Commands with their own flags, which the experiment parser never
+#: sees: name -> (handler as ``module:function``, help line).  ``main``
+#: imports a handler only when its command is chosen.
+COMMANDS = {
+    "chaos": ("repro.cli:_cmd_chaos",
+              "the chaos experiment with --rates and --out"),
+    "dse": ("repro.exp.dse:main", "replay-based design-space sweep"),
+    "fuzz": ("repro.fuzz.cli:main", "differential fuzz campaign"),
+    "lint": ("repro.lint.cli:main", "svtlint invariant checker"),
+    "loadtest": ("repro.serve.cli:main_loadtest",
+                 "deterministic load test of the experiment service"),
+    "run": ("repro.cli:_cmd_run", "one traced workload on one machine"),
+    "serve": ("repro.serve.cli:main_serve",
+              "the long-lived HTTP/JSON experiment service"),
+}
+
+
 def build_parser():
     registry.ensure_loaded()
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Reproduce experiments from 'Using SMT to Accelerate "
-                    "Nested Virtualization' (ISCA'19)",
+                    "Nested\nVirtualization' (ISCA'19)",
+        epilog="commands with their own flags (repro COMMAND --help):\n"
+               + "\n".join(f"  {name:<10}{line}"
+                           for name, (_, line) in COMMANDS.items()),
+        formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     parser.add_argument("experiment",
-                        choices=registry.names() + ["all", "list",
-                                                    "lint"],
+                        choices=registry.names() + ["all", "list"],
                         help="which table/figure to regenerate, 'all' "
                              "for every registered experiment, 'list' "
-                             "to enumerate them, 'lint' for the svtlint "
-                             "invariant checker")
+                             "to enumerate them (chaos takes the options "
+                             "below only before its name; after it, its "
+                             "own)")
     parser.add_argument("--seed", type=int, default=None,
                         help="workload RNG seed (default: "
                              "per-experiment)")
@@ -189,13 +211,13 @@ def _cmd_run(argv):
     from repro.core.mode import ExecutionMode
     from repro.core.system import Machine
     from repro.cpu import isa
-    from repro.obs import (
-        Observer,
+    from repro.obs.export import (
         render_breakdown,
         trace_breakdown,
         write_chrome_trace,
         write_metrics,
     )
+    from repro.obs.observer import Observer
 
     mode = ExecutionMode.validate(args.mode)
     # One warm-up iteration, same protocol as repro.workloads.cpuid
@@ -369,45 +391,9 @@ def _cmd_chaos(argv):
 
 def main(argv=None):
     argv = list(sys.argv[1:] if argv is None else argv)
-    if argv[:1] == ["lint"]:
-        # Dispatch before parsing: lint has its own flag namespace
-        # (--format, --rules, paths) that the experiment parser must
-        # not see.
-        from repro.lint.cli import main as lint_main
-
-        return lint_main(argv[1:])
-    if argv[:1] == ["run"]:
-        # Same pre-parse dispatch: 'run' drives one machine directly
-        # and has its own flags (--mode, --trace, ...).
-        return _cmd_run(argv[1:])
-    if argv[:1] == ["chaos"]:
-        # Same pattern: chaos adds --rates/--out on top of the
-        # registered experiment.
-        return _cmd_chaos(argv[1:])
-    if argv[:1] == ["fuzz"]:
-        # Same pattern: the differential fuzz campaign has its own
-        # flag namespace (--seed/--runs/--shrink/--corpus/...).
-        from repro.fuzz.cli import main as fuzz_main
-
-        return fuzz_main(argv[1:])
-    if argv[:1] == ["dse"]:
-        # Same pattern: the design-space driver sweeps cost-model
-        # parameters via trace replay (repro.exp.dse).
-        from repro.exp.dse import main as dse_main
-
-        return dse_main(argv[1:])
-    if argv[:1] == ["serve"]:
-        # Same pattern: the long-lived experiment service
-        # (repro.serve) has its own flag namespace.
-        from repro.serve.cli import main_serve
-
-        return main_serve(argv[1:])
-    if argv[:1] == ["loadtest"]:
-        # Same pattern: the deterministic serve-tier load test and
-        # BENCH_serve.json regression gate.
-        from repro.serve.cli import main_loadtest
-
-        return main_loadtest(argv[1:])
+    if argv and argv[0] in COMMANDS:
+        module, _, function = COMMANDS[argv[0]][0].partition(":")
+        return getattr(importlib.import_module(module), function)(argv[1:])
     args = build_parser().parse_args(argv)
     if args.experiment == "list":
         return _cmd_list()

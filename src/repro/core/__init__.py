@@ -20,49 +20,3 @@ Extensions the paper discusses but does not build:
 * `repro.core.related_work` — §7's alternatives, priced on the same
   cost base.
 """
-
-from repro.core.bypass import BypassSvtEngine, install_bypass
-from repro.core.channel import (
-    Command,
-    CommandKind,
-    CommandRing,
-    PairedChannels,
-)
-from repro.core.coexist import (
-    CoexistConfig,
-    DynamicPolicy,
-    crossover_trap_rate,
-)
-from repro.core.cross_context import ctxt_read, ctxt_write, resolve_target
-from repro.core.mode import ExecutionMode
-from repro.core.security import CoResidencyAuditor, audit_machine_run
-from repro.core.switch import (
-    HwSvtEngine,
-    SwitchEngine,
-    SwSvtEngine,
-    make_engine,
-)
-from repro.core.system import Machine
-
-__all__ = [
-    "BypassSvtEngine",
-    "CoResidencyAuditor",
-    "CoexistConfig",
-    "Command",
-    "CommandKind",
-    "CommandRing",
-    "DynamicPolicy",
-    "ExecutionMode",
-    "HwSvtEngine",
-    "Machine",
-    "PairedChannels",
-    "SwSvtEngine",
-    "SwitchEngine",
-    "audit_machine_run",
-    "crossover_trap_rate",
-    "ctxt_read",
-    "ctxt_write",
-    "install_bypass",
-    "make_engine",
-    "resolve_target",
-]

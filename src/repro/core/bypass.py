@@ -1,4 +1,4 @@
-"""Level bypass — the paper's §3.1 future-work extension.
+"""Level bypass and context multiplexing — the paper's §3.1 extensions.
 
 *"SVt could selectively bypass some virtualization levels when
 triggering a VM trap to bring performance even closer to systems with
@@ -17,6 +17,10 @@ short-circuits exits L0 *would have reflected verbatim anyway*.
 The ``ablation_bypass`` experiment quantifies how close this gets to
 "full hardware support" (which would make a nested trap cost the same
 as a single-level one).
+
+§3.1 also asks what SVt does with fewer hardware contexts than levels:
+:class:`MultiplexedL1Engine` answers it on a two-context core, and the
+``ablation_multiplex`` experiment prices it.
 """
 
 from repro.core.switch import HwSvtEngine
@@ -63,6 +67,35 @@ class BypassSvtEngine(HwSvtEngine):
         what "full hardware support" CPUs do).  The caller has loaded
         vmcs02, so SVt_vm already points at L2's context."""
         self.core.svt_resume()
+
+
+class MultiplexedL1Engine(HwSvtEngine):
+    """HW SVt with only two hardware contexts (paper §3.1).
+
+    L0 and L2 keep their contexts, so the L2<->L0 hot path stays a
+    stall/resume.  L1 is multiplexed: it is evicted and reloaded around
+    every reflection, paying a memory context switch plus its lazy
+    save/restore like the baseline.
+    """
+
+    def enter_l1(self, exit_info, vcpu):
+        self._charge(self.costs.switch_l0_l1_each, Category.SWITCH_L0_L1)
+        self.core.svt_resume()
+
+    def leave_l1(self, vcpu):
+        self.core.svt_trap()
+        self._charge(self.costs.switch_l0_l1_each, Category.SWITCH_L0_L1)
+
+    def charge_l1_lazy(self):
+        self._charge(self.costs.l1_lazy_switch, Category.L1_LAZY_SWITCH)
+
+    def aux_exit_begin(self):
+        self._charge(self.costs.switch_l0_l1_each, Category.SWITCH_L0_L1)
+        self.core.svt_trap()
+
+    def aux_exit_end(self):
+        self.core.svt_resume()
+        self._charge(self.costs.switch_l0_l1_each, Category.SWITCH_L0_L1)
 
 
 def install_bypass(machine, bypass_reasons=DEFAULT_BYPASS_SET):

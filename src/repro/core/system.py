@@ -2,7 +2,8 @@
 
 This is the library's main entry point::
 
-    from repro import Machine, ExecutionMode
+    from repro.core.mode import ExecutionMode
+    from repro.core.system import Machine
     from repro.cpu import isa
 
     machine = Machine(mode=ExecutionMode.HW_SVT)
@@ -69,21 +70,22 @@ class Machine:
     def __init__(self, mode=ExecutionMode.BASELINE, costs=None, config=None,
                  wait_mechanism="mwait", placement="smt",
                  observer=None, faults=None, watchdog=None):
-        """``observer`` (a :class:`repro.obs.Observer`) turns on span
-        tracing and/or metrics; when ``None`` the machine adopts an
+        """``observer`` (a :class:`repro.obs.observer.Observer`) turns on
+        span tracing and/or metrics; when ``None`` the machine adopts an
         ambient capture observer if one is active (the experiment
         runner's per-cell metrics path) and otherwise runs the exact
         pre-observability fast path.
 
-        ``faults`` (a :class:`repro.faults.FaultPlan` or prebuilt
-        :class:`repro.faults.FaultInjector`) arms the chaos layer: SW
+        ``faults`` (a :class:`repro.faults.plan.FaultPlan` or prebuilt
+        :class:`repro.faults.injector.FaultInjector`) arms the chaos layer: SW
         SVt command rings may drop/duplicate/delay/corrupt commands or
         lose wakeups per the plan's rates.  ``watchdog`` guards every
         blocking ring wait: ``None`` installs a default
-        :class:`repro.faults.Watchdog` whenever faults are armed,
+        :class:`repro.faults.watchdog.Watchdog` whenever faults are armed,
         ``False`` disables recovery (blocked waits raise
         :class:`~repro.errors.DeadlockError` with a structured report),
-        and a :class:`~repro.faults.Watchdog` instance is used as-is."""
+        and a :class:`~repro.faults.watchdog.Watchdog` instance is used
+        as-is."""
         self.mode = ExecutionMode.validate(mode)
         #: Instructions executed (stepped or segment-replayed), summed
         #: by :func:`repro.sim.kernel.collect_stats`.

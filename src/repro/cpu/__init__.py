@@ -6,28 +6,3 @@ rename maps over a shared physical register file, and a fetch-target
 register — while `repro.cpu.costs` holds every timing constant, calibrated
 against the paper's Table 1 breakdown.
 """
-
-from repro.cpu.costs import CostModel
-from repro.cpu.context import ContextState, HardwareContext
-from repro.cpu.interrupts import InterruptController, Vectors
-from repro.cpu.isa import Instruction, Op, Program
-from repro.cpu.prf import PhysicalRegisterFile, RenameMap
-from repro.cpu.registers import ArchRegisters, RegNames
-from repro.cpu.smt import INVALID_CONTEXT, SmtCore
-
-__all__ = [
-    "ArchRegisters",
-    "ContextState",
-    "CostModel",
-    "HardwareContext",
-    "INVALID_CONTEXT",
-    "Instruction",
-    "InterruptController",
-    "Op",
-    "PhysicalRegisterFile",
-    "Program",
-    "RegNames",
-    "RenameMap",
-    "SmtCore",
-    "Vectors",
-]

@@ -16,8 +16,8 @@ Resolution has three layers, all going through :func:`resolve`:
 * a name — :func:`get_model` lookup (``"arm-flavour"``).
 * a :class:`~repro.cpu.costs.CostModel` — passed through untouched.
 
-The ambient default is a per-process stack, so pool workers installing
-a model around a cell never leak it across cells, and monkeypatching
+The ambient default is a per-process stack, so a process installing a
+model around a cell never leaks it into the next cell, and monkeypatching
 one place (:func:`use_default` / :func:`default_model`) affects every
 layer that used to call ``CostModel()`` ad hoc.
 """

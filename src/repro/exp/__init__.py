@@ -16,25 +16,3 @@ One subsystem orchestrates every paper artifact:
   params, cost-model fingerprint, code version).
 * :mod:`repro.exp.experiments` — the registered experiments themselves.
 """
-
-from repro.exp.cache import ResultCache, code_fingerprint, \
-    cost_model_fingerprint
-from repro.exp.registry import Experiment, get, names, register
-from repro.exp.result import Result, Row, Series, Table
-from repro.exp.runner import RunReport, run_experiments
-
-__all__ = [
-    "Experiment",
-    "Result",
-    "ResultCache",
-    "Row",
-    "RunReport",
-    "Series",
-    "Table",
-    "code_fingerprint",
-    "cost_model_fingerprint",
-    "get",
-    "names",
-    "register",
-    "run_experiments",
-]

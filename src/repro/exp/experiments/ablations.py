@@ -10,18 +10,17 @@ claims are asserted on those documents.
 
 from __future__ import annotations
 
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 from repro.core.mode import ExecutionMode
-from repro.core.switch import HwSvtEngine
-from repro.core.system import Machine
-from repro.cpu import isa
 from repro.cpu.costmodels import default_model
-from repro.cpu.costs import CostModel
 from repro.exp import claims
 from repro.exp.registry import Experiment, register
 from repro.exp.result import Result, Row, Table
-from repro.sim.trace import Category
+
+if TYPE_CHECKING:
+    from repro.core.system import Machine
+    from repro.cpu.costs import CostModel
 
 # -- shared drivers -------------------------------------------------------
 
@@ -49,6 +48,9 @@ def with_lazy_fraction(fraction: float) -> CostModel:
 
 def hw_speedup(costs: CostModel, iterations: int = 10) -> float:
     """Nested-cpuid baseline/HW-SVt ratio under a cost model."""
+    from repro.core.system import Machine
+    from repro.cpu import isa
+
     times: dict[str, float] = {}
     for mode in (ExecutionMode.BASELINE, ExecutionMode.HW_SVT):
         machine = Machine(mode=mode, costs=costs)
@@ -62,6 +64,9 @@ def hw_speedup(costs: CostModel, iterations: int = 10) -> float:
 def traced_run(mode: str,
                repeat: int = 20) -> tuple[float, dict[str, int]]:
     """(ns_per_op, per-category ns) of a nested cpuid loop in ``mode``."""
+    from repro.core.system import Machine
+    from repro.cpu import isa
+
     machine = Machine(mode=mode)
     machine.run_program(isa.Program([isa.cpuid()]))        # warmup
     before = machine.tracer.snapshot()
@@ -89,6 +94,8 @@ def hw_model_cross_check(repeat: int = 20) -> dict[str, Any]:
 def cpuid_us(machine: Machine, iterations: int = 20,
              level: int = 2) -> float:
     """µs per cpuid at ``level`` after one warm-up cpuid."""
+    from repro.cpu import isa
+
     machine.run_program(isa.Program([isa.cpuid()]), level=level)
     result = machine.run_program(
         isa.Program([isa.cpuid()], repeat=iterations), level=level)
@@ -98,47 +105,25 @@ def cpuid_us(machine: Machine, iterations: int = 20,
 def channel_cpuid_us(placement: str, mechanism: str,
                      iterations: int = 20) -> float:
     """Nested cpuid µs under SW SVt with a given channel variant."""
+    from repro.core.system import Machine
+
     return cpuid_us(Machine(mode=ExecutionMode.SW_SVT,
                             placement=placement,
                             wait_mechanism=mechanism), iterations)
 
 
-class MultiplexedL1Engine(HwSvtEngine):
-    """HW SVt with only two hardware contexts (paper §3.1).
-
-    L0 and L2 keep their contexts, so the L2<->L0 hot path stays a
-    stall/resume.  L1 is multiplexed: it is evicted and reloaded around
-    every reflection, paying a memory context switch plus its lazy
-    save/restore like the baseline.
-    """
-
-    def enter_l1(self, exit_info: Any, vcpu: Any) -> None:
-        self._charge(self.costs.switch_l0_l1_each, Category.SWITCH_L0_L1)
-        self.core.svt_resume()
-
-    def leave_l1(self, vcpu: Any) -> None:
-        self.core.svt_trap()
-        self._charge(self.costs.switch_l0_l1_each, Category.SWITCH_L0_L1)
-
-    def charge_l1_lazy(self) -> None:
-        self._charge(self.costs.l1_lazy_switch, Category.L1_LAZY_SWITCH)
-
-    def aux_exit_begin(self) -> None:
-        self._charge(self.costs.switch_l0_l1_each, Category.SWITCH_L0_L1)
-        self.core.svt_trap()
-
-    def aux_exit_end(self) -> None:
-        self.core.svt_resume()
-        self._charge(self.costs.switch_l0_l1_each, Category.SWITCH_L0_L1)
-
-
 def multiplexed_machine() -> Machine:
-    """A booted HW SVt machine running :class:`MultiplexedL1Engine`.
+    """A booted HW SVt machine running
+    :class:`~repro.core.bypass.MultiplexedL1Engine`.
 
     Boot and the entry into steady state use only what the engine
-    inherits from :class:`HwSvtEngine`, so swapping it in afterwards
-    (as :func:`repro.core.bypass.install_bypass` does) is exact.
+    inherits from :class:`~repro.core.switch.HwSvtEngine`, so swapping
+    it in afterwards (as :func:`repro.core.bypass.install_bypass` does)
+    is exact.
     """
+    from repro.core.bypass import MultiplexedL1Engine
+    from repro.core.system import Machine
+
     machine = Machine(ExecutionMode.HW_SVT)
     engine = MultiplexedL1Engine(machine.sim, machine.tracer,
                                  machine.costs, machine.core,
@@ -320,6 +305,8 @@ class AblationMultiplex(Experiment):
         return tuple(cell for cell, _label in self.CONFIGURATIONS)
 
     def run_cell(self, cell: str, params: dict[str, Any]) -> Any:
+        from repro.core.system import Machine
+
         if cell == "baseline":
             machine = Machine(ExecutionMode.BASELINE)
         elif cell == "hw_svt_3ctx":
@@ -364,6 +351,8 @@ class AblationBypass(Experiment):
         return tuple(cell for cell, _label in self.CONFIGURATIONS)
 
     def run_cell(self, cell: str, params: dict[str, Any]) -> Any:
+        from repro.core.system import Machine
+
         if cell == "hw_svt_bypass":
             from repro.core.bypass import install_bypass
 
@@ -416,6 +405,8 @@ class AblationSecurity(Experiment):
             audit_machine_run,
             smt_coscheduling_exposure,
         )
+        from repro.core.system import Machine
+        from repro.cpu import isa
 
         machine = Machine(mode=ExecutionMode.HW_SVT)
         program = isa.Program([isa.cpuid(), isa.alu(self.GUEST_WORK)],

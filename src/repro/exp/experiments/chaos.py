@@ -20,8 +20,6 @@ from typing import Any
 from repro.core.mode import ExecutionMode
 from repro.exp.registry import Experiment, register
 from repro.exp.result import Result, Row, Table
-from repro.faults.plan import FaultPlan
-from repro.faults.scenario import run_chaos_cell
 
 
 def parse_rates(rates: str) -> tuple[float, ...]:
@@ -53,6 +51,9 @@ class Chaos(Experiment):
         )
 
     def run_cell(self, cell: str, params: dict[str, Any]) -> Any:
+        from repro.faults.plan import FaultPlan
+        from repro.faults.scenario import run_chaos_cell
+
         mode, rate = cell.rsplit(":", 1)
         plan = FaultPlan(seed=int(params["seed"]), rate=float(rate))
         return run_chaos_cell(mode, plan,

@@ -130,8 +130,8 @@ def unregister(name: str) -> None:
 
 def ensure_loaded() -> None:
     """Import the bundled experiment modules exactly once."""
-    # Import-once latch, not cell state: workers re-run it idempotently
-    # after fork/spawn, so losing the write is harmless.
+    # Import-once latch, not cell state: forked helpers inherit it and
+    # re-running it is idempotent, so losing the write is harmless.
     global _LOADED  # svtlint: disable=SVT003
     if not _LOADED:
         _LOADED = True

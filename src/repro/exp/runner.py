@@ -449,6 +449,10 @@ def run_experiments(names: Iterable[str],
         for cell in experiment.cells(params)
     ]
 
+    if len(cells) > 1:
+        # Load the simulator before the helpers fork, so that they share
+        # its modules instead of each importing them.
+        import repro.core.system  # noqa: F401
     outcomes, report.jobs = fan_out(
         lambda cell: _execute_cell(*cell, collect_metrics), cells, jobs,
         label="cells")

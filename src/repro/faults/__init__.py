@@ -10,18 +10,3 @@ VMCS scrubber and resilience-matrix cell (`repro.faults.scenario`).
 See ``docs/robustness.md`` for the fault taxonomy and recovery
 contracts.
 """
-
-from repro.faults.backoff import BackoffPolicy
-from repro.faults.injector import FaultInjector, VmcsCorruption
-from repro.faults.plan import FaultKind, FaultPlan
-from repro.faults.watchdog import DegradeEvent, Watchdog
-
-__all__ = [
-    "BackoffPolicy",
-    "DegradeEvent",
-    "FaultInjector",
-    "FaultKind",
-    "FaultPlan",
-    "VmcsCorruption",
-    "Watchdog",
-]

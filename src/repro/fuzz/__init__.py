@@ -22,23 +22,3 @@ Layers:
 * :mod:`repro.fuzz.driver` — the campaign runner behind
   ``repro fuzz``.
 """
-
-from repro.fuzz.case import CaseSchemaError, FuzzCase, load_case
-from repro.fuzz.gen import derive_stream, generate_case
-from repro.fuzz.harness import evaluate_case
-from repro.fuzz.ops import FuzzOp
-from repro.fuzz.oracles import Violation, check_oracles
-from repro.fuzz.shrink import shrink_case
-
-__all__ = [
-    "CaseSchemaError",
-    "FuzzCase",
-    "FuzzOp",
-    "Violation",
-    "check_oracles",
-    "derive_stream",
-    "evaluate_case",
-    "generate_case",
-    "load_case",
-    "shrink_case",
-]

@@ -125,7 +125,7 @@ def generate_case(seed, n_ops=40, bug=None, fault_ratio=None):
 
     A ``fault_ratio`` fraction of seeds (default
     :data:`FAULT_CASE_RATIO`) additionally carry a mild
-    :class:`~repro.faults.FaultPlan` overlay — ring chaos plus
+    :class:`~repro.faults.plan.FaultPlan` overlay — ring chaos plus
     plan-driven spurious interrupts — under which the cross-mode
     oracles relax and the crash and replay oracles keep watch.
     """

@@ -69,7 +69,7 @@ def sanitized():
     setting), so every fuzz machine runs under the ordering sanitizer.
 
     Implemented through the environment: the flag is how
-    ``Machine.__init__`` discovers the sanitizer, and pool workers
+    ``Machine.__init__`` discovers the sanitizer, and forked helpers
     inherit it.
     """
     # svtlint: disable=SVT001 — the env flag is the sanitizer's

@@ -14,7 +14,7 @@ Zero-fault, stock-machine expectations:
 * **sanitizer** — the runtime ordering sanitizer stayed silent;
 * **liveness** — no watchdog degradation and no deadlock.
 
-Under an armed :class:`~repro.faults.FaultPlan` only **crash** (minus
+Under an armed :class:`~repro.faults.plan.FaultPlan` only **crash** (minus
 deadlocks, which the plan legitimises) stays armed, next to the
 harness's **replay** check — fault draws are seeded, so even chaos must
 replay identically.

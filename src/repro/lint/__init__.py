@@ -37,66 +37,10 @@ fails any clock call on a simulator outside ``repro.sim``, in a loop or
 not, so time is always charged through ``Tracer.charge``.
 
 Run via ``python -m repro lint`` (see :mod:`repro.lint.cli`), ``make
-lint``, or programmatically through :func:`lint_paths` /
-:func:`lint_tree`.  Per-file results are memoized in
+lint``, or programmatically through
+:func:`~repro.lint.engine.lint_paths` /
+:func:`~repro.lint.engine.lint_tree`.  Per-file results are memoized in
 ``.svtlint_cache/`` (:mod:`repro.lint.cache`).  Suppress a deliberate
 exception inline with ``# svtlint: disable=SVT001`` (see
 ``docs/static-analysis.md``).
 """
-
-from repro.lint.bounded import BoundedLoopRule
-from repro.lint.cache import LintCache, ruleset_fingerprint
-from repro.lint.cli import DEFAULT_RULES, main
-from repro.lint.determinism import DeterminismRule
-from repro.lint.engine import (
-    LintReport,
-    ProjectRule,
-    Rule,
-    lint_file,
-    lint_paths,
-    lint_source,
-    lint_tree,
-)
-from repro.lint.findings import (
-    Finding,
-    compute_stats,
-    findings_document,
-    render_stats_table,
-)
-from repro.lint.frozen import FrozenResultRule
-from repro.lint.graph import ProjectGraph
-from repro.lint.poolsafety import PoolSafetyRule
-from repro.lint.provenance import ProvenanceRule
-from repro.lint.races import SimStateRaceRule
-from repro.lint.source import SourceFile, module_name_for
-from repro.lint.stale import StaleSuppressionRule
-from repro.lint.taint import DeterminismTaintRule
-
-__all__ = [
-    "BoundedLoopRule",
-    "DEFAULT_RULES",
-    "DeterminismRule",
-    "DeterminismTaintRule",
-    "Finding",
-    "FrozenResultRule",
-    "LintCache",
-    "LintReport",
-    "PoolSafetyRule",
-    "ProjectGraph",
-    "ProjectRule",
-    "ProvenanceRule",
-    "Rule",
-    "SimStateRaceRule",
-    "SourceFile",
-    "StaleSuppressionRule",
-    "compute_stats",
-    "findings_document",
-    "lint_file",
-    "lint_paths",
-    "lint_source",
-    "lint_tree",
-    "main",
-    "module_name_for",
-    "render_stats_table",
-    "ruleset_fingerprint",
-]

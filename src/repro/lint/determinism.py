@@ -3,10 +3,10 @@
 The experiment runtime promises byte-identical output at any ``--jobs``
 count and caches results under content-derived keys.  Both guarantees
 die silently the moment a cell consults anything outside its declared
-parameters: the process-global ``random`` module (differently seeded in
-every pool worker), wall-clock reads, environment variables, CPython
-allocation addresses (``id()``), or set iteration order (hash-seed
-dependent for str keys).
+parameters: the process-global ``random`` module (its state depends on
+what ran before in the process), wall-clock reads, environment
+variables, CPython allocation addresses (``id()``), or set iteration
+order (hash-seed dependent for str keys).
 
 Flagged under ``repro.exp``, ``repro.fuzz``, ``repro.obs``,
 ``repro.sim`` and ``repro.workloads``:

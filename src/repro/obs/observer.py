@@ -19,8 +19,8 @@ Two recording planes, independently switchable:
 never constructs: ``with capture_metrics() as obs: ...`` installs an
 observer that any :class:`~repro.core.system.Machine` built inside the
 block adopts automatically.  The capture stack is per-process state —
-each pool worker owns its copy, and snapshots travel back through cell
-payload plumbing, so parallel runs stay deterministic.
+each forked helper owns its copy, and snapshots travel back through
+cell payload plumbing, so parallel runs stay deterministic.
 """
 
 from __future__ import annotations
@@ -153,7 +153,7 @@ class Observer:
 
 
 # ---------------------------------------------------------------------------
-# Ambient capture (per-process; each pool worker owns its own stack)
+# Ambient capture (per-process; each forked helper owns its own stack)
 # ---------------------------------------------------------------------------
 
 _AMBIENT: List[Observer] = []

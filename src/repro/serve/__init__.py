@@ -16,7 +16,7 @@ layer:
   cache as the memoization tier;
 * **deadlines + supervision** — per-request deadlines, worker-crash
   detection with deterministic fingerprint-seeded backoff
-  (:class:`repro.faults.BackoffPolicy`), capped retries, and
+  (:class:`repro.faults.backoff.BackoffPolicy`), capped retries, and
   poisoned-request quarantine (:mod:`repro.serve.pool`);
 * **graceful degradation** — under overload or repeated worker loss
   the service sheds load by tier (DSE first, cached reads last)
@@ -29,17 +29,3 @@ seeded client schedule against a live instance and checks its
 deterministic counters against the committed ``BENCH_serve.json``
 exactly.  See ``docs/serving.md``.
 """
-
-from repro.serve.admission import AdmissionQueue
-from repro.serve.coalesce import Coalescer
-from repro.serve.pool import WorkerPool
-from repro.serve.protocol import ServeRequest
-from repro.serve.service import ExperimentService
-
-__all__ = [
-    "AdmissionQueue",
-    "Coalescer",
-    "ExperimentService",
-    "ServeRequest",
-    "WorkerPool",
-]

@@ -20,7 +20,7 @@ fingerprint** (when coalescing is on) and **byte-identical bodies per
 fingerprint**.  It reads no clock: serving time is measured by the
 external benchmark (``perfbench/``), not here.
 
-``--storm`` arms a :class:`repro.faults.FaultPlan` worker-kill storm
+``--storm`` arms a :class:`repro.faults.plan.FaultPlan` worker-kill storm
 (every worker killed once, deterministically) to prove the supervisor
 retries without duplicating a computation.
 """

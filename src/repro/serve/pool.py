@@ -11,15 +11,16 @@ contract:
   spent — no retry);
 * **crash detection + deterministic retry** — a worker dying
   mid-request (EOF on the pipe / process death) is retried on a fresh
-  worker under the shared :class:`repro.faults.BackoffPolicy`, with
-  the backoff jitter seeded by the *request fingerprint* — replaying
+  worker under the shared :class:`repro.faults.backoff.BackoffPolicy`,
+  with the backoff jitter seeded by the *request fingerprint* — replaying
   the same campaign replays the same retry schedule;
 * **capped attempts + quarantine** — a request that kills its worker
   on every attempt exhausts the policy budget and is reported as a
   ``crash`` outcome; the service quarantines its fingerprint so one
   poisoned request cannot grind the pool down forever;
-* **fault injection** — an optional :class:`repro.faults.FaultInjector`
-  is consulted once per dispatch (``FaultKind.WORKER_KILL``); an
+* **fault injection** — an optional
+  :class:`repro.faults.injector.FaultInjector` is consulted once per
+  dispatch (``FaultKind.WORKER_KILL``); an
   injected kill makes the worker exit *before* computing, so crash
   storms never duplicate a computation, and recoveries are reported
   back to the injector scoreboard;

@@ -146,7 +146,7 @@ class Simulator:
         self.events_fired = 0
         # Parked waiters (deadlock detection): name -> Waiter.
         self._waiters = {}
-        # Observability hook (repro.obs.Observer); None keeps event
+        # Observability hook (repro.obs.observer.Observer); None keeps event
         # firing on the exact pre-observability path.
         self.obs = None
         _kernel.adopt_simulator(self)

@@ -88,7 +88,7 @@ class Sanitizer:
 
     ``clock`` is a zero-argument callable returning the sim clock in
     ns (``lambda: sim.now``); ``obs`` an optional
-    :class:`repro.obs.Observer` consulted for span context.
+    :class:`repro.obs.observer.Observer` consulted for span context.
     """
 
     def __init__(self, clock, obs=None):

@@ -15,23 +15,3 @@ Each module exposes the measurements its figure needs (for example
 `repro.exp.experiments` call them; the numbers the paper reports are
 rows of `repro.exp.claims`.
 """
-
-from repro.workloads import (
-    channels,
-    cpuid,
-    disk,
-    memcached,
-    netperf,
-    tpcc,
-    video,
-)
-
-__all__ = [
-    "channels",
-    "cpuid",
-    "disk",
-    "memcached",
-    "netperf",
-    "tpcc",
-    "video",
-]

@@ -339,7 +339,7 @@ def _self_check(lib):
 def _load():
     """Build, load and self-check the library: ``(lib, status)``."""
     # svtlint: disable=SVT001 — tier selection is environment config by
-    # design: pool workers inherit it, and both tiers produce
+    # design: forked helpers inherit it, and both tiers produce
     # byte-identical results.
     if os.environ.get(NATIVE_ENV_VAR, "1") == "0":
         return None, DISABLED

@@ -6,7 +6,8 @@ from repro.core.mode import ExecutionMode
 from repro.core.system import Machine
 from repro.cpu import isa
 from repro.errors import DeadlockError
-from repro.faults import FaultKind, FaultPlan, Watchdog
+from repro.faults.plan import FaultKind, FaultPlan
+from repro.faults.watchdog import Watchdog
 
 #: Every ring push is dropped: the wait can only resolve via recovery.
 ALL_DROPPED = FaultPlan(seed=7, rates=((FaultKind.RING_DROP, 1.0),))

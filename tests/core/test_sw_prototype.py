@@ -1,12 +1,13 @@
 """SW SVt protocol: pairing hypercall and the §5.3 deadlock."""
 
-from repro import ExecutionMode, Machine
+from repro.core.mode import ExecutionMode
 from repro.core.sw_prototype import (
     DeadlockScenario,
     PairingRegistry,
     SVT_PAIR_HYPERCALL,
     install_pairing_hypercall,
 )
+from repro.core.system import Machine
 from repro.cpu import isa
 
 

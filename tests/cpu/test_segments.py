@@ -340,7 +340,7 @@ def test_tiny_program_results_match_legacy():
 
 
 def test_machine_obs_forces_legacy_cadence():
-    from repro.obs import Observer
+    from repro.obs.observer import Observer
 
     machine = Machine(mode=ExecutionMode.BASELINE, observer=Observer())
     program = Program([isa.alu(100)] * 10)

@@ -49,7 +49,8 @@ def _raise_ept_fault():
 
 def _raise_live_misconfig():
     """A real EptMisconfig, whose region holds a live virtio device."""
-    from repro import ExecutionMode, Machine
+    from repro.core.mode import ExecutionMode
+    from repro.core.system import Machine
     from repro.io.net import L2_NIC_BASE, install_network
 
     machine = Machine(mode=ExecutionMode.BASELINE)

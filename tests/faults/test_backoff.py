@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.faults import BackoffPolicy, Watchdog
+from repro.faults.backoff import BackoffPolicy
+from repro.faults.watchdog import Watchdog
 
 
 def test_defaults_reproduce_the_watchdog_schedule():

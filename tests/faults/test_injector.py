@@ -1,6 +1,7 @@
 """FaultInjector: determinism, zero-draw contract, scoreboard."""
 
-from repro.faults import FaultInjector, FaultKind, FaultPlan
+from repro.faults.injector import FaultInjector
+from repro.faults.plan import FaultKind, FaultPlan
 from repro.virt.vmcs import Vmcs
 
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.faults import FaultKind, FaultPlan
+from repro.faults.plan import FaultKind, FaultPlan
 
 
 def test_default_plan_is_zero():

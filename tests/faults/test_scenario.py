@@ -3,7 +3,8 @@
 import pytest
 
 from repro.core.mode import ExecutionMode
-from repro.faults import FaultInjector, FaultKind, FaultPlan
+from repro.faults.injector import FaultInjector
+from repro.faults.plan import FaultKind, FaultPlan
 from repro.faults.scenario import VmcsScrubber, run_chaos_cell
 from repro.virt.vmcs import Vmcs
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.faults import Watchdog
+from repro.faults.watchdog import Watchdog
 
 
 def test_constructor_validation():

@@ -17,8 +17,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.fuzz import evaluate_case
 from repro.fuzz.case import CaseSchemaError, load_case
+from repro.fuzz.harness import evaluate_case
 
 CORPUS = Path(__file__).parent / "corpus"
 

@@ -11,8 +11,9 @@ import os
 import pytest
 
 from repro.exp.result import canonical_json
-from repro.fuzz import bugs, evaluate_case, generate_case
-from repro.fuzz.harness import MODES, run_case_on, sanitized
+from repro.fuzz import bugs
+from repro.fuzz.gen import generate_case
+from repro.fuzz.harness import MODES, evaluate_case, run_case_on, sanitized
 from repro.errors import ConfigError
 from repro.sim import sanitizer
 

@@ -2,7 +2,9 @@
 
 import pytest
 
-from repro.fuzz import evaluate_case, generate_case, shrink_case
+from repro.fuzz.gen import generate_case
+from repro.fuzz.harness import evaluate_case
+from repro.fuzz.shrink import shrink_case
 
 BUGS_AND_ORACLES = (("drop-redirect", "steering"),
                     ("svt-clobber", "crash"))

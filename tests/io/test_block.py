@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro import ExecutionMode, Machine
+from repro.core.mode import ExecutionMode
+from repro.core.system import Machine
 from repro.cpu import isa
 from repro.io.block import BlkRequest, install_block
 from repro.virt.exits import ExitReason

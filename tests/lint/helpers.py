@@ -2,7 +2,8 @@
 
 from pathlib import Path
 
-from repro.lint import SourceFile, lint_source
+from repro.lint.engine import lint_source
+from repro.lint.source import SourceFile
 
 FIXTURES = Path(__file__).parent / "fixtures"
 

@@ -1,6 +1,6 @@
 """SVT005: unbounded while loops in repro.core."""
 
-from repro.lint import BoundedLoopRule
+from repro.lint.bounded import BoundedLoopRule
 
 from tests.lint.helpers import hits, lint_text
 

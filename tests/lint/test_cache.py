@@ -2,9 +2,10 @@
 
 import json
 
-from repro.lint import DeterminismRule, SimStateRaceRule
 from repro.lint.cache import CACHE_VERSION, LintCache
+from repro.lint.determinism import DeterminismRule
 from repro.lint.engine import lint_tree
+from repro.lint.races import SimStateRaceRule
 
 from tests.lint.helpers import hits
 

@@ -2,8 +2,9 @@
 
 from pathlib import Path
 
-from repro.lint import ProjectGraph, SourceFile
 from repro.lint.dataflow import SET_ORDER, ProjectTaint
+from repro.lint.graph import ProjectGraph
+from repro.lint.source import SourceFile
 
 
 def taints_of(text, function, module="repro.exp.demo"):

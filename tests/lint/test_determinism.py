@@ -2,7 +2,7 @@
 
 import textwrap
 
-from repro.lint import DeterminismRule
+from repro.lint.determinism import DeterminismRule
 
 from tests.lint.helpers import hits, lint_text
 

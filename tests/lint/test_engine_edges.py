@@ -4,7 +4,7 @@ import os
 
 import pytest
 
-from repro.lint import DeterminismRule
+from repro.lint.determinism import DeterminismRule
 from repro.lint.engine import iter_python_files, lint_tree
 
 from tests.lint.helpers import hits

@@ -2,7 +2,8 @@
 
 from collections import Counter
 
-from repro.lint import DEFAULT_RULES, lint_paths
+from repro.lint.cli import DEFAULT_RULES
+from repro.lint.engine import lint_paths
 
 from tests.lint.helpers import FIXTURES
 

@@ -2,7 +2,7 @@
 
 import textwrap
 
-from repro.lint import FrozenResultRule
+from repro.lint.frozen import FrozenResultRule
 
 from tests.lint.helpers import hits, lint_text
 

@@ -2,7 +2,8 @@
 
 from pathlib import Path
 
-from repro.lint import ProjectGraph, SourceFile
+from repro.lint.graph import ProjectGraph
+from repro.lint.source import SourceFile
 
 
 def graph_of(**modules):

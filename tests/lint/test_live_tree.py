@@ -9,7 +9,9 @@ wired into the workflow.
 from pathlib import Path
 
 import repro
-from repro.lint import DEFAULT_RULES, lint_paths, module_name_for
+from repro.lint.cli import DEFAULT_RULES
+from repro.lint.engine import lint_paths
+from repro.lint.source import module_name_for
 
 
 def test_shipped_tree_has_zero_findings():

@@ -2,7 +2,7 @@
 
 import textwrap
 
-from repro.lint import PoolSafetyRule
+from repro.lint.poolsafety import PoolSafetyRule
 
 from tests.lint.helpers import hits, lint_text
 

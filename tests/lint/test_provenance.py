@@ -2,7 +2,7 @@
 
 import textwrap
 
-from repro.lint import ProvenanceRule
+from repro.lint.provenance import ProvenanceRule
 
 from tests.lint.helpers import hits, lint_text
 

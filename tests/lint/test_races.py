@@ -2,7 +2,10 @@
 
 from pathlib import Path
 
-from repro.lint import ProjectGraph, SimStateRaceRule, SourceFile, lint_tree
+from repro.lint.engine import lint_tree
+from repro.lint.graph import ProjectGraph
+from repro.lint.races import SimStateRaceRule
+from repro.lint.source import SourceFile
 
 from tests.lint.helpers import FIXTURES
 

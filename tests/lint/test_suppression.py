@@ -2,7 +2,8 @@
 
 import textwrap
 
-from repro.lint import DeterminismRule, PoolSafetyRule
+from repro.lint.determinism import DeterminismRule
+from repro.lint.poolsafety import PoolSafetyRule
 
 from tests.lint.helpers import hits, lint_text
 

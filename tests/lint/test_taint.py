@@ -2,7 +2,8 @@
 
 from pathlib import Path
 
-from repro.lint import DeterminismTaintRule, lint_tree
+from repro.lint.engine import lint_tree
+from repro.lint.taint import DeterminismTaintRule
 
 from tests.lint.helpers import FIXTURES
 

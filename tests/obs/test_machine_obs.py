@@ -17,12 +17,8 @@ from repro.core.system import Machine
 from repro.cpu import isa
 from repro.exp import claims
 from repro.exp.experiments.ablations import multiplexed_machine
-from repro.obs import (
-    Observer,
-    capture_metrics,
-    charge_totals,
-    trace_breakdown,
-)
+from repro.obs.export import charge_totals, trace_breakdown
+from repro.obs.observer import Observer, capture_metrics
 from repro.sim.trace import Tracer
 from repro.virt.exits import ExitInfo, ExitReason
 from repro.virt.hypervisor import MSR_TSC_DEADLINE

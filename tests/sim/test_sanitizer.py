@@ -9,7 +9,8 @@ byte of the result document.
 
 import pytest
 
-from repro import ExecutionMode, Machine
+from repro.core.mode import ExecutionMode
+from repro.core.system import Machine
 from repro.cpu import isa
 from repro.exp import experiments  # noqa: F401  (registers experiments)
 from repro.exp.runner import run_experiments

@@ -3,6 +3,7 @@
 import json
 import os
 import pstats
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -111,20 +112,138 @@ def test_all_without_flags_runs_every_experiment_at_its_defaults(
                 == experiment.all_defaults()), experiment.name
 
 
+def _in_fresh_interpreter(program, *argv):
+    """Run ``program`` with ``argv`` in a new interpreter that imports
+    this checkout's ``repro``; returns the completed process."""
+    src = str(Path(repro.__file__).parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-c", program, *argv],
+                          check=True, capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path})
+
+
 def test_import_loads_no_process_pool():
     """The runner and the fuzz campaign fork their own helpers, so
     neither CLI's start-up imports ``concurrent.futures`` or
     ``multiprocessing``."""
-    src = str(Path(repro.__file__).parent.parent)
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     for module in ("repro.cli", "repro.fuzz.cli"):
         probe = (f"import sys, {module}; print(sorted(name for name in "
                  "('concurrent.futures', 'multiprocessing') "
                  "if name in sys.modules))")
-        out = subprocess.run([sys.executable, "-c", probe], check=True,
-                             capture_output=True, text=True,
-                             env={**os.environ, "PYTHONPATH": path}).stdout
-        assert out == "[]\n", module
+        assert _in_fresh_interpreter(probe).stdout == "[]\n", module
+
+
+#: Runs ``repro.cli.main`` on the interpreter's arguments, its output
+#: and exit discarded.
+RUN_CLI = """
+import contextlib, io, sys
+from repro.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    try:
+        main(sys.argv[1:])
+    except SystemExit:
+        pass
+"""
+
+#: The packages of the simulated stack and of the commands that have
+#: their own flags.
+COMPUTING = ("repro.virt", "repro.io", "repro.workloads", "repro.faults",
+             "repro.fuzz", "repro.lint", "repro.serve")
+
+
+def _repro_modules(program, *argv):
+    """(the ``repro`` modules a new interpreter holds after running
+    ``program`` with ``argv``, its stderr)."""
+    done = _in_fresh_interpreter(
+        program + "\nimport sys\nprint(*sorted(name for name in "
+                  "sys.modules if name.partition('.')[0] == 'repro'))",
+        *argv)
+    return done.stdout.split(), done.stderr
+
+
+def _under(name, packages):
+    return any(name == package or name.startswith(package + ".")
+               for package in packages)
+
+
+@pytest.mark.parametrize("argv", [
+    ["list"],
+    ["--help"],
+    ["table1", "--json", "--cache-dir", "{tmp}"],
+], ids=" ".join)
+def test_a_command_that_computes_nothing_loads_no_simulator(
+        capsys, tmp_path, argv):
+    """Listing, help and a cache-served result load the registry, the
+    runner and the cache, never the simulated stack: from
+    ``repro.core`` only the execution modes the experiments declare."""
+    argv = [str(tmp_path) if arg == "{tmp}" else arg for arg in argv]
+    cached = "--cache-dir" in argv
+    if cached:
+        run_cli(capsys, *argv)          # so that the probe is served
+    modules, err = _repro_modules(RUN_CLI, *argv)
+    if cached:
+        assert "cache: served 1, computed 0" in err
+    assert [name for name in modules if _under(name, COMPUTING)] == []
+    assert "repro.sim.engine" not in modules
+    assert [name for name in modules if _under(name, ["repro.core"])] \
+        == ["repro.core", "repro.core.mode"]
+
+
+def test_serve_leaves_the_simulator_to_its_workers():
+    """A ``repro serve`` process loads the registry to parse requests;
+    only the workers it forks, which compute, import the simulated
+    stack."""
+    modules, _ = _repro_modules("import repro.serve.cli\n"
+                                "from repro.exp import registry\n"
+                                "registry.ensure_loaded()")
+    assert "repro.core.system" not in modules
+    assert [name for name in modules if _under(
+        name, ["repro.virt", "repro.io", "repro.workloads"])] == []
+
+
+def test_a_computed_batch_loads_the_simulator_before_it_forks():
+    """Helpers share the modules their caller loaded before the fork;
+    a module each helper imports for itself costs one import per
+    process."""
+    done = _in_fresh_interpreter(
+        "import sys\n"
+        "from repro.exp import runner\n"
+        "fan_out = runner.fan_out\n"
+        "def spy(*args, **kwargs):\n"
+        "    print('repro.core.system' in sys.modules)\n"
+        "    return fan_out(*args, **kwargs)\n"
+        "runner.fan_out = spy\n"
+        "runner.run_experiments(['fig6'], jobs=2)")
+    assert done.stdout.split() == ["True"]
+
+
+def test_claims_import_nothing_else():
+    modules, _ = _repro_modules("import repro.exp.claims")
+    assert modules == ["repro", "repro.exp", "repro.exp.claims"]
+
+
+def test_help_names_every_command_with_its_own_flags(capsys):
+    """Such a command is dispatched before the experiment parser when
+    it comes first.  ``chaos`` is also a registered experiment, so the
+    parser still offers it: options before its name run it as one."""
+    with pytest.raises(SystemExit) as exit_info:
+        main(["--help"])
+    assert exit_info.value.code == 0
+    out = capsys.readouterr().out
+    choices = re.search(r"\{([a-z0-9_,]+)\}", out)[1].split(",")
+    assert "chaos" in choices and "lint" not in choices
+    epilog = out[out.index("commands with their own flags"):]
+    for command in ("chaos", "dse", "fuzz", "lint", "loadtest", "run",
+                    "serve"):
+        assert re.search(rf"^  {command} ", epilog, re.MULTILINE), command
+    with pytest.raises(SystemExit) as exit_info:
+        main(["chaos", "--help"])
+    assert exit_info.value.code == 0
+    capsys.readouterr()
+    assert main(["--cost-model", "arm-flavour", "--no-cache", "--jobs",
+                 "1", "--iterations", "2", "chaos", "--json"]) == 0
+    chaos = json.loads(capsys.readouterr().out)["experiments"]["chaos"]
+    assert chaos["params"]["cost_model"] == "arm-flavour"
 
 
 @pytest.mark.parametrize("argv", [

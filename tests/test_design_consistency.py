@@ -4,11 +4,13 @@ DESIGN.md's module map must reference files that actually exist, and
 DESIGN.md's per-experiment index and EXPERIMENTS.md must name every
 registered experiment and cite only experiments, ``results/`` files
 and claim tests that exist.  Every backticked repo path and
-``repro.…`` dotted name in the user-facing docs must exist too,
+``repro.…`` dotted name in the user-facing docs must exist too, as
+must every ``repro`` name the CI workflows import,
 docs/static-analysis.md documents each shipped lint rule exactly once,
 and ``make clean`` removes every directory .gitignore lists; nothing
-rots silently.  One design rule is checked on the source itself: only
-``repro.sim`` charges the simulator's clock.
+rots silently.  Two design rules are checked on the source itself:
+only ``repro.sim`` charges the simulator's clock, and no package
+``__init__`` re-exports a name.
 """
 
 import ast
@@ -21,7 +23,7 @@ import pytest
 
 import repro
 from repro.exp import claims, registry
-from repro.lint import DEFAULT_RULES
+from repro.lint.cli import DEFAULT_RULES
 
 REPO_ROOT = Path(repro.__file__).resolve().parent.parent.parent
 DESIGN = (REPO_ROOT / "DESIGN.md").read_text()
@@ -220,6 +222,38 @@ def test_only_repro_sim_charges_the_clock():
         "simulator: " + ", ".join(offenders))
 
 
+#: Package inits that hold code: the cost-model registry is the
+#: ``repro.cpu.costmodels`` package itself, and the imports of
+#: ``repro.exp.experiments`` register the bundled experiments.
+INITS_WITH_CODE = ("cpu/costmodels/__init__.py",
+                   "exp/experiments/__init__.py")
+
+
+def _is_version(node):
+    return (isinstance(node, ast.Assign) and len(node.targets) == 1
+            and isinstance(node.targets[0], ast.Name)
+            and node.targets[0].id == "__version__")
+
+
+def test_package_inits_hold_only_their_docstrings():
+    # One home per name: a name is imported from the module that
+    # defines it, so importing one module loads only what it needs.
+    offenders = []
+    for path in sorted(SRC.rglob("__init__.py")):
+        relative = path.relative_to(SRC).as_posix()
+        if relative in INITS_WITH_CODE:
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        body = tree.body[1:] if ast.get_docstring(tree) else tree.body
+        if relative == "__init__.py":
+            body = [node for node in body if not _is_version(node)]
+        offenders += [f"src/repro/{relative}:{node.lineno}"
+                      for node in body]
+    assert not offenders, (
+        "import a name from the module that defines it; a package "
+        "__init__ holds only its docstring: " + ", ".join(offenders))
+
+
 def test_static_analysis_doc_has_one_section_per_rule():
     # A retired rule's section cannot outlive it, and a new rule
     # cannot ship undocumented.  SVT000 is the parse failure.
@@ -289,3 +323,21 @@ def test_doc_citations_exist(doc):
             if not _resolves(name):
                 missing.append(name)
     assert not missing, f"{doc.name} cites missing names: {missing}"
+
+
+WORKFLOWS = sorted((REPO_ROOT / ".github" / "workflows").glob("*.yml"))
+
+
+def test_workflow_imports_resolve():
+    # The CI jobs' inline Python runs only on CI; an import of a moved
+    # name would break a job that tier-1 never runs.
+    assert WORKFLOWS
+    missing = []
+    for workflow in WORKFLOWS:
+        for module, names in re.findall(
+                r"^\s*from (repro[\w.]*) import ([\w, ]+)$",
+                workflow.read_text(), flags=re.MULTILINE):
+            missing += [f"{workflow.name}: {module}.{name.strip()}"
+                        for name in names.split(",")
+                        if not _resolves(f"{module}.{name.strip()}")]
+    assert not missing, f"CI imports missing names: {missing}"

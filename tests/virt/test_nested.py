@@ -10,8 +10,9 @@ from pathlib import Path
 import pytest
 
 import repro
-from repro import ExecutionMode, Machine
 from repro.analysis.breakdown import exit_reason_profile
+from repro.core.mode import ExecutionMode
+from repro.core.system import Machine
 from repro.cpu import isa
 from repro.errors import VirtualizationError
 from repro.sim.trace import Category

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro import ExecutionMode, Machine
+from repro.core.mode import ExecutionMode
+from repro.core.system import Machine
 from repro.cpu import isa
 from repro.virt.exits import ExitReason
 from repro.virt.transform import L0Policy
